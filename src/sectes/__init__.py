@@ -29,8 +29,8 @@ from .forest import (Forest, ForestConfig, fit_forest, gini, predict_forest,
                      predict_proba)
 from .validation import (ConfusionCounts, MethodSettings, RiskEvalReport,
                          TrialSummary, ValidationReport, aggregate_trials,
-                         compute_a_metrics, fit_and_synthesize,
+                         compute_a_metrics, fit_and_synthesize, fit_method,
                          identify_group_experiment, risk_difference_eval,
-                         split_train_test)
+                         sample_model, split_train_test)
 
 __version__ = "0.1.0"

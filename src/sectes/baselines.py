@@ -89,11 +89,19 @@ def pls_fit(X: np.ndarray, Y: np.ndarray, components: int) -> PlsModel:
     return PlsModel(mean_x=mean_x, mean_y=mean_y, coef=coef, n_components=done)
 
 
+def _check_width(x: np.ndarray, m: int) -> np.ndarray:
+    if x.shape[1] != m:
+        raise ValueError(f"characteristics have {x.shape[1]} columns, "
+                         f"expected {m}")
+    return x
+
+
 def pls_predict(model: PlsModel, x: np.ndarray) -> np.ndarray:
     """Linear prediction; accepts one row (m,) or a batch (B, m)."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    pred = model.mean_y + (np.atleast_2d(x) - model.mean_x) @ model.coef
+    xb = _check_width(np.atleast_2d(x), model.mean_x.size)
+    pred = model.mean_y + (xb - model.mean_x) @ model.coef
     return pred[0] if single else pred
 
 
@@ -138,7 +146,7 @@ def grnn_predict(model: GrnnModel, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    xb = np.atleast_2d(x)
+    xb = _check_width(np.atleast_2d(x), model.train_x.shape[1])
     d2 = ((xb[:, None, :] - model.train_x[None, :, :]) ** 2).sum(axis=2)
     expo = -d2 / (2.0 * model.bandwidth ** 2)
     w = np.exp(expo - expo.max(axis=1, keepdims=True))
@@ -158,16 +166,14 @@ class VariantSpec:
 
     name: str
     beta: float
-    ensemble: bool
-    k: int = 0
-    h: int = 0
+    ensemble: bool  # sizes come from EnsembleConfig
 
 
 _VARIANTS = {
     "cgan": VariantSpec(name="cgan", beta=1.0, ensemble=False),
     "gan-cls": VariantSpec(name="gan-cls", beta=0.5, ensemble=False),
     "ctes": VariantSpec(name="ctes", beta=0.9, ensemble=False),
-    "se-ctes": VariantSpec(name="se-ctes", beta=0.9, ensemble=True, k=5, h=2),
+    "se-ctes": VariantSpec(name="se-ctes", beta=0.9, ensemble=True),
 }
 
 

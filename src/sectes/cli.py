@@ -17,38 +17,40 @@ import logging
 import math
 import os
 import re
+import reprlib
 import sys
 import time
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
-from types import SimpleNamespace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, \
+    replace
 
 import numpy as np
 
-from . import ndnet
 from .baselines import GrnnModel, PlsModel
-from .ctes import CtesModel, DiscriminatorModel, GeneratorModel, \
-    Normalization, TrainConfig, synthesize
+from .ctes import CtesModel, TrainConfig
 from .datagen import GpSimConfig, PairedDataset, SimConfig, \
     gen_multivariate_dataset, gen_scalar_to_matrix_dataset, \
     read_dataset_csv, write_dataset_csv
-from .ensemble import EnsembleConfig, EnsembleModel, ensemble_synthesize, \
-    train_se_ctes
+from .ensemble import EnsembleConfig, EnsembleModel
 from .errors import ConfigError, ModelFormatError
 from .forest import ForestConfig
-from .validation import MethodSettings, aggregate_trials, \
-    fit_and_synthesize, identify_group_experiment, risk_difference_eval
+from .validation import MethodSettings, aggregate_trials, fit_method, \
+    identify_group_experiment, risk_difference_eval, sample_model
 
 log = logging.getLogger("sectes")
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 KNOWN_METHODS = ("pls", "grnn", "cgan", "gan-cls", "ctes", "se-ctes")
 STUDIES = ("multivariate", "scalar-to-matrix", "tabular-risk")
 
 
 # --- canonical JSON with exact float round-trips ---
 
-def _encode(obj) -> str:
+def dumps_canonical(obj) -> str:
+    """Deterministic JSON: sorted keys, floats at 17 significant digits;
+    a dataclass is written as an object of its fields."""
     if obj is None:
         return "null"
     if obj is True:
@@ -66,18 +68,16 @@ def _encode(obj) -> str:
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)
+               if f.metadata.get("saved", True)}
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_encode(v) for v in obj) + "]"
+        return "[" + ",".join(dumps_canonical(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        return "{" + ",".join(json.dumps(str(k)) + ":" + _encode(v)
+        return "{" + ",".join(json.dumps(str(k)) + ":" + dumps_canonical(v)
                               for k, v in items) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def dumps_canonical(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    return _encode(obj)
 
 
 def stable_seed(*parts) -> int:
@@ -86,277 +86,186 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") >> 1
 
 
+# --- typed decoding of JSON documents ---
+
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _decode(tp, value, path: str):
+    """Rebuild a value of the annotated type ``tp`` from parsed JSON.
+
+    Dataclasses are rebuilt field by field from their type hints; missing
+    fields take their defaults, and fields marked ``saved: False`` are not
+    read. An unknown key, a wrong type, a non-finite number or a failed
+    ``__post_init__`` raises :class:`ConfigError` naming the field path.
+    """
+    where = f"{path}: " if path else ""
+
+    def fail(expected):
+        raise ConfigError(f"{where}expected {expected}, "
+                          f"got {reprlib.repr(value)}")
+
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            fail("object")
+        known = {f.name: f for f in fields(tp) if f.metadata.get("saved", True)}
+        for key in value:
+            if key not in known:
+                raise ConfigError(f"{_join(path, key)}: unknown field")
+        hints = typing.get_type_hints(tp)
+        kwargs = {}
+        for name, f in known.items():
+            if name in value:
+                kwargs[name] = _decode(hints[name], value[name],
+                                       _join(path, name))
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{_join(path, name)}: missing field")
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"{where}{exc}") from None
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # written as ``X | None``
+        return None if value is None else _decode(args[0], value, path)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            fail("list")
+        items = [_decode(args[0], v, f"{path}[{i}]")
+                 for i, v in enumerate(value)]
+        return items if origin is list else tuple(items)
+    if origin is dict:
+        if not isinstance(value, dict):
+            fail("object")
+        return {k: _decode(args[1], v, _join(path, k)) for k, v in value.items()}
+    if tp is np.ndarray:
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # ragged nesting
+            fail("array of numbers")
+        if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+            fail("array of finite numbers")
+        return arr.astype(np.float64)
+    if tp is float and type(value) in (int, float) \
+            and abs(value) <= sys.float_info.max:  # finite, fits a float
+        return float(value)
+    if tp in (bool, int, str) and type(value) is tp:  # True is no int here
+        return value
+    fail("finite float" if tp is float else tp.__name__)
+
+
 # --- model files ---
 
-def _net_to_dict(net: ndnet.NetParams) -> dict:
-    return {"spec": [asdict(l) for l in net.spec],
-            "layers": [{"W": lay["W"], "b": lay["b"]} for lay in net.layers]}
-
-
-def _net_from_dict(d: dict) -> ndnet.NetParams:
-    spec = [ndnet.LayerSpec(**s) for s in d["spec"]]
-    layers = [{"W": np.asarray(lay["W"], dtype=np.float64),
-               "b": np.asarray(lay["b"], dtype=np.float64)}
-              for lay in d["layers"]]
-    return ndnet.NetParams(spec=spec, layers=layers)
-
-
-def _norm_to_dict(norm: Normalization) -> dict:
-    return {"x_mean": norm.x_mean, "x_std": norm.x_std,
-            "y_mean": norm.y_mean, "y_std": norm.y_std}
-
-
-def _norm_from_dict(d: dict) -> Normalization:
-    return Normalization(**{k: np.asarray(v, dtype=np.float64)
-                            for k, v in d.items()})
-
-
-def _train_cfg_to_dict(cfg: TrainConfig) -> dict:
-    d = asdict(cfg)
-    d["conv_channels"] = list(cfg.conv_channels)
-    return d
-
-
-def _train_cfg_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
-    d["conv_channels"] = tuple(d.get("conv_channels", (8, 16, 32, 64)))
-    return TrainConfig(**d)
-
-
-def _expr_shape(v):
-    return None if v is None else tuple(v)
-
-
-def _ctes_to_dict(model: CtesModel) -> dict:
-    return {
-        "kind": "ctes",
-        "config": _train_cfg_to_dict(model.config),
-        "norm": _norm_to_dict(model.generator.norm),
-        "expr_shape": model.generator.expr_shape,
-        "z_dim": model.generator.z_dim,
-        "mixer": _net_to_dict(model.generator.mixer),
-        "decoder": _net_to_dict(model.generator.decoder),
-        "encoder": _net_to_dict(model.discriminator.encoder),
-        "head": _net_to_dict(model.discriminator.head),
-        "loss_d": model.loss_d,
-        "loss_g": model.loss_g,
-        "iterations_run": model.iterations_run,
-    }
-
-
-def _ctes_from_dict(d: dict) -> CtesModel:
-    norm = _norm_from_dict(d["norm"])
-    shape = _expr_shape(d["expr_shape"])
-    gen = GeneratorModel(mixer=_net_from_dict(d["mixer"]),
-                         decoder=_net_from_dict(d["decoder"]),
-                         z_dim=int(d["z_dim"]), norm=norm, expr_shape=shape)
-    disc = DiscriminatorModel(encoder=_net_from_dict(d["encoder"]),
-                              head=_net_from_dict(d["head"]),
-                              norm=norm, expr_shape=shape)
-    return CtesModel(generator=gen, discriminator=disc,
-                     config=_train_cfg_from_dict(d["config"]),
-                     loss_d=np.asarray(d["loss_d"], dtype=np.float64),
-                     loss_g=np.asarray(d["loss_g"], dtype=np.float64),
-                     iterations_run=int(d["iterations_run"]))
-
-
-def _model_to_payload(model) -> dict:
-    if isinstance(model, CtesModel):
-        return _ctes_to_dict(model)
-    if isinstance(model, EnsembleModel):
-        cfg = model.config
-        return {
-            "kind": "se-ctes",
-            "config": {"k": cfg.k, "h": cfg.h,
-                       "train": _train_cfg_to_dict(cfg.train),
-                       "clf": asdict(cfg.clf),
-                       "synth_per_model": cfg.synth_per_model,
-                       "seed": cfg.seed},
-            "members": [None if m is None else _ctes_to_dict(m)
-                        for m in model.models],
-            "scores": model.scores,
-            "selected": list(model.selected),
-            "diagnostics": model.diagnostics,
-        }
-    if isinstance(model, PlsModel):
-        return {"kind": "pls", "mean_x": model.mean_x, "mean_y": model.mean_y,
-                "coef": model.coef, "n_components": model.n_components}
-    if isinstance(model, GrnnModel):
-        return {"kind": "grnn", "train_x": model.train_x,
-                "train_y": model.train_y, "bandwidth": model.bandwidth}
-    raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-
-
-def _model_from_payload(d: dict):
-    kind = d.get("kind")
-    if kind == "ctes":
-        return _ctes_from_dict(d)
-    if kind == "se-ctes":
-        c = d["config"]
-        cfg = EnsembleConfig(k=int(c["k"]), h=int(c["h"]),
-                             train=_train_cfg_from_dict(c["train"]),
-                             clf=ForestConfig(**c["clf"]),
-                             synth_per_model=c["synth_per_model"],
-                             seed=int(c["seed"]))
-        return EnsembleModel(
-            models=[None if m is None else _ctes_from_dict(m)
-                    for m in d["members"]],
-            scores=np.asarray(d["scores"], dtype=np.float64),
-            selected=[int(i) for i in d["selected"]],
-            config=cfg, diagnostics=d["diagnostics"])
-    if kind == "pls":
-        return PlsModel(mean_x=np.asarray(d["mean_x"], dtype=np.float64),
-                        mean_y=np.asarray(d["mean_y"], dtype=np.float64),
-                        coef=np.asarray(d["coef"], dtype=np.float64),
-                        n_components=int(d["n_components"]))
-    if kind == "grnn":
-        return GrnnModel(train_x=np.asarray(d["train_x"], dtype=np.float64),
-                         train_y=np.asarray(d["train_y"], dtype=np.float64),
-                         bandwidth=float(d["bandwidth"]))
-    raise ModelFormatError(f"unknown model kind {kind!r}")
+_MODEL_KINDS = {"pls": PlsModel, "grnn": GrnnModel, "ctes": CtesModel,
+                "se-ctes": EnsembleModel}
 
 
 def save_model(model, path) -> None:
-    """Versioned JSON model file; floats at 17 significant digits."""
-    doc = {"format_version": MODEL_FORMAT_VERSION,
-           "payload": _model_to_payload(model)}
+    """Versioned JSON model file holding the model's dataclass fields;
+    floats at 17 significant digits."""
+    kinds = [k for k, cls in _MODEL_KINDS.items() if type(model) is cls]
+    if not kinds:
+        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    text = dumps_canonical({"format_version": MODEL_FORMAT_VERSION,
+                            "kind": kinds[0], "payload": model})
     with open(path, "w") as fh:
-        fh.write(dumps_canonical(doc))
+        fh.write(text)
 
 
 def load_model(path):
-    """Load a model file; rejects unknown versions and corrupt files."""
+    """Load a model file; an unknown version or kind, or a corrupt or
+    incomplete payload, raises :class:`ModelFormatError`."""
     with open(path) as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(
-            f"corrupt model file {path}: {exc.msg} at offset {exc.pos}") from exc
-    version = doc.get("format_version")
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ModelFormatError(f"corrupt model file {path}: {exc.msg} "
+                                   f"at offset {exc.pos}") from exc
+    version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported format version {version!r}; this build reads "
             f"version {MODEL_FORMAT_VERSION}")
-    return _model_from_payload(doc["payload"])
+    kind = doc.get("kind")
+    if kind not in _MODEL_KINDS:
+        raise ModelFormatError(f"unknown model kind {kind!r}")
+    try:
+        return _decode(_MODEL_KINDS[kind], doc.get("payload"), "payload")
+    except ConfigError as exc:
+        raise ModelFormatError(f"corrupt model file {path}: {exc}") from None
 
 
 # --- experiment configuration ---
 
 @dataclass
+class EnsembleSize:
+    """The config's ``ensemble`` block: members trained and kept."""
+
+    k: int = EnsembleConfig.k
+    h: int = EnsembleConfig.h
+
+    def __post_init__(self):
+        EnsembleConfig(k=self.k, h=self.h)  # h >= 1, k > 2h
+
+
+@dataclass
+class GpSize:
+    """The config's ``gp`` block: scalar-to-matrix dataset size."""
+
+    grid: int = GpSimConfig.grid
+    images_per_category: int = 32
+
+    def __post_init__(self):
+        GpSimConfig(grid=self.grid, images_per_category=self.images_per_category)
+
+
+@dataclass
 class ExperimentConfig:
-    """Validated settings of one benchmark run."""
+    """Validated settings of one benchmark run; the JSON config mirrors
+    these fields and every one has a default."""
 
     study: str = "multivariate"
-    sigmas: list = field(default_factory=lambda: [0.01, 0.03, 0.05, 0.07, 0.09])
+    sigmas: list[float] = field(
+        default_factory=lambda: [0.01, 0.03, 0.05, 0.07, 0.09])
     trials: int = 5
     replicates: int = 1
-    methods: list = field(default_factory=lambda: list(KNOWN_METHODS))
-    groups: list = field(default_factory=lambda: [2, 3, 4])
+    methods: list[str] = field(default_factory=lambda: list(KNOWN_METHODS))
+    groups: list[int] = field(default_factory=lambda: [2, 3, 4])
     samples_per_group: int = 200
     train: TrainConfig = field(default_factory=TrainConfig)
-    k: int = 5
-    h: int = 2
+    ensemble: EnsembleSize = field(default_factory=EnsembleSize)
     forest: ForestConfig = field(default_factory=ForestConfig)
-    beta_grid: list = field(default_factory=list)
+    beta_grid: list[float] = field(default_factory=list)
     fresh_data_per_trial: bool = True
     subsample_merged: bool = True
-    grid: int = 16
-    images_per_category: int = 32
+    gp: GpSize = field(default_factory=GpSize)
     data_csv: str | None = None
     out_dir: str = "out"
     master_seed: int = 0
     workers: int = 1
 
-
-def _take(raw: dict, path: str, known: dict) -> dict:
-    """Pop known keys with defaults; reject unknown keys with field paths."""
-    out = {}
-    for key, default in known.items():
-        out[key] = raw.pop(key) if key in raw else default
-    if raw:
-        where = f"{path}." if path else ""
-        raise ConfigError(f"{where}{sorted(raw)[0]}: unknown field")
-    return out
+    def __post_init__(self):
+        if self.study not in STUDIES:
+            raise ConfigError(f"study: must be one of {STUDIES}")
+        for name in ("trials", "replicates", "workers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}: must be >= 1")
+        for s in self.sigmas:
+            if not 0.0 < s < 1.0:
+                raise ConfigError(f"sigmas: value {s} outside (0, 1)")
+        for m in self.methods:
+            if m not in KNOWN_METHODS:
+                raise ConfigError(f"methods: unknown method {m!r}; expected "
+                                  f"one of {KNOWN_METHODS}")
+        for b in self.beta_grid:
+            if not 0.0 <= b <= 1.0:
+                raise ConfigError(f"beta_grid: value {b} outside [0, 1]")
 
 
 def build_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON document into an :class:`ExperimentConfig`;
     violations name the offending field."""
-    raw = dict(raw)
-    train_raw = dict(raw.pop("train", {}))
-    ens_raw = dict(raw.pop("ensemble", {}))
-    forest_raw = dict(raw.pop("forest", {}))
-    gp_raw = dict(raw.pop("gp", {}))
-    defaults = ExperimentConfig()
-    top = _take(raw, "", {
-        "study": defaults.study, "sigmas": defaults.sigmas,
-        "trials": defaults.trials, "replicates": defaults.replicates,
-        "methods": defaults.methods, "groups": defaults.groups,
-        "samples_per_group": defaults.samples_per_group,
-        "beta_grid": defaults.beta_grid,
-        "fresh_data_per_trial": defaults.fresh_data_per_trial,
-        "subsample_merged": defaults.subsample_merged,
-        "data_csv": defaults.data_csv, "out_dir": defaults.out_dir,
-        "master_seed": defaults.master_seed, "workers": defaults.workers,
-    })
-    if top["study"] not in STUDIES:
-        raise ConfigError(f"study: must be one of {STUDIES}")
-    for name, low in (("trials", 1), ("replicates", 1), ("workers", 1)):
-        if int(top[name]) < low:
-            raise ConfigError(f"{name}: must be >= {low}")
-    for s in top["sigmas"]:
-        if not 0.0 < float(s) < 1.0:
-            raise ConfigError(f"sigmas: value {s} outside (0, 1)")
-    for m in top["methods"]:
-        if m not in KNOWN_METHODS:
-            raise ConfigError(f"methods: unknown method {m!r}; expected "
-                              f"one of {KNOWN_METHODS}")
-    for b in top["beta_grid"]:
-        if not 0.0 <= float(b) <= 1.0:
-            raise ConfigError(f"beta_grid: value {b} outside [0, 1]")
-
-    tc_defaults = TrainConfig()
-    tc_kwargs = _take(train_raw, "train",
-                      {f: getattr(tc_defaults, f)
-                       for f in tc_defaults.__dataclass_fields__})
-    tc_kwargs["conv_channels"] = tuple(tc_kwargs["conv_channels"])
-    try:
-        train = TrainConfig(**tc_kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"train: {exc}") from None
-
-    ens = _take(ens_raw, "ensemble", {"k": defaults.k, "h": defaults.h})
-    try:  # reuse the ensemble invariants (h >= 1, k > 2h)
-        EnsembleConfig(k=int(ens["k"]), h=int(ens["h"]), train=train)
-    except ConfigError as exc:
-        raise ConfigError(f"ensemble: {exc}") from None
-
-    fc_defaults = ForestConfig()
-    fc_kwargs = _take(forest_raw, "forest",
-                      {f: getattr(fc_defaults, f)
-                       for f in fc_defaults.__dataclass_fields__})
-    try:
-        forest = ForestConfig(**fc_kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"forest: {exc}") from None
-
-    gp = _take(gp_raw, "gp", {"grid": defaults.grid,
-                              "images_per_category": defaults.images_per_category})
-
-    return ExperimentConfig(
-        study=top["study"], sigmas=[float(s) for s in top["sigmas"]],
-        trials=int(top["trials"]), replicates=int(top["replicates"]),
-        methods=list(top["methods"]), groups=[int(g) for g in top["groups"]],
-        samples_per_group=int(top["samples_per_group"]), train=train,
-        k=int(ens["k"]), h=int(ens["h"]), forest=forest,
-        beta_grid=[float(b) for b in top["beta_grid"]],
-        fresh_data_per_trial=bool(top["fresh_data_per_trial"]),
-        subsample_merged=bool(top["subsample_merged"]),
-        grid=int(gp["grid"]),
-        images_per_category=int(gp["images_per_category"]),
-        data_csv=top["data_csv"], out_dir=str(top["out_dir"]),
-        master_seed=int(top["master_seed"]), workers=int(top["workers"]))
+    return _decode(ExperimentConfig, raw, "")
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -372,28 +281,20 @@ def parse_config(path) -> ExperimentConfig:
     return build_config(raw)
 
 
-def _config_hash(cfg: ExperimentConfig) -> str:
-    doc = asdict(cfg)
-    doc["train"]["conv_channels"] = list(cfg.train.conv_channels)
-    return hashlib.sha256(dumps_canonical(doc).encode()).hexdigest()
-
-
 # --- the benchmark grid ---
 
 _SWEEP_RE = re.compile(r"^(ctes|se-ctes|cgan|gan-cls)\[beta=([0-9.eE+-]+)\]$")
 
 
-def _parse_method_label(label: str):
+def _method_settings(cfg: ExperimentConfig, label: str):
+    """Split a method label (``ctes[beta=0.7]`` names a sweep job) into the
+    method name and its :class:`MethodSettings`."""
     m = _SWEEP_RE.match(label)
-    if m:
-        return m.group(1), float(m.group(2))
-    return label, None
-
-
-def _method_settings(cfg: ExperimentConfig, beta_override=None) -> MethodSettings:
-    ensemble = EnsembleConfig(k=cfg.k, h=cfg.h, train=cfg.train, clf=cfg.forest)
-    return MethodSettings(train=cfg.train, forest=cfg.forest,
-                          ensemble=ensemble, beta_override=beta_override)
+    method, beta = (m.group(1), float(m.group(2))) if m else (label, None)
+    ensemble = EnsembleConfig(k=cfg.ensemble.k, h=cfg.ensemble.h,
+                              clf=cfg.forest)
+    return method, MethodSettings(train=cfg.train, forest=cfg.forest,
+                                  ensemble=ensemble, beta_override=beta)
 
 
 def _job_dataset(cfg: ExperimentConfig, sigma, trial: int) -> PairedDataset:
@@ -405,7 +306,7 @@ def _job_dataset(cfg: ExperimentConfig, sigma, trial: int) -> PairedDataset:
     if cfg.study == "scalar-to-matrix":
         seed = stable_seed(cfg.master_seed, "data", "gp", data_trial)
         return gen_scalar_to_matrix_dataset(GpSimConfig(
-            grid=cfg.grid, images_per_category=cfg.images_per_category,
+            grid=cfg.gp.grid, images_per_category=cfg.gp.images_per_category,
             seed=seed))
     if not cfg.data_csv:
         raise ConfigError("data_csv: required for the tabular-risk study")
@@ -416,8 +317,7 @@ def _run_job(cfg: ExperimentConfig, job: dict) -> dict:
     """One grid cell; returns a result row (or an error marker)."""
     started = time.monotonic()
     try:
-        method, beta_override = _parse_method_label(job["method"])
-        settings = _method_settings(cfg, beta_override)
+        method, settings = _method_settings(cfg, job["method"])
         dataset = _job_dataset(cfg, job["sigma"], job["trial"])
         if cfg.study == "tabular-risk":
             rep = risk_difference_eval(dataset, job["group"], method,
@@ -445,18 +345,21 @@ def _job_key(job: dict):
             job["group"], job["trial"])
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return "" if v is None else str(v)
-
-
 def _write_csv(path, header: list, rows: list) -> None:
+    """Floats at 17 significant digits; None becomes an empty cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v
+                          for v in row] for row in rows)
+
+
+def _write_summary(path, reports: list) -> None:
+    """Mean and sample std of A1/A2 per (method, sigma, group)."""
+    rows = [[s.method, s.sigma, s.group, s.a1_mean, s.a1_std, s.a2_mean,
+             s.a2_std] for s in (aggregate_trials(reports) if reports else [])]
+    _write_csv(path, ["method", "sigma", "group", "A1", "A1_std", "A2",
+                      "A2_std"], rows)
 
 
 def enumerate_jobs(cfg: ExperimentConfig) -> list[dict]:
@@ -492,11 +395,15 @@ def run_suite(cfg: ExperimentConfig) -> dict:
     summary_path = os.path.join(cfg.out_dir, f"{cfg.study}_summary.csv")
     ok = [r for r in results if r["status"] == "ok"]
     if cfg.study == "tabular-risk":
-        _write_csv(trials_path,
-                   ["method", "group", "trial", "mean_abs_diff", "std", "n"],
-                   [[r["method"], r["group"], r["trial"],
-                     r["row"]["mean_abs_diff"], r["row"]["std"], r["row"]["n"]]
-                    for r in ok])
+        keys = ["method", "group", "trial"]
+        values = ["mean_abs_diff", "std", "n"]
+    else:
+        keys = ["method", "sigma", "group", "trial"]
+        values = ["A1", "A2", "TP", "FP", "FN", "TN"]
+    _write_csv(trials_path, keys + values,
+               [[r[k] for k in keys] + [r["row"][v] for v in values]
+                for r in ok])
+    if cfg.study == "tabular-risk":
         cells: dict = {}
         for r in ok:
             cells.setdefault((r["method"], r["group"]), []).append(
@@ -510,28 +417,14 @@ def run_suite(cfg: ExperimentConfig) -> dict:
                    ["method", "group", "mean_abs_diff", "std", "n_trials"],
                    rows)
     else:
-        _write_csv(trials_path,
-                   ["method", "sigma", "group", "trial", "A1", "A2",
-                    "TP", "FP", "FN", "TN"],
-                   [[r["method"], r["sigma"], r["group"], r["trial"],
-                     r["row"]["A1"], r["row"]["A2"], r["row"]["TP"],
-                     r["row"]["FP"], r["row"]["FN"], r["row"]["TN"]]
-                    for r in ok])
-        reports = [SimpleNamespace(method=r["method"], sigma=r["sigma"],
-                                   group=r["group"], a1=r["row"]["A1"],
-                                   a2=r["row"]["A2"])
-                   for r in ok]
-        rows = []
-        if reports:
-            for s in aggregate_trials(reports):
-                rows.append([s.method, s.sigma, s.group, s.a1_mean, s.a1_std,
-                             s.a2_mean, s.a2_std])
-        _write_csv(summary_path,
-                   ["method", "sigma", "group", "A1", "A1_std", "A2", "A2_std"],
-                   rows)
+        _write_summary(summary_path, [
+            types.SimpleNamespace(method=r["method"], sigma=r["sigma"],
+                                  group=r["group"], a1=r["row"]["A1"],
+                                  a2=r["row"]["A2"]) for r in ok])
 
+    config_hash = hashlib.sha256(dumps_canonical(cfg).encode()).hexdigest()
     manifest = {
-        "config_hash": _config_hash(cfg),
+        "config_hash": config_hash,
         "master_seed": cfg.master_seed,
         "n_jobs": len(results),
         "n_failed": sum(r["status"] == "failed" for r in results),
@@ -544,43 +437,6 @@ def run_suite(cfg: ExperimentConfig) -> dict:
     return manifest
 
 
-# --- training and synthesis entry points used by the subcommands ---
-
-def train_method(cfg: ExperimentConfig, method: str, dataset: PairedDataset,
-                 seed: int):
-    """Fit one method on a whole dataset and return the model object."""
-    from .baselines import grnn_fit, pls_fit, variant_config
-    from .ctes import train_ctes
-
-    if method == "pls":
-        return pls_fit(dataset.x, dataset.y, min(dataset.char_dim, 2))
-    if method == "grnn":
-        return grnn_fit(dataset.x, dataset.y)
-    variant = variant_config(method)
-    train = replace(cfg.train, beta=variant.beta, seed=seed)
-    if variant.ensemble:
-        ec = EnsembleConfig(k=cfg.k, h=cfg.h, train=train, clf=cfg.forest,
-                            seed=seed)
-        return train_se_ctes(dataset, ec)
-    return train_ctes(dataset, train)
-
-
-def synthesize_from_model(model, x: np.ndarray, count: int, seed: int,
-                          jitter: float) -> np.ndarray:
-    """Dispatch synthesis over the serializable model kinds."""
-    from .baselines import grnn_predict, pls_predict
-
-    if isinstance(model, PlsModel):
-        return np.repeat(np.atleast_2d(pls_predict(model, x)), count, axis=0)
-    if isinstance(model, GrnnModel):
-        return np.repeat(np.atleast_2d(grnn_predict(model, x)), count, axis=0)
-    rng = np.random.default_rng(seed)
-    if isinstance(model, EnsembleModel):
-        return ensemble_synthesize(model, np.atleast_2d(x), total=count,
-                                   rng=rng, jitter=jitter)
-    return synthesize(model, x, count, rng=rng, jitter=jitter)
-
-
 # --- subcommands ---
 
 def _load_or_default_config(path) -> ExperimentConfig:
@@ -591,25 +447,15 @@ def cmd_simulate(args) -> int:
     cfg = _load_or_default_config(args.config)
     if args.seed is not None:
         cfg.master_seed = args.seed
-    os.makedirs(args.out, exist_ok=True)
-    if cfg.study == "multivariate":
-        for sigma in cfg.sigmas:
-            ds = gen_multivariate_dataset(SimConfig(
-                sigma=sigma, samples_per_group=cfg.samples_per_group,
-                seed=stable_seed(cfg.master_seed, "data", sigma, 0)))
-            path = os.path.join(args.out, f"multivariate_sigma{sigma:g}.csv")
-            write_dataset_csv(ds, path)
-            print(path)
-    elif cfg.study == "scalar-to-matrix":
-        ds = gen_scalar_to_matrix_dataset(GpSimConfig(
-            grid=cfg.grid, images_per_category=cfg.images_per_category,
-            seed=stable_seed(cfg.master_seed, "data", "gp", 0)))
-        path = os.path.join(args.out, "scalar_to_matrix.csv")
-        write_dataset_csv(ds, path)
-        print(path)
-    else:
+    if cfg.study == "tabular-risk":
         raise ConfigError("simulate supports the multivariate and "
                           "scalar-to-matrix studies")
+    os.makedirs(args.out, exist_ok=True)
+    for sigma in cfg.sigmas if cfg.study == "multivariate" else [None]:
+        path = os.path.join(args.out, "scalar_to_matrix.csv" if sigma is None
+                            else f"multivariate_sigma{sigma:g}.csv")
+        write_dataset_csv(_job_dataset(cfg, sigma, 0), path)
+        print(path)
     return 0
 
 
@@ -620,27 +466,37 @@ def cmd_train(args) -> int:
         dataset = read_dataset_csv(args.data)
     else:
         sigma = args.sigma if args.sigma is not None else cfg.sigmas[0]
-        dataset = _job_dataset(replace(cfg, fresh_data_per_trial=False),
-                               sigma, 0)
-    model = train_method(cfg, args.method, dataset, seed)
-    save_model(model, args.out)
+        dataset = _job_dataset(cfg, sigma, 0)
+    method, settings = _method_settings(cfg, args.method)
+    save_model(fit_method(method, settings, dataset, seed), args.out)
     print(args.out)
     return 0
 
 
 def cmd_synth(args) -> int:
+    if args.count < 1:
+        raise ConfigError("--count: must be >= 1")
+    if not args.jitter >= 0:
+        raise ConfigError("--jitter: must be >= 0")
     model = load_model(args.model)
-    if args.x:
-        x = np.array([float(v) for v in args.x.split(",")])
-        batch = synthesize_from_model(model, x, args.count,
-                                      args.seed or 0, args.jitter)
+    seed = args.seed or 0
+    if args.x is not None:
+        try:
+            rows = [np.array([float(v) for v in args.x.split(",")])]
+        except ValueError:
+            raise ConfigError(f"--x: expected comma-separated numbers, "
+                              f"got {args.x!r}") from None
+        source, seeds = "--x", [seed]
     else:
-        ds = read_dataset_csv(args.data)
-        batches = [synthesize_from_model(model, row, args.count,
-                                         stable_seed(args.seed or 0, i),
-                                         args.jitter)
-                   for i, row in enumerate(ds.x)]
-        batch = np.vstack(batches)
+        source, rows = args.data, read_dataset_csv(args.data).x
+        seeds = [stable_seed(seed, i) for i in range(len(rows))]
+    try:
+        batch = np.vstack([
+            sample_model(model, np.repeat(row[None, :], args.count, axis=0),
+                         np.random.default_rng(s), args.jitter)
+            for row, s in zip(rows, seeds)])
+    except ValueError as exc:  # non-finite or wrong-width characteristics
+        raise ConfigError(f"{source}: {exc}") from None
     header = [f"y{j + 1}" for j in range(batch.shape[1])]
     _write_csv(args.out, header, batch.tolist())
     print(args.out)
@@ -651,9 +507,8 @@ def cmd_validate(args) -> int:
     cfg = _load_or_default_config(args.config)
     seed = args.seed if args.seed is not None else cfg.master_seed
     sigma = args.sigma if args.sigma is not None else cfg.sigmas[0]
-    dataset = _job_dataset(replace(cfg, fresh_data_per_trial=False), sigma, 0)
-    method, beta_override = _parse_method_label(args.method)
-    settings = _method_settings(cfg, beta_override)
+    dataset = _job_dataset(cfg, sigma, 0)
+    method, settings = _method_settings(cfg, args.method)
     if cfg.study == "tabular-risk":
         rep = risk_difference_eval(dataset, args.group, method, settings,
                                    seed=seed)
@@ -672,13 +527,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if args.out is not None:
-        cfg.out_dir = args.out
+    overrides = {"master_seed": args.seed, "workers": args.workers,
+                 "out_dir": args.out}
+    cfg = replace(parse_config(args.config),
+                  **{k: v for k, v in overrides.items() if v is not None})
     manifest = run_suite(cfg)
     print(f"jobs: {manifest['n_jobs']}  failed: {manifest['n_failed']}  "
           f"out: {cfg.out_dir}")
@@ -689,17 +541,18 @@ def cmd_report(args) -> int:
     reports = []
     for path in args.inputs:
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                reports.append(SimpleNamespace(
-                    method=row["method"],
-                    sigma=float(row["sigma"]) if row.get("sigma") else None,
-                    group=int(row["group"]), a1=float(row["A1"]),
-                    a2=float(row["A2"])))
-    rows = [[s.method, s.sigma, s.group, s.a1_mean, s.a1_std, s.a2_mean,
-             s.a2_std] for s in aggregate_trials(reports)]
-    _write_csv(args.out,
-               ["method", "sigma", "group", "A1", "A1_std", "A2", "A2_std"],
-               rows)
+            reader = csv.DictReader(fh)
+            try:
+                for row in reader:
+                    reports.append(types.SimpleNamespace(
+                        method=row["method"],
+                        sigma=float(row["sigma"]) if row.get("sigma") else None,
+                        group=int(row["group"]), a1=float(row["A1"]),
+                        a2=float(row["A2"])))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}, line {reader.line_num}: missing "
+                                  f"or malformed cell ({exc})") from None
+    _write_summary(args.out, reports)
     print(args.out)
     return 0
 
@@ -728,8 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate expressions from a model file")
     p.add_argument("--model", required=True)
-    p.add_argument("--x", default=None, help="comma-separated characteristic")
-    p.add_argument("--data", default=None, help="CSV of characteristics")
+    rows = p.add_mutually_exclusive_group(required=True)
+    rows.add_argument("--x", help="comma-separated characteristic")
+    rows.add_argument("--data", help="CSV of characteristics")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--jitter", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=None)
@@ -765,7 +619,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ModelFormatError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # incl. ConfigError, ModelFormatError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

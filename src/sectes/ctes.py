@@ -43,7 +43,7 @@ class TrainConfig:
     jitter: float = 0.0
     seed: int = 0
     record_batches: bool = False
-    conv_channels: tuple = (8, 16, 32, 64)
+    conv_channels: tuple[int, ...] = (8, 16, 32, 64)
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
@@ -55,6 +55,8 @@ class TrainConfig:
             raise ConfigError("iterations must be >= 0 and z_dim >= 1")
         if self.jitter < 0:
             raise ConfigError("jitter must be >= 0")
+        if not self.learning_rate > 0:
+            raise ConfigError("learning_rate must be > 0")
         if self.beta <= 0.5:
             warnings.warn(
                 f"beta={self.beta} <= 0.5 lets the mismatched-pair term "
@@ -99,7 +101,7 @@ class GeneratorModel:
     decoder: ndnet.NetParams
     z_dim: int
     norm: Normalization
-    expr_shape: tuple | None = None
+    expr_shape: tuple[int, ...] | None = None
 
 
 @dataclass
@@ -109,7 +111,7 @@ class DiscriminatorModel:
     encoder: ndnet.NetParams
     head: ndnet.NetParams
     norm: Normalization
-    expr_shape: tuple | None = None
+    expr_shape: tuple[int, ...] | None = None
 
 
 @dataclass
@@ -122,7 +124,8 @@ class CtesModel:
     loss_d: np.ndarray = field(default_factory=lambda: np.empty(0))
     loss_g: np.ndarray = field(default_factory=lambda: np.empty(0))
     iterations_run: int = 0
-    diagnostics: dict = field(default_factory=dict)
+    # run telemetry, left out of model files
+    diagnostics: dict = field(default_factory=dict, metadata={"saved": False})
 
 
 def _conv_stack_depth(grid: int, channels: tuple) -> int:

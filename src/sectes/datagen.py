@@ -270,16 +270,18 @@ def write_dataset_csv(ds: PairedDataset, path) -> None:
 
 
 def read_dataset_csv(path) -> PairedDataset:
-    """Read a dataset written by :func:`write_dataset_csv`."""
+    """Read a dataset written by :func:`write_dataset_csv`; a missing
+    column or a non-finite or non-numeric cell raises ValueError naming
+    the file, line and column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
+        header = next(reader, [])
+        rows = [(reader.line_num, row) for row in reader if row]
     x_cols = [i for i, h in enumerate(header) if re.fullmatch(r"x\d+", h)]
     y_cols = [i for i, h in enumerate(header) if re.fullmatch(r"y\d+", h)]
     px_cols = [i for i, h in enumerate(header) if h.startswith("px_")]
     if "group" not in header:
-        raise ValueError("missing 'group' column")
+        raise ValueError(f"{path}: missing 'group' column")
     g_col = header.index("group")
     o_col = header.index("outcome") if "outcome" in header else None
     expr_shape = None
@@ -288,11 +290,23 @@ def read_dataset_csv(path) -> PairedDataset:
         expr_shape = (max(r for r, _ in coords) + 1, max(c for _, c in coords) + 1)
         y_cols = px_cols
     if not x_cols or not y_cols:
-        raise ValueError("missing characteristic or expression columns")
-    x = np.array([[float(row[i]) for i in x_cols] for row in rows])
-    y = np.array([[float(row[i]) for i in y_cols] for row in rows])
-    groups = np.array([int(row[g_col]) for row in rows])
-    outcome = (np.array([int(row[o_col]) for row in rows])
+        raise ValueError(f"{path}: missing characteristic or expression columns")
+
+    def cell(line: int, row: list, i: int, conv):
+        text = row[i] if i < len(row) else ""
+        try:
+            value = conv(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{path}, line {line}, column {header[i]!r}: "
+                             f"expected a finite number, got {text!r}")
+        return value
+
+    x = np.array([[cell(n, row, i, float) for i in x_cols] for n, row in rows])
+    y = np.array([[cell(n, row, i, float) for i in y_cols] for n, row in rows])
+    groups = np.array([cell(n, row, g_col, int) for n, row in rows])
+    outcome = (np.array([cell(n, row, o_col, int) for n, row in rows])
                if o_col is not None else None)
     return PairedDataset(x=x, y=y, groups=groups,
                          n_groups=int(groups.max()) if len(groups) else 0,

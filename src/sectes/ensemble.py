@@ -47,11 +47,11 @@ class EnsembleModel:
     """k trained members, their inverse-validation scores, and the
     selected indices (ascending)."""
 
-    models: list  # CtesModel or None for diverged members
+    models: list[CtesModel | None]  # None for diverged members
     scores: np.ndarray
     selected: list[int]
     config: EnsembleConfig
-    diagnostics: list  # per-member failure description or None
+    diagnostics: list[str | None]  # per-member failure description
 
 
 def inverse_validation_scores(fake_batches: list, real: np.ndarray,

@@ -71,7 +71,7 @@ class NetParams:
     """Per-layer weights and biases, plus the spec that produced them."""
 
     spec: list[LayerSpec]
-    layers: list[dict]  # each {"W": ndarray, "b": ndarray}
+    layers: list[dict[str, np.ndarray]]  # each {"W": ..., "b": ...}
 
     def copy(self) -> "NetParams":
         return NetParams(spec=list(self.spec),

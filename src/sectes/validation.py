@@ -20,11 +20,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ndnet
-from .baselines import (grnn_fit, grnn_predict, pls_fit, pls_predict,
-                        variant_config)
+from .baselines import (GrnnModel, PlsModel, grnn_fit, grnn_predict, pls_fit,
+                        pls_predict, variant_config)
 from .ctes import TrainConfig, synthesize_each, train_ctes
 from .datagen import PairedDataset
-from .ensemble import EnsembleConfig, ensemble_synthesize, train_se_ctes
+from .ensemble import (EnsembleConfig, EnsembleModel, ensemble_synthesize,
+                       train_se_ctes)
 from .forest import ForestConfig, fit_forest, predict_forest, predict_proba
 
 
@@ -82,7 +83,7 @@ class MethodSettings:
 
     train: TrainConfig = field(default_factory=TrainConfig)
     forest: ForestConfig = field(default_factory=ForestConfig)
-    ensemble: EnsembleConfig | None = None  # None = built from the variant
+    ensemble: EnsembleConfig | None = None  # None = EnsembleConfig defaults
     pls_components: int | None = None
     grnn_bandwidth: float | None = None
     classifier_epochs: int = 30  # conv classifier, matrix expressions only
@@ -122,43 +123,56 @@ def _method_name(method) -> str:
         method, "__name__", "custom")
 
 
+def fit_method(method: str, settings: MethodSettings,
+               train_ds: PairedDataset, seed: int):
+    """Fit a named method (pls, grnn, cgan, gan-cls, ctes, se-ctes) on the
+    training pool and return its model."""
+    if method == "pls":
+        comps = settings.pls_components or min(train_ds.char_dim, 2)
+        return pls_fit(train_ds.x, train_ds.y, comps)
+    if method == "grnn":
+        return grnn_fit(train_ds.x, train_ds.y, settings.grnn_bandwidth)
+    variant = variant_config(method)
+    beta = variant.beta if settings.beta_override is None else settings.beta_override
+    tc = replace(settings.train, beta=beta, seed=seed)
+    if variant.ensemble:
+        base = settings.ensemble or EnsembleConfig(clf=settings.forest)
+        return train_se_ctes(train_ds, replace(base, train=tc, seed=seed))
+    return train_ctes(train_ds, tc)
+
+
+def sample_model(model, X: np.ndarray, rng,
+                 jitter: float | None = None) -> np.ndarray:
+    """One expression per characteristic row of X from any model
+    :func:`fit_method` returns. PLS and GRNN are deterministic and ignore
+    ``rng`` and ``jitter``; ``jitter=None`` uses the trained setting."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if not np.isfinite(X).all():
+        raise ValueError("characteristics must be finite")
+    if isinstance(model, PlsModel):
+        return pls_predict(model, X)
+    if isinstance(model, GrnnModel):
+        return grnn_predict(model, X)
+    if isinstance(model, EnsembleModel):
+        return ensemble_synthesize(model, X, total=X.shape[0], rng=rng,
+                                   jitter=jitter)
+    return synthesize_each(model, X, rng=rng, jitter=jitter)
+
+
 def fit_and_synthesize(method, settings: MethodSettings,
                        train_ds: PairedDataset, x_target: np.ndarray,
                        seed: int) -> np.ndarray:
-    """Fit one method on the training pool and synthesize one expression
-    per target characteristic row.
-
-    ``method`` is a name (pls, grnn, cgan, gan-cls, ctes, se-ctes) or a
-    callable ``(train_ds, x_target, rng) -> expressions`` for injecting
-    oracle or stub synthesizers.
-    """
+    """Fit ``method`` (a :func:`fit_method` name, or a callable
+    ``(train_ds, x_target, rng) -> expressions`` injecting an oracle or
+    stub synthesizer) and synthesize one expression per target row."""
     x_target = np.atleast_2d(np.asarray(x_target, dtype=np.float64))
     if callable(method):
         out = method(train_ds, x_target, np.random.default_rng(seed))
         return np.atleast_2d(np.asarray(out, dtype=np.float64))
-    if method == "pls":
-        comps = settings.pls_components or min(train_ds.char_dim, 2)
-        model = pls_fit(train_ds.x, train_ds.y, comps)
-        return pls_predict(model, x_target)
-    if method == "grnn":
-        model = grnn_fit(train_ds.x, train_ds.y, settings.grnn_bandwidth)
-        return grnn_predict(model, x_target)
-    variant = variant_config(method)
     train_seq, synth_seq = np.random.SeedSequence(seed).spawn(2)
-    beta = variant.beta if settings.beta_override is None else settings.beta_override
-    tc = replace(settings.train, beta=beta,
-                 seed=int(train_seq.generate_state(1)[0]))
-    if variant.ensemble:
-        base = settings.ensemble or EnsembleConfig(
-            k=variant.k, h=variant.h, clf=settings.forest)
-        ec = replace(base, train=tc, seed=tc.seed)
-        ens = train_se_ctes(train_ds, ec)
-        return ensemble_synthesize(ens, x_target, total=x_target.shape[0],
-                                   rng=np.random.default_rng(synth_seq),
-                                   jitter=tc.jitter)
-    model = train_ctes(train_ds, tc)
-    return synthesize_each(model, x_target,
-                           rng=np.random.default_rng(synth_seq))
+    model = fit_method(method, settings, train_ds,
+                       int(train_seq.generate_state(1)[0]))
+    return sample_model(model, x_target, np.random.default_rng(synth_seq))
 
 
 def identify_group_experiment(dataset: PairedDataset, group: int, method,

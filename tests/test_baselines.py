@@ -3,6 +3,7 @@ import pytest
 
 from sectes.baselines import (grnn_fit, grnn_predict, pls_fit, pls_predict,
                               variant_config)
+from sectes.ensemble import EnsembleConfig
 from sectes.errors import ConfigError
 
 
@@ -118,6 +119,7 @@ def test_variant_table():
     assert variant_config("ctes").beta == 0.9
     assert not variant_config("ctes").ensemble
     se = variant_config("se-ctes")
-    assert (se.beta, se.k, se.h, se.ensemble) == (0.9, 5, 2, True)
+    assert (se.beta, se.ensemble) == (0.9, True)
+    assert (EnsembleConfig().k, EnsembleConfig().h) == (5, 2)
     with pytest.raises(ConfigError):
         variant_config("wgan")

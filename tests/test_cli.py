@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -6,8 +7,7 @@ import pytest
 
 from sectes.cli import (ExperimentConfig, build_config, dumps_canonical,
                         enumerate_jobs, load_model, main, parse_config,
-                        run_suite, save_model, stable_seed,
-                        synthesize_from_model)
+                        run_suite, save_model, stable_seed)
 from sectes.baselines import grnn_fit, pls_fit
 from sectes.ctes import TrainConfig, synthesize, train_ctes
 from sectes.datagen import (PairedDataset, SimConfig,
@@ -15,6 +15,7 @@ from sectes.datagen import (PairedDataset, SimConfig,
 from sectes.ensemble import EnsembleConfig, train_se_ctes
 from sectes.errors import ConfigError, ModelFormatError
 from sectes.forest import ForestConfig
+from sectes.validation import sample_model
 
 
 def small_dataset(seed=0, n=60):
@@ -33,7 +34,7 @@ def test_empty_config_fills_published_defaults(tmp_path):
     assert cfg.train.beta == 0.9
     assert cfg.train.batch_size == 50
     assert cfg.train.iterations == 1000
-    assert (cfg.k, cfg.h) == (5, 2)
+    assert (cfg.ensemble.k, cfg.ensemble.h) == (5, 2)
     assert cfg.sigmas == [0.01, 0.03, 0.05, 0.07, 0.09]
     assert cfg.groups == [2, 3, 4]
 
@@ -123,15 +124,14 @@ def test_ensemble_model_round_trip_stores_members(tmp_path):
     path = tmp_path / "ens.json"
     save_model(ens, path)
     doc = json.loads(path.read_text())
-    assert len(doc["payload"]["members"]) == 3
+    assert len(doc["payload"]["models"]) == 3
     assert doc["payload"]["selected"] == ens.selected
     assert len(doc["payload"]["scores"]) == 3
     loaded = load_model(path)
     assert loaded.selected == ens.selected
-    a = synthesize_from_model(loaded, np.array([0.5, 0.5]), 6, seed=2,
-                              jitter=0.0)
-    b = synthesize_from_model(ens, np.array([0.5, 0.5]), 6, seed=2,
-                              jitter=0.0)
+    rows = np.full((6, 2), 0.5)
+    a = sample_model(loaded, rows, np.random.default_rng(2), jitter=0.0)
+    b = sample_model(ens, rows, np.random.default_rng(2), jitter=0.0)
     assert np.array_equal(a, b)
 
 
@@ -141,8 +141,9 @@ def test_pls_grnn_model_round_trip(tmp_path):
         path = tmp_path / "m.json"
         save_model(model, path)
         loaded = load_model(path)
-        a = synthesize_from_model(loaded, np.array([0.3, 0.3]), 3, 0, 0.0)
-        b = synthesize_from_model(model, np.array([0.3, 0.3]), 3, 0, 0.0)
+        rows = np.full((3, 2), 0.3)
+        a = sample_model(loaded, rows, np.random.default_rng(0), 0.0)
+        b = sample_model(model, rows, np.random.default_rng(0), 0.0)
         assert np.array_equal(a, b)
 
 
@@ -253,3 +254,215 @@ def test_main_reports_config_errors(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"ensemble": {"k": 4, "h": 2}}))
     assert main(["bench", "--config", str(cfg_path)]) == 2
+
+
+# --- malformed input: every case names its field and exits 2 ---
+
+MALFORMED_CONFIGS = [
+    ({"train": {"iterations": "abc"}}, "train.iterations: expected int, got 'abc'"),
+    ({"trials": "x"}, "trials: expected int, got 'x'"),
+    ({"groups": 5}, "groups: expected list, got 5"),
+    ({"train": 3}, "train: expected object, got 3"),
+    ({"train": {"learning_rate": -1}}, "train: learning_rate must be > 0"),
+    ({"forest": {"n_treez": 5}}, "forest.n_treez: unknown field"),
+    ({"sigmas": [0.1, "a"]}, "sigmas[1]: expected finite float, got 'a'"),
+    ({"train": {"jitter": 10 ** 400}}, "train.jitter: expected finite float"),
+    ({"train": {"conv_channels": [8, 16.5]}},
+     "train.conv_channels[1]: expected int, got 16.5"),
+    ({"fresh_data_per_trial": 1}, "fresh_data_per_trial: expected bool, got 1"),
+    ({"data_csv": 5}, "data_csv: expected str, got 5"),
+    ({"ensemble": {"k": 4, "h": 2}}, "ensemble: k must exceed 2*h"),
+    ({"gp": {"grid": 1}}, "gp: grid side must be >= 2"),
+    ({"workers": 0}, "workers: must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("raw,message", MALFORMED_CONFIGS)
+def test_malformed_config_names_field(raw, message):
+    with pytest.raises(ConfigError) as info:
+        build_config(raw)
+    assert str(info.value).startswith(message)
+
+
+def _single_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in lines[0]
+
+
+@pytest.mark.parametrize("raw,message", MALFORMED_CONFIGS)
+def test_malformed_config_exits_2(tmp_path, capsys, raw, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["bench", "--config", str(path)]) == 2
+    _single_error_line(capsys, message)
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"train": {"jitter": NaN}}')
+    assert main(["validate", "--config", str(path), "--method", "pls",
+                 "--group", "2"]) == 2
+    _single_error_line(capsys, "train.jitter: expected finite float")
+
+
+def test_negative_learning_rate_rejected():
+    with pytest.raises(ConfigError, match="learning_rate"):
+        build_config({"train": {"learning_rate": -1.0}})
+    with pytest.raises(ConfigError, match="learning_rate"):
+        TrainConfig(learning_rate=0.0)
+
+
+def _saved(tmp_path, model, name="m.json"):
+    path = tmp_path / name
+    save_model(model, path)
+    return path, json.loads(path.read_text())
+
+
+def _tiny_ensemble():
+    return train_se_ctes(small_dataset(), EnsembleConfig(
+        k=3, h=1, train=TrainConfig(iterations=2, batch_size=10),
+        clf=ForestConfig(n_trees=3), seed=1))
+
+
+def _drop(key):
+    return lambda d: d.pop(key)
+
+
+def _set(key, value):
+    return lambda d: d.__setitem__(key, value)
+
+
+TRUNCATED_PAYLOADS = [
+    ("pls", lambda p: p.pop("coef"), "payload.coef: missing field"),
+    ("pls", lambda p: p.__setitem__("n_components", 1.5),
+     "payload.n_components: expected int"),
+    ("grnn", lambda p: p.__setitem__("bandwidth", "wide"),
+     "payload.bandwidth: expected finite float"),
+    ("grnn", lambda p: p["train_x"].append([1.0]),
+     "payload.train_x: expected array of numbers"),
+    ("ctes", lambda p: p["generator"].pop("norm"),
+     "payload.generator.norm: missing field"),
+    ("ctes", lambda p: p["generator"]["mixer"]["spec"][0].pop("kind"),
+     "payload.generator.mixer.spec[0].kind: missing field"),
+    ("ctes", lambda p: p["discriminator"]["head"]["layers"][1].__setitem__(
+        "b", ["x"]), "payload.discriminator.head.layers[1].b: expected array"),
+    ("ctes", lambda p: p["config"].__setitem__("iterations", "abc"),
+     "payload.config.iterations: expected int, got 'abc'"),
+    ("se-ctes", lambda p: p["models"][1].pop("discriminator"),
+     "payload.models[1].discriminator: missing field"),
+    ("se-ctes", lambda p: p.__setitem__("members", p.pop("models")),
+     "payload.members: unknown field"),
+    ("se-ctes", lambda p: p["config"].__setitem__("h", 2),
+     "payload.config: k must exceed 2*h"),
+]
+
+
+@pytest.fixture(scope="module")
+def model_docs(tmp_path_factory):
+    ds = small_dataset()
+    tmp = tmp_path_factory.mktemp("models")
+    models = {"pls": pls_fit(ds.x, ds.y, 2), "grnn": grnn_fit(ds.x, ds.y),
+              "ctes": train_ctes(ds, TrainConfig(iterations=2, batch_size=10)),
+              "se-ctes": _tiny_ensemble()}
+    return {kind: _saved(tmp, m, f"{kind}.json")[1]
+            for kind, m in models.items()}
+
+
+@pytest.mark.parametrize("kind,damage,message", TRUNCATED_PAYLOADS)
+def test_truncated_model_payload_names_field(tmp_path, capsys, model_docs,
+                                             kind, damage, message):
+    doc = json.loads(json.dumps(model_docs[kind]))
+    assert doc["kind"] == kind
+    damage(doc["payload"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        load_model(path)
+    assert main(["synth", "--model", str(path), "--x", "0.5,0.5",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    _single_error_line(capsys, message)
+
+
+def test_load_rejects_format_1_and_unknown_kind(tmp_path, model_docs):
+    for edit, message in ((_set("format_version", 1), "version 1"),
+                          (_drop("kind"), "unknown model kind None"),
+                          (_set("kind", "wgan"), "unknown model kind 'wgan'")):
+        doc = json.loads(json.dumps(model_docs["pls"]))
+        edit(doc)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    ds = small_dataset()
+    tmp = tmp_path_factory.mktemp("files")
+    return {"pls": _saved(tmp, pls_fit(ds.x, ds.y, 2), "pls.json")[0],
+            "ctes": _saved(tmp, train_ctes(ds, TrainConfig(
+                iterations=2, batch_size=10)), "ctes.json")[0]}
+
+
+@pytest.mark.parametrize("kind", ["pls", "ctes"])
+@pytest.mark.parametrize("args,needle", [
+    (["--x", "abc"], "--x: expected comma-separated numbers"),
+    (["--x", "nan,0.5"], "--x: characteristics must be finite"),
+    (["--x", "0.5"], "--x: characteristics have 1 columns, expected 2"),
+    (["--x", "0.5,0.5,0.5"], "--x: characteristics have 3 columns"),
+    (["--x", "0.5,0.5", "--count", "0"], "--count: must be >= 1"),
+    (["--x", "0.5,0.5", "--jitter", "-1"], "--jitter: must be >= 0"),
+])
+def test_synth_rejects_bad_characteristics(tmp_path, capsys, model_files,
+                                           kind, args, needle):
+    out = tmp_path / "s.csv"
+    assert main(["synth", "--model", str(model_files[kind]), *args,
+                 "--out", str(out)]) == 2
+    _single_error_line(capsys, needle)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [[], ["--x", "0.5,0.5", "--data", "d.csv"]])
+def test_synth_needs_exactly_one_of_x_and_data(tmp_path, capsys, model_files,
+                                               args):
+    with pytest.raises(SystemExit) as info:
+        main(["synth", "--model", str(model_files["pls"]), *args,
+              "--out", str(tmp_path / "s.csv")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--x" in err and "--data" in err and "Traceback" not in err
+
+
+MALFORMED_CSVS = [
+    ("x1,x2,y1\n0.1,0.2,0.3\n", "missing 'group' column"),
+    ("x1,x2,y1,group\n0.1,0.2,0.3,1\n0.1,abc,0.3,2\n",
+     "line 3, column 'x2': expected a finite number, got 'abc'"),
+    ("x1,x2,y1,group\n0.1,inf,0.3,1\n", "column 'x2': expected a finite"),
+    ("x1,x2,y1,group\n0.1,0.2,0.3\n", "column 'group': expected a finite"),
+    ("", "missing 'group' column"),
+]
+
+
+@pytest.mark.parametrize("text,needle", MALFORMED_CSVS)
+def test_malformed_dataset_csv_exits_2(tmp_path, capsys, model_files, text,
+                                       needle):
+    data = tmp_path / "d.csv"
+    data.write_text(text)
+    assert main(["train", "--method", "pls", "--data", str(data),
+                 "--out", str(tmp_path / "m.json")]) == 2
+    _single_error_line(capsys, str(data), needle)
+    assert main(["synth", "--model", str(model_files["pls"]), "--data",
+                 str(data), "--out", str(tmp_path / "s.csv")]) == 2
+    _single_error_line(capsys, str(data), needle)
+
+
+def test_report_rejects_missing_column(tmp_path, capsys):
+    trials = tmp_path / "t.csv"
+    trials.write_text("method,sigma,group,trial,A2\npls,0.05,3,0,1.0\n")
+    assert main(["report", "--inputs", str(trials),
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    _single_error_line(capsys, str(trials), "'A1'")
