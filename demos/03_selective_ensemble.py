@@ -29,7 +29,7 @@ for i, score in enumerate(ensemble.scores):
     print(f"  member {i}: a_{i + 1} = {score:.3f}{mark}")
 
 x = np.array([0.6, 0.6])
-pooled = ensemble_synthesize(ensemble, x[None, :], total=400,
+pooled = ensemble_synthesize(ensemble, np.repeat(x[None, :], 400, 0),
                              rng=np.random.default_rng(1), jitter=0.0)
 real = dataset.y[dataset.groups == 3]
 print(f"\nsynthesis at x = {x.tolist()} (group-3 territory):")

@@ -10,7 +10,7 @@ import numpy as np
 
 from sectes import GpSimConfig, TrainConfig, gen_scalar_to_matrix_dataset, \
     gp_sample, low_pass_filter
-from sectes.ctes import synthesize, train_ctes
+from sectes.ctes import synthesize_each, train_ctes
 
 cfg = GpSimConfig(grid=16, images_per_category=24, categories=5, seed=0)
 
@@ -32,7 +32,7 @@ print(f"conv model trained {model.iterations_run} iterations; "
       f"L_D={model.loss_d[-1]:.3f} L_G={model.loss_g[-1]:.3f}")
 
 x = dataset.x[dataset.groups == 2][0]
-fake = synthesize(model, x, count=1, rng=np.random.default_rng(4))
+fake = synthesize_each(model, x[None, :], rng=np.random.default_rng(4))
 image = fake[0].reshape(dataset.expr_shape)
 smoothed = low_pass_filter(image)
 print(f"\nsynthesized image: std {image.std():.3f}, "

@@ -12,9 +12,8 @@ from .baselines import (GrnnModel, PlsModel, VariantSpec, grnn_fit,
                         grnn_predict, pls_fit, pls_predict, variant_config)
 from .ctes import (CtesModel, DiscriminatorModel, GeneratorModel,
                    Normalization, TrainConfig, discriminator_forward,
-                   discriminator_loss, generator_forward, generator_loss,
-                   sample_mismatch, synthesize, synthesize_each,
-                   toy_minimax_oracle, train_ctes)
+                   discriminator_loss, generator_loss, sample_mismatch,
+                   synthesize_each, toy_minimax_oracle, train_ctes)
 from .datagen import (GpSimConfig, PairedDataset, SimConfig,
                       expression_transform, gen_multivariate_dataset,
                       gen_scalar_to_matrix_dataset, gp_sample,

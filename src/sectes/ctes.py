@@ -128,14 +128,26 @@ class CtesModel:
     diagnostics: dict = field(default_factory=dict, metadata={"saved": False})
 
 
-def _conv_stack_depth(grid: int, channels: tuple) -> int:
+def _conv_stack_depth(grid: int) -> int:
     depth = int(np.log2(grid))
     if 2 ** depth != grid or depth < 1:
         raise ConfigError(f"matrix expressions need a power-of-two grid, got {grid}")
-    if depth > len(channels):
-        raise ConfigError(f"grid {grid} needs {depth} conv layers but only "
-                          f"{len(channels)} channel sizes are configured")
     return depth
+
+
+def _conv_stack_channels(depth: int, channels: tuple) -> tuple[int, ...]:
+    if depth > len(channels):
+        raise ConfigError(f"conv_channels: {depth} conv layers need {depth} "
+                          f"channel sizes, got {len(channels)}")
+    return tuple(channels[:depth])
+
+
+def conv_encoder_spec(depth: int, channels: tuple) -> list[ndnet.LayerSpec]:
+    """``depth`` strided relu conv layers from one input channel through
+    ``channels[:depth]``; each halves the grid."""
+    chans = (1,) + _conv_stack_channels(depth, channels)
+    return [ndnet.conv2d(chans[i], chans[i + 1], activation="relu")
+            for i in range(depth)]
 
 
 def build_generator(m: int, n: int, cfg: TrainConfig, seed: int,
@@ -146,8 +158,9 @@ def build_generator(m: int, n: int, cfg: TrainConfig, seed: int,
                       ndnet.dense(cfg.hidden, cfg.hidden, "relu")]
         decoder_spec = [ndnet.dense(cfg.hidden, n, "none")]
     else:
-        depth = _conv_stack_depth(expr_shape[0], cfg.conv_channels)
-        chans = list(cfg.conv_channels[:depth])[::-1]  # widest at the 1x1 end
+        depth = _conv_stack_depth(expr_shape[0])
+        # widest at the 1x1 end
+        chans = _conv_stack_channels(depth, cfg.conv_channels)[::-1]
         mixer_spec = [ndnet.dense(cfg.z_dim + m, chans[0], "relu")]
         decoder_spec = []
         for i in range(depth - 1):
@@ -168,11 +181,9 @@ def build_discriminator(m: int, n: int, cfg: TrainConfig, seed: int,
         encoder_spec = [ndnet.dense(n, cfg.hidden, "relu")]
         enc_out = cfg.hidden
     else:
-        depth = _conv_stack_depth(expr_shape[0], cfg.conv_channels)
-        chans = (1,) + tuple(cfg.conv_channels[:depth])
-        encoder_spec = [ndnet.conv2d(chans[i], chans[i + 1], activation="relu")
-                        for i in range(depth)]
-        enc_out = chans[-1]
+        encoder_spec = conv_encoder_spec(_conv_stack_depth(expr_shape[0]),
+                                         cfg.conv_channels)
+        enc_out = encoder_spec[-1].out_channels
     head_spec = [ndnet.dense(m + enc_out, cfg.hidden, "relu"),
                  ndnet.dense(cfg.hidden, 1, "sigmoid")]
     seeds = _as_seed_seq(seed).spawn(2)
@@ -235,22 +246,6 @@ def _add_grads(acc, extra):
         for key in lay:
             lay[key] += other[key]
     return acc
-
-
-def generator_forward(gen: GeneratorModel, z: np.ndarray,
-                      x: np.ndarray) -> np.ndarray:
-    """Synthesize one expression from noise z and characteristic x,
-    de-normalized back to data scale."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if z.size != gen.z_dim:
-        raise ValueError(f"z has {z.size} entries, expected {gen.z_dim}")
-    if x.size != gen.norm.x_mean.size:
-        raise ValueError(f"x has {x.size} entries, expected "
-                         f"{gen.norm.x_mean.size}")
-    xn = gen.norm.norm_x(x)[None, :]
-    yhat_n, _, _ = _gen_forward_traced(gen, z[None, :], xn)
-    return gen.norm.denorm_y(yhat_n)[0]
 
 
 def discriminator_forward(disc: DiscriminatorModel, x: np.ndarray,
@@ -351,7 +346,7 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
             recorded.append((idx.copy(), mis.copy()))
 
         # --- discriminator ascent on the three-pair objective
-        yhat_n, _, _ = _gen_forward_traced(gen, z, xn_all[idx])
+        yhat_n, mix_tr, dec_tr = _gen_forward_traced(gen, z, xn_all[idx])
         d_real, enc_r, head_r = _disc_scores_traced(disc, xn_all[idx], yn_all[idx])
         d_fy, enc_fy, head_fy = _disc_scores_traced(disc, xn_all[idx], yhat_n)
         d_fx, enc_fx, head_fx = _disc_scores_traced(disc, xn_all[mis], yn_all[idx])
@@ -377,8 +372,8 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
         ndnet.optimizer_step(disc.head, head_grads, opt["head"])
         ndnet.optimizer_step(disc.encoder, enc_grads, opt["encoder"])
 
-        # --- generator ascent on log D(x, yhat) against the updated D
-        yhat_n, mix_tr, dec_tr = _gen_forward_traced(gen, z, xn_all[idx])
+        # --- generator ascent on log D(x, yhat) against the updated D; the
+        # D step left the generator unchanged, so its traces still hold
         d_fy2, enc_tr, head_tr = _disc_scores_traced(disc, xn_all[idx], yhat_n)
         loss_g = float(np.mean(generator_loss(d_fy2)))
         if not np.isfinite(loss_g):
@@ -414,30 +409,22 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
                      diagnostics=diagnostics)
 
 
-def synthesize(model: CtesModel, x: np.ndarray, count: int,
-               rng=None, jitter: float | None = None) -> np.ndarray:
-    """Draw ``count`` expressions for one characteristic.
-
-    Each draw uses fresh standard-normal noise; when ``jitter`` is
-    positive the characteristic itself is perturbed by N(0, jitter^2)
-    per draw to diversify the outputs.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    rows = np.repeat(x[None, :], count, axis=0)
-    return synthesize_each(model, rows, rng=rng, jitter=jitter)
-
-
 def synthesize_each(model: CtesModel, X: np.ndarray,
                     rng=None, jitter: float | None = None) -> np.ndarray:
-    """One synthesized expression per characteristic row."""
+    """One synthesized expression per characteristic row.
+
+    Each row gets fresh standard-normal noise; when ``jitter`` is
+    positive the characteristic itself is perturbed by N(0, jitter^2)
+    to diversify the outputs. ``jitter=None`` uses the trained setting.
+    """
     gen = model.generator
     jitter = model.config.jitter if jitter is None else jitter
     if jitter < 0:
         raise ValueError("jitter must be >= 0")
     rng = _as_rng(rng)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[0] < 1:
+        raise ValueError("need at least one characteristic row")
     if X.shape[1] != gen.norm.x_mean.size:
         raise ValueError(f"characteristics have {X.shape[1]} columns, "
                          f"expected {gen.norm.x_mean.size}")

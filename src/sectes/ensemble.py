@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ctes import CtesModel, TrainConfig, synthesize_each, train_ctes
+from .ctes import (CtesModel, TrainConfig, _as_rng, synthesize_each,
+                   train_ctes)
 from .datagen import PairedDataset
 from .errors import ConfigError, EnsembleError, TrainingDiverged
 from .forest import ForestConfig, fit_forest, predict_forest
@@ -146,28 +147,21 @@ def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleMod
                          config=config, diagnostics=diagnostics)
 
 
-def ensemble_synthesize(ens: EnsembleModel, X: np.ndarray, total: int,
+def ensemble_synthesize(ens: EnsembleModel, X: np.ndarray,
                         rng=None, jitter: float | None = None) -> np.ndarray:
-    """Uniform-mixture synthesis over the selected members.
+    """Uniform-mixture synthesis over the selected members: one expression
+    per characteristic row.
 
-    Each selected model contributes floor(total/h) draws, with the
-    remainder going to the lowest-index members; characteristic rows are
-    cycled to cover the request.
+    X's rows are split in order into h contiguous shares of floor(n/h)
+    rows, the remainder going one each to the lowest-index members.
     """
     if not ens.selected:
         raise EnsembleError("ensemble has no selected members")
-    if total < len(ens.selected):
-        raise ValueError("total must be >= the number of selected members")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = _as_rng(rng)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    h = len(ens.selected)
-    base, extra = divmod(total, h)
-    row_ids = np.arange(total) % X.shape[0]
-    out = []
-    start = 0
-    for pos, i in enumerate(ens.selected):
-        quota = base + (1 if pos < extra else 0)
-        rows = X[row_ids[start:start + quota]]
-        out.append(synthesize_each(ens.models[i], rows, rng=rng, jitter=jitter))
-        start += quota
-    return np.vstack(out)
+    if X.shape[0] < 1:
+        raise ValueError("need at least one characteristic row")
+    shares = np.array_split(X, len(ens.selected))
+    return np.vstack([synthesize_each(ens.models[i], rows, rng=rng,
+                                      jitter=jitter)
+                      for i, rows in zip(ens.selected, shares) if len(rows)])

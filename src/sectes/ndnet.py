@@ -192,65 +192,51 @@ def _conv_out_hw(h: int, w: int, lay: LayerSpec) -> tuple[int, int]:
     return ho, wo
 
 
-def _conv2d_forward(x, W, b, lay: LayerSpec):
-    B, _, H, Wd = x.shape
-    k, s, p = lay.kernel, lay.stride, lay.padding
-    ho, wo = _conv_out_hw(H, Wd, lay)
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    z = np.zeros((B, lay.out_channels, ho, wo))
+def _pad(a, p: int):
+    return np.pad(a, ((0, 0), (0, 0), (p, p), (p, p)))
+
+
+def _windows(lay: LayerSpec, ho: int, wo: int):
+    """Per kernel tap, the strided slice of the padded input it reads when
+    the convolution produces an ho x wo output."""
+    k, s = lay.kernel, lay.stride
     for ki in range(k):
         for kj in range(k):
-            patch = xp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s]
-            z += np.einsum("bchw,oc->bohw", patch, W[:, :, ki, kj])
-    return z + b[None, :, None, None]
+            yield ki, kj, (slice(None), slice(None),
+                           slice(ki, ki + s * ho, s), slice(kj, kj + s * wo, s))
 
 
-def _conv2d_backward(x, W, g, lay: LayerSpec):
-    B, _, H, Wd = x.shape
-    k, s, p = lay.kernel, lay.stride, lay.padding
-    ho, wo = g.shape[2], g.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    dW = np.zeros_like(W)
-    dxp = np.zeros_like(xp)
-    for ki in range(k):
-        for kj in range(k):
-            patch = xp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s]
-            dW[:, :, ki, kj] = np.einsum("bohw,bchw->oc", g, patch)
-            dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += \
-                np.einsum("bohw,oc->bchw", g, W[:, :, ki, kj])
-    db = g.sum(axis=(0, 2, 3))
-    dx = dxp[:, :, p:p + H, p:p + Wd] if p else dxp
-    return dW, db, dx
+# A conv2d layer's W is (out, in, k, k). A deconv2d layer's W is
+# (in, out, k, k): the W of the conv2d layer mapping the deconv's output
+# back to its input. So the three loops below serve both kinds: the
+# deconv forward pass is that conv's input-gradient scatter, its input
+# gradient is that conv's forward contraction, and its weight gradient
+# is that conv's weight gradient with the two activations swapped.
+
+def _conv_contract(xp, W, lay: LayerSpec, ho: int, wo: int):
+    """Convolution of the padded input xp, without bias."""
+    z = np.zeros((xp.shape[0], W.shape[0], ho, wo))
+    for ki, kj, win in _windows(lay, ho, wo):
+        z += np.einsum("bchw,oc->bohw", xp[win], W[:, :, ki, kj])
+    return z
 
 
-def _deconv2d_forward(x, W, b, lay: LayerSpec):
-    B, _, H, Wd = x.shape
-    k, s, p = lay.kernel, lay.stride, lay.padding
-    ho, wo = _conv_out_hw(H, Wd, lay)
-    full = np.zeros((B, lay.out_channels, ho + 2 * p, wo + 2 * p))
-    for ki in range(k):
-        for kj in range(k):
-            full[:, :, ki:ki + s * H:s, kj:kj + s * Wd:s] += \
-                np.einsum("bchw,co->bohw", x, W[:, :, ki, kj])
-    z = full[:, :, p:p + ho, p:p + wo] if p else full
-    return z + b[None, :, None, None]
+def _conv_scatter(g, W, lay: LayerSpec, hp: int, wp: int):
+    """Input gradient of the convolution, on the hp x wp padded input."""
+    dxp = np.zeros((g.shape[0], W.shape[1], hp, wp))
+    for ki, kj, win in _windows(lay, g.shape[2], g.shape[3]):
+        dxp[win] += np.einsum("bohw,oc->bchw", g, W[:, :, ki, kj])
+    return dxp
 
 
-def _deconv2d_backward(x, W, g, lay: LayerSpec):
-    B, _, H, Wd = x.shape
-    k, s, p = lay.kernel, lay.stride, lay.padding
-    ho, wo = g.shape[2], g.shape[3]
-    gfull = np.zeros((g.shape[0], g.shape[1], ho + 2 * p, wo + 2 * p))
-    gfull[:, :, p:p + ho, p:p + wo] = g
-    dW = np.zeros_like(W)
-    dx = np.zeros_like(x)
-    for ki in range(k):
-        for kj in range(k):
-            gpatch = gfull[:, :, ki:ki + s * H:s, kj:kj + s * Wd:s]
-            dW[:, :, ki, kj] = np.einsum("bchw,bohw->co", x, gpatch)
-            dx += np.einsum("bohw,co->bchw", gpatch, W[:, :, ki, kj])
-    db = g.sum(axis=(0, 2, 3))
-    return dW, db, dx
+def _conv_weight_grad(g, xp, lay: LayerSpec):
+    """Weight gradient of the convolution from its output gradient g and
+    padded input xp."""
+    k = lay.kernel
+    dW = np.empty((g.shape[1], xp.shape[1], k, k))
+    for ki, kj, win in _windows(lay, g.shape[2], g.shape[3]):
+        dW[:, :, ki, kj] = np.einsum("bohw,bchw->oc", g, xp[win])
+    return dW
 
 
 def forward(params: NetParams, x: np.ndarray) -> Trace:
@@ -269,14 +255,17 @@ def forward(params: NetParams, x: np.ndarray) -> Trace:
                 raise ValueError(f"input width {a.shape[1]} != layer "
                                  f"in_size {lay.in_size}")
             z = a @ W + b
-        elif lay.kind == "conv2d":
-            if a.shape[1] != lay.in_channels:
-                raise ValueError("channel mismatch")
-            z = _conv2d_forward(a, W, b, lay)
         else:
             if a.shape[1] != lay.in_channels:
                 raise ValueError("channel mismatch")
-            z = _deconv2d_forward(a, W, b, lay)
+            ho, wo = _conv_out_hw(a.shape[2], a.shape[3], lay)
+            p = lay.padding
+            if lay.kind == "conv2d":
+                z = _conv_contract(_pad(a, p), W, lay, ho, wo)
+            else:
+                full = _conv_scatter(a, W, lay, ho + 2 * p, wo + 2 * p)
+                z = full[:, :, p:p + ho, p:p + wo]
+            z = z + b[None, :, None, None]
         a = _apply_activation(z, lay.activation)
         pre.append(z)
         post.append(a)
@@ -308,12 +297,19 @@ def backprop(params: NetParams, trace: Trace,
         if lay.kind == "dense":
             grads[i] = {"W": a_prev.T @ g, "b": g.sum(axis=0)}
             g = g @ W.T
-        elif lay.kind == "conv2d":
-            dW, db, g = _conv2d_backward(a_prev, W, g, lay)
-            grads[i] = {"W": dW, "b": db}
+            continue
+        p, (h, w) = lay.padding, a_prev.shape[2:]
+        if lay.kind == "conv2d":
+            xp = _pad(a_prev, p)
+            dW = _conv_weight_grad(g, xp, lay)
+            dxp = _conv_scatter(g, W, lay, *xp.shape[2:])
+            g_in = dxp[:, :, p:p + h, p:p + w]
         else:
-            dW, db, g = _deconv2d_backward(a_prev, W, g, lay)
-            grads[i] = {"W": dW, "b": db}
+            gp = _pad(g, p)
+            dW = _conv_weight_grad(a_prev, gp, lay)
+            g_in = _conv_contract(gp, W, lay, h, w)
+        grads[i] = {"W": dW, "b": g.sum(axis=(0, 2, 3))}
+        g = g_in
     return grads, g
 
 

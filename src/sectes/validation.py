@@ -22,7 +22,7 @@ import numpy as np
 from . import ndnet
 from .baselines import (GrnnModel, PlsModel, grnn_fit, grnn_predict, pls_fit,
                         pls_predict, variant_config)
-from .ctes import TrainConfig, synthesize_each, train_ctes
+from .ctes import TrainConfig, conv_encoder_spec, synthesize_each, train_ctes
 from .datagen import PairedDataset
 from .ensemble import (EnsembleConfig, EnsembleModel, ensemble_synthesize,
                        train_se_ctes)
@@ -154,8 +154,7 @@ def sample_model(model, X: np.ndarray, rng,
     if isinstance(model, GrnnModel):
         return grnn_predict(model, X)
     if isinstance(model, EnsembleModel):
-        return ensemble_synthesize(model, X, total=X.shape[0], rng=rng,
-                                   jitter=jitter)
+        return ensemble_synthesize(model, X, rng=rng, jitter=jitter)
     return synthesize_each(model, X, rng=rng, jitter=jitter)
 
 
@@ -339,14 +338,13 @@ def fit_conv_classifier(Y: np.ndarray, labels: np.ndarray, expr_shape: tuple,
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     classes, codes = np.unique(labels, return_inverse=True)
     h, w = expr_shape
-    depth = int(np.log2(h))
-    chans = (1,) + tuple(channels[:depth])
-    encoder_spec = [ndnet.conv2d(chans[i], chans[i + 1], activation="relu")
-                    for i in range(depth)]
-    head_spec = [ndnet.dense(chans[-1], len(classes), "none")]
     seeds = np.random.SeedSequence(seed).spawn(3)
-    encoder = ndnet.init_params(encoder_spec, seeds[0])
-    head = ndnet.init_params(head_spec, seeds[1])
+    # log2 depth leaves a 1x1 map on any grid, not only powers of two
+    encoder = ndnet.init_params(conv_encoder_spec(int(np.log2(h)), channels),
+                                seeds[0])
+    head = ndnet.init_params(
+        [ndnet.dense(encoder.spec[-1].out_channels, len(classes), "none")],
+        seeds[1])
     rng = np.random.default_rng(seeds[2])
 
     mean = float(Y.mean())

@@ -114,3 +114,56 @@ def naive_conv2d_grads(x, W, g, stride, padding):
     else:
         dx = dxp
     return dW, db, dx
+
+
+def naive_deconv2d(x, W, b, stride, padding):
+    """Brute-force transposed convolution: every input pixel scatters its
+    k x k kernel into the uncropped output, which is then cropped by the
+    padding on each side."""
+    B, Ci, H, Wd = x.shape
+    _, Co, kh, kw = W.shape
+    full = np.zeros((B, Co, (H - 1) * stride + kh, (Wd - 1) * stride + kw))
+    for bi in range(B):
+        for ci in range(Ci):
+            for i in range(H):
+                for j in range(Wd):
+                    for co in range(Co):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                full[bi, co, i * stride + ki,
+                                     j * stride + kj] += \
+                                    x[bi, ci, i, j] * W[ci, co, ki, kj]
+    ho = full.shape[2] - 2 * padding
+    wo = full.shape[3] - 2 * padding
+    out = full[:, :, padding:padding + ho, padding:padding + wo]
+    for co in range(Co):
+        out[:, co] += b[co]
+    return out
+
+
+def naive_deconv2d_grads(x, W, g, stride, padding):
+    """Loop-based gradients of the transposed-convolution definition."""
+    B, Ci, H, Wd = x.shape
+    _, Co, kh, kw = W.shape
+    _, _, ho, wo = g.shape
+    gfull = np.zeros((B, Co, ho + 2 * padding, wo + 2 * padding))
+    gfull[:, :, padding:padding + ho, padding:padding + wo] = g
+    dW = np.zeros_like(W)
+    dx = np.zeros_like(x)
+    db = np.zeros(Co)
+    for bi in range(B):
+        for co in range(Co):
+            for i in range(ho):
+                for j in range(wo):
+                    db[co] += g[bi, co, i, j]
+        for ci in range(Ci):
+            for i in range(H):
+                for j in range(Wd):
+                    for co in range(Co):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                gv = gfull[bi, co, i * stride + ki,
+                                           j * stride + kj]
+                                dW[ci, co, ki, kj] += x[bi, ci, i, j] * gv
+                                dx[bi, ci, i, j] += gv * W[ci, co, ki, kj]
+    return dW, db, dx

@@ -17,7 +17,7 @@ import pytest
 from sectes import ndnet
 from sectes.baselines import grnn_fit, grnn_predict, pls_fit, pls_predict
 from sectes.cli import build_config, run_suite, stable_seed
-from sectes.ctes import (TrainConfig, synthesize, toy_minimax_oracle)
+from sectes.ctes import (TrainConfig, synthesize_each, toy_minimax_oracle)
 from sectes.datagen import (GpSimConfig, PairedDataset, SimConfig,
                             expression_transform, gen_multivariate_dataset,
                             gp_sample)
@@ -142,12 +142,12 @@ def test_criterion_5_mixture_mean_property():
         clf=ForestConfig(n_trees=30), seed=55))
     probe = np.array([[0.5]])
     draws = 10_000
-    pooled = ensemble_synthesize(ens, probe, total=draws,
+    pooled = ensemble_synthesize(ens, np.repeat(probe, draws, 0),
                                  rng=np.random.default_rng(1), jitter=0.0)
     member_means, member_vars = [], []
     for i in ens.selected:
-        d = synthesize(ens.models[i], probe[0], count=draws,
-                       rng=np.random.default_rng(100 + i), jitter=0.0)
+        d = synthesize_each(ens.models[i], np.repeat(probe, draws, 0),
+                            rng=np.random.default_rng(100 + i), jitter=0.0)
         member_means.append(d.mean(axis=0))
         member_vars.append(d.var(axis=0))
     target = np.mean(member_means, axis=0)

@@ -9,7 +9,7 @@ from sectes.cli import (ExperimentConfig, build_config, dumps_canonical,
                         enumerate_jobs, load_model, main, parse_config,
                         run_suite, save_model, stable_seed)
 from sectes.baselines import grnn_fit, pls_fit
-from sectes.ctes import TrainConfig, synthesize, train_ctes
+from sectes.ctes import TrainConfig, synthesize_each, train_ctes
 from sectes.datagen import (PairedDataset, SimConfig,
                             gen_multivariate_dataset, read_dataset_csv)
 from sectes.ensemble import EnsembleConfig, train_se_ctes
@@ -103,14 +103,14 @@ def test_dumps_canonical_floats_round_trip():
 def test_ctes_model_round_trip(tmp_path):
     ds = small_dataset()
     model = train_ctes(ds, TrainConfig(iterations=30, batch_size=10, seed=3))
-    x = np.array([0.4, 0.6])
-    before = synthesize(model, x, count=5, rng=np.random.default_rng(1),
-                        jitter=0.0)
+    x = np.repeat([[0.4, 0.6]], 5, 0)
+    before = synthesize_each(model, x, rng=np.random.default_rng(1),
+                             jitter=0.0)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
-    after = synthesize(loaded, x, count=5, rng=np.random.default_rng(1),
-                       jitter=0.0)
+    after = synthesize_each(loaded, x, rng=np.random.default_rng(1),
+                            jitter=0.0)
     assert np.array_equal(before, after)
     assert np.array_equal(loaded.loss_d, model.loss_d)
 
@@ -248,6 +248,23 @@ def test_train_synth_validate_subcommands(tmp_path):
     assert len(rows) == 5
     assert main(["validate", "--config", str(cfg_path), "--method", "pls",
                  "--group", "3"]) == 0
+
+
+def test_se_ctes_synth_serves_count_below_h(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "sigmas": [0.05], "samples_per_group": 20,
+        "train": {"iterations": 5, "batch_size": 10},
+        "forest": {"n_trees": 3}, "master_seed": 9}))
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--config", str(cfg_path), "--method", "se-ctes",
+                 "--out", str(model_path)]) == 0
+    synth_path = tmp_path / "synth.csv"
+    assert main(["synth", "--model", str(model_path), "--x", "0.5,0.5",
+                 "--count", "1", "--out", str(synth_path)]) == 0
+    rows = synth_path.read_text().splitlines()
+    assert rows[0] == "y1,y2,y3,y4,y5,y6"
+    assert len(rows) == 2
 
 
 def test_main_reports_config_errors(tmp_path):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from sectes.ctes import (TrainConfig, discriminator_forward,
-                         discriminator_loss, generator_forward,
-                         generator_loss, sample_mismatch, synthesize,
+                         discriminator_loss, generator_loss, sample_mismatch,
                          synthesize_each, toy_minimax_oracle, train_ctes)
 from sectes.datagen import PairedDataset, SimConfig, gen_multivariate_dataset
 from sectes.errors import ConfigError, MismatchImpossible
@@ -95,30 +94,25 @@ def test_generator_forward_zero_params_returns_mean_offset(trained_toy):
         for lay in net.layers:
             lay["W"][:] = 0.0
             lay["b"][:] = 0.0
-    out = generator_forward(model.generator, np.zeros(8), np.array([0.5]))
+    out = synthesize_each(model, np.array([[0.5]]), rng=0)
     assert np.allclose(out, model.generator.norm.y_mean)
 
 
 def test_generator_forward_shape_and_determinism(trained_toy):
-    z = np.random.default_rng(0).standard_normal(8)
-    a = generator_forward(trained_toy.generator, z, np.array([0.5]))
-    b = generator_forward(trained_toy.generator, z, np.array([0.5]))
-    assert a.shape == (1,)
+    a = synthesize_each(trained_toy, np.array([[0.5]]), rng=0)
+    b = synthesize_each(trained_toy, np.array([[0.5]]), rng=0)
+    assert a.shape == (1, 1)
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        generator_forward(trained_toy.generator, z[:3], np.array([0.5]))
-    with pytest.raises(ValueError):
-        generator_forward(trained_toy.generator, z, np.array([0.5, 0.5]))
+        synthesize_each(trained_toy, np.array([[0.5, 0.5]]), rng=0)
 
 
 def test_multivariate_generator_emits_six_entries():
     ds = gen_multivariate_dataset(SimConfig(sigma=0.05, samples_per_group=20,
                                             seed=0))
     model = train_ctes(ds, TrainConfig(iterations=20, batch_size=10, seed=2))
-    out = generator_forward(model.generator,
-                            np.random.default_rng(1).standard_normal(8),
-                            np.array([0.4, 0.4]))
-    assert out.shape == (6,)
+    out = synthesize_each(model, np.array([[0.4, 0.4]]), rng=1)
+    assert out.shape == (1, 6)
 
 
 def test_discriminator_forward_zero_params_is_half():
@@ -231,23 +225,23 @@ def test_convergence_break_fires_early():
 
 
 def test_synthesize_count_and_reproducibility(trained_toy):
-    batch = synthesize(trained_toy, np.array([0.5]), count=100,
-                       rng=np.random.default_rng(0), jitter=0.0)
+    batch = synthesize_each(trained_toy, np.repeat([[0.5]], 100, 0),
+                            rng=np.random.default_rng(0), jitter=0.0)
     assert batch.shape == (100, 1)
-    again = synthesize(trained_toy, np.array([0.5]), count=100,
-                       rng=np.random.default_rng(0), jitter=0.0)
+    again = synthesize_each(trained_toy, np.repeat([[0.5]], 100, 0),
+                            rng=np.random.default_rng(0), jitter=0.0)
     assert np.array_equal(batch, again)
     with pytest.raises(ValueError):
-        synthesize(trained_toy, np.array([0.5]), count=0)
+        synthesize_each(trained_toy, np.empty((0, 1)))
     with pytest.raises(ValueError):
-        synthesize(trained_toy, np.array([0.5, 0.5]), count=3)
+        synthesize_each(trained_toy, np.repeat([[0.5, 0.5]], 3, 0))
 
 
 def test_jitter_increases_sample_variance(trained_toy):
-    flat = synthesize(trained_toy, np.array([0.5]), count=1000,
-                      rng=np.random.default_rng(1), jitter=0.0)
-    wide = synthesize(trained_toy, np.array([0.5]), count=1000,
-                      rng=np.random.default_rng(1), jitter=0.2)
+    flat = synthesize_each(trained_toy, np.repeat([[0.5]], 1000, 0),
+                           rng=np.random.default_rng(1), jitter=0.0)
+    wide = synthesize_each(trained_toy, np.repeat([[0.5]], 1000, 0),
+                           rng=np.random.default_rng(1), jitter=0.2)
     assert np.all(wide.var(axis=0) > flat.var(axis=0))
 
 

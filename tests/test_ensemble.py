@@ -3,12 +3,14 @@ import pytest
 
 from sectes import ensemble as ensemble_mod
 from sectes.ctes import TrainConfig, train_ctes
-from sectes.datagen import PairedDataset
+from sectes.datagen import (GpSimConfig, PairedDataset,
+                            gen_scalar_to_matrix_dataset)
 from sectes.ensemble import (EnsembleConfig, EnsembleModel,
                              ensemble_synthesize, inverse_validation_scores,
                              select_top_h, train_se_ctes)
 from sectes.errors import ConfigError, EnsembleError, TrainingDiverged
 from sectes.forest import ForestConfig
+from sectes.validation import sample_model
 
 
 def small_dataset(seed=0, n=60):
@@ -183,7 +185,7 @@ def ens_of_constants(values, h=None):
 
 def test_ensemble_synthesize_even_split():
     ens = ens_of_constants([10.0, 20.0, 30.0, 40.0, 50.0], h=2)
-    out = ensemble_synthesize(ens, np.array([[0.5]]), total=200,
+    out = ensemble_synthesize(ens, np.repeat([[0.5]], 200, 0),
                               rng=np.random.default_rng(0), jitter=0.0)
     assert out.shape == (200, 2)
     assert np.sum(np.all(out == 10.0, axis=1)) == 100
@@ -192,16 +194,41 @@ def test_ensemble_synthesize_even_split():
 
 def test_ensemble_synthesize_remainder_to_lowest_index():
     ens = ens_of_constants([10.0, 20.0, 30.0, 40.0, 50.0], h=2)
-    out = ensemble_synthesize(ens, np.array([[0.5]]), total=201,
+    out = ensemble_synthesize(ens, np.repeat([[0.5]], 201, 0),
                               rng=np.random.default_rng(0), jitter=0.0)
     assert np.sum(np.all(out == 10.0, axis=1)) == 101
     assert np.sum(np.all(out == 20.0, axis=1)) == 100
 
 
+def test_ensemble_serves_fewer_rows_than_members():
+    # one row and h=2: the second member's share is empty and is skipped
+    ens = ens_of_constants([10.0, 20.0, 30.0, 40.0, 50.0], h=2)
+    one = np.array([[0.5]])
+    out = ensemble_synthesize(ens, one, rng=0, jitter=0.0)
+    assert np.array_equal(out, [[10.0, 10.0]])
+    assert np.array_equal(sample_model(ens, one, rng=0, jitter=0.0), out)
+
+
+def test_matrix_ensemble_serves_one_row():
+    # the conv decoder cannot take an empty batch, so empty shares must
+    # never reach it
+    ds = gen_scalar_to_matrix_dataset(GpSimConfig(
+        grid=4, images_per_category=6, categories=2, char_dim=3, seed=0))
+    ens = train_se_ctes(ds, EnsembleConfig(
+        k=5, h=2, train=TrainConfig(iterations=2, batch_size=6,
+                                    conv_channels=(2, 3)),
+        clf=ForestConfig(n_trees=3), seed=4))
+    out = sample_model(ens, ds.x[:1], rng=0)
+    assert out.shape == (1, 16)
+    assert np.all(np.isfinite(out))
+    with pytest.raises(ValueError):
+        sample_model(ens, ds.x[:0], rng=0)
+
+
 def test_ensemble_synthesize_mixture_mean_of_constants():
     # selected members emit constants 4 and 8
     ens = ens_of_constants([4.0, 8.0, 0.0, 1.0, 2.0], h=2)
-    out = ensemble_synthesize(ens, np.array([[0.5]]), total=1000,
+    out = ensemble_synthesize(ens, np.repeat([[0.5]], 1000, 0),
                               rng=np.random.default_rng(1), jitter=0.0)
     assert np.allclose(out.mean(axis=0), 6.0)
 
@@ -209,11 +236,11 @@ def test_ensemble_synthesize_mixture_mean_of_constants():
 def test_ensemble_synthesize_validation():
     ens = ens_of_constants([1.0, 2.0, 3.0], h=1)
     with pytest.raises(ValueError):
-        ensemble_synthesize(ens, np.array([[0.5]]), total=0)
+        ensemble_synthesize(ens, np.empty((0, 1)))
     empty = EnsembleModel(models=ens.models, scores=ens.scores, selected=[],
                           config=ens.config, diagnostics=[None] * 3)
     with pytest.raises(EnsembleError):
-        ensemble_synthesize(empty, np.array([[0.5]]), total=10)
+        ensemble_synthesize(empty, np.repeat([[0.5]], 10, 0))
 
 
 def test_ensemble_synthesize_mixture_mean_matches_member_means():
@@ -224,14 +251,14 @@ def test_ensemble_synthesize_mixture_mean_matches_member_means():
                          clf=ForestConfig(n_trees=20), seed=9)
     ens = train_se_ctes(ds, cfg)
     x = np.array([[0.5]])
-    pooled = ensemble_synthesize(ens, x, total=4000,
+    pooled = ensemble_synthesize(ens, np.repeat(x, 4000, 0),
                                  rng=np.random.default_rng(0), jitter=0.0)
-    from sectes.ctes import synthesize
+    from sectes.ctes import synthesize_each
     member_means = []
     member_vars = []
     for i in ens.selected:
-        draws = synthesize(ens.models[i], x[0], count=4000,
-                           rng=np.random.default_rng(i + 1), jitter=0.0)
+        draws = synthesize_each(ens.models[i], np.repeat(x, 4000, 0),
+                                rng=np.random.default_rng(i + 1), jitter=0.0)
         member_means.append(draws.mean(axis=0))
         member_vars.append(draws.var(axis=0))
     target = np.mean(member_means, axis=0)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sectes import ndnet
 from sectes.errors import ConfigError, TrainingDiverged
 
 from oracles import (fd_grads, loss_and_grads, max_grad_rel_error,
-                     min_preactivation, naive_conv2d, naive_conv2d_grads)
+                     min_preactivation, naive_conv2d, naive_conv2d_grads,
+                     naive_deconv2d, naive_deconv2d_grads)
 
 
 def params_equal(a, b):
@@ -162,6 +165,69 @@ def test_conv2d_backward_matches_naive_loops():
     assert np.max(np.abs(grads[0]["W"] - dW)) <= 1e-10
     assert np.max(np.abs(grads[0]["b"] - db)) <= 1e-10
     assert np.max(np.abs(dx - dx_ref)) <= 1e-10
+
+
+DECONV_GEOMETRIES = [(s, p, k) for s in (1, 2) for p in (0, 1)
+                     for k in (2, 3, 4)]
+
+
+def _deconv_case(stride, padding, kernel):
+    spec = [ndnet.deconv2d(2, 3, kernel=kernel, stride=stride,
+                           padding=padding, activation="none")]
+    params = ndnet.init_params(spec, 13)
+    rng = np.random.default_rng(7)
+    params.layers[0]["b"][:] = rng.normal(size=3)
+    return params, rng.normal(size=(2, 2, 4, 5)), rng
+
+
+@pytest.mark.parametrize("stride,padding,kernel", DECONV_GEOMETRIES)
+def test_deconv2d_forward_matches_naive_loops(stride, padding, kernel):
+    params, x, _ = _deconv_case(stride, padding, kernel)
+    fast = ndnet.forward(params, x).output
+    slow = naive_deconv2d(x, params.layers[0]["W"], params.layers[0]["b"],
+                          stride, padding)
+    assert fast.shape == slow.shape
+    assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
+@pytest.mark.parametrize("stride,padding,kernel", DECONV_GEOMETRIES)
+def test_deconv2d_backward_matches_naive_loops(stride, padding, kernel):
+    params, x, rng = _deconv_case(stride, padding, kernel)
+    trace = ndnet.forward(params, x)
+    g = rng.normal(size=trace.output.shape)
+    grads, dx = ndnet.backprop(params, trace, g)
+    dW, db, dx_ref = naive_deconv2d_grads(x, params.layers[0]["W"], g,
+                                          stride, padding)
+    assert np.max(np.abs(grads[0]["W"] - dW)) <= 1e-10
+    assert np.max(np.abs(grads[0]["b"] - db)) <= 1e-10
+    assert np.max(np.abs(dx - dx_ref)) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(cin=st.integers(1, 3), cout=st.integers(1, 3),
+       kernel=st.integers(1, 4), stride=st.integers(1, 3),
+       padding=st.integers(0, 2), out_hw=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_deconv2d_is_adjoint_of_conv2d(cin, cout, kernel, stride, padding,
+                                       out_hw, seed):
+    # <conv(x), g> == <x, deconv(g)> with one shared W and zero bias, on
+    # inputs the conv covers exactly (so deconv(g) has x's shape)
+    side = (out_hw - 1) * stride - 2 * padding + kernel
+    assume(side >= 1)
+    geom = dict(kernel=kernel, stride=stride, padding=padding,
+                activation="none")
+    conv = ndnet.init_params([ndnet.conv2d(cin, cout, **geom)], seed)
+    deconv = ndnet.init_params([ndnet.deconv2d(cout, cin, **geom)], seed)
+    deconv.layers[0]["W"] = conv.layers[0]["W"]
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2, cin, side, side))
+    g = rng.normal(size=(2, cout, out_hw, out_hw))
+    cx = ndnet.forward(conv, x).output
+    dg = ndnet.forward(deconv, g).output
+    assert cx.shape == g.shape and dg.shape == x.shape
+    lhs, rhs = float(np.sum(cx * g)), float(np.sum(x * dg))
+    scale = float(np.sum(np.abs(cx * g))) + float(np.sum(np.abs(x * dg)))
+    assert abs(lhs - rhs) <= 1e-12 * scale + 1e-300
 
 
 def test_deconv_mirrors_conv_geometry():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from sectes.ctes import TrainConfig, build_discriminator
 from sectes.datagen import (GpSimConfig, PairedDataset, SimConfig,
                             gen_multivariate_dataset,
                             gen_scalar_to_matrix_dataset)
+from sectes.errors import ConfigError
 from sectes.forest import ForestConfig
 from sectes.validation import (ConfusionCounts, MethodSettings,
                                ValidationReport, aggregate_trials,
@@ -177,6 +179,30 @@ def test_conv_classifier_separates_easy_classes():
     clf = fit_conv_classifier(Y, labels, (4, 4), seed=0, epochs=30)
     pred = predict_conv_classifier(clf, Y)
     assert np.mean(pred == labels) >= 0.95
+
+
+def test_conv_encoders_share_the_channel_check():
+    # grid 16 takes four stride-2 conv layers; three channel sizes are too
+    # few for both the discriminator and the validation classifier
+    few = (8, 16, 32)
+    with pytest.raises(ConfigError, match="conv_channels"):
+        build_discriminator(4, 256, TrainConfig(conv_channels=few), 0,
+                            (16, 16))
+    ds = gen_scalar_to_matrix_dataset(GpSimConfig(
+        grid=16, images_per_category=4, categories=3, char_dim=4, seed=1))
+    settings = MethodSettings(train=TrainConfig(conv_channels=few),
+                              classifier_epochs=1)
+    with pytest.raises(ConfigError, match="conv_channels"):
+        identify_group_experiment(ds, group=2, method="pls",
+                                  settings=settings, seed=0)
+    # the classifier keeps its log2 depth on grids that are not powers of two
+    ds = gen_scalar_to_matrix_dataset(GpSimConfig(
+        grid=6, images_per_category=4, categories=3, char_dim=4, seed=1))
+    rep = identify_group_experiment(
+        ds, group=2, method="grnn", seed=0,
+        settings=MethodSettings(train=TrainConfig(conv_channels=(4, 4)),
+                                classifier_epochs=1))
+    assert rep.confusion.total == 4 + 2 * 2
 
 
 def risk_dataset(seed=0, n_per_group=80):
