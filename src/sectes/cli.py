@@ -41,7 +41,7 @@ from .validation import MethodSettings, aggregate_trials, fit_method, \
 
 log = logging.getLogger("sectes")
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 KNOWN_METHODS = ("pls", "grnn", "cgan", "gan-cls", "ctes", "se-ctes")
 STUDIES = ("multivariate", "scalar-to-matrix", "tabular-risk")
 

@@ -42,7 +42,6 @@ class TrainConfig:
     convergence_tol: float = 1e-4
     jitter: float = 0.0
     seed: int = 0
-    record_batches: bool = False
     conv_channels: tuple[int, ...] = (8, 16, 32, 64)
 
     def __post_init__(self):
@@ -230,22 +229,15 @@ def _disc_scores_traced(disc: DiscriminatorModel, xn: np.ndarray, yn: np.ndarray
 
 def _disc_backward(disc: DiscriminatorModel, m: int, enc_tr, head_tr,
                    score_grad: np.ndarray):
-    """Backprop one pair's score gradient; returns (head grads, encoder
-    grads, gradient w.r.t. the normalized expression)."""
+    """Backprop a per-row score gradient through head and encoder; the
+    parameter gradients are summed over every traced row, so one call
+    serves a stacked batch of pair types. Returns (head grads, encoder
+    grads, gradient w.r.t. the normalized expression rows)."""
     head_grads, head_in_grad = ndnet.backprop(disc.head, head_tr,
                                               score_grad[:, None])
     enc_grad = head_in_grad[:, m:].reshape(enc_tr.output.shape)
     enc_grads, y_grad = ndnet.backprop(disc.encoder, enc_tr, enc_grad)
     return head_grads, enc_grads, y_grad.reshape(score_grad.shape[0], -1)
-
-
-def _add_grads(acc, extra):
-    if acc is None:
-        return extra
-    for lay, other in zip(acc, extra):
-        for key in lay:
-            lay[key] += other[key]
-    return acc
 
 
 def discriminator_forward(disc: DiscriminatorModel, x: np.ndarray,
@@ -283,29 +275,54 @@ def generator_loss(d_fake_y):
     return np.log(_clamp(np.asarray(d_fake_y, dtype=np.float64)))
 
 
-def sample_mismatch(batch_indices, dataset: PairedDataset,
-                    rng: np.random.Generator) -> np.ndarray:
+def sample_mismatch(batch_indices, char_ids, rng: np.random.Generator
+                    ) -> np.ndarray:
     """Mismatched characteristic indices: for every batch row j, a row
-    drawn uniformly from the dataset whose characteristic vector differs
-    from x^(j)."""
-    x = dataset.x
-    if np.unique(x, axis=0).shape[0] < 2:
+    drawn uniformly from the dataset rows whose characteristic differs
+    from that of row ``batch_indices[j]``.
+
+    ``char_ids`` gives each dataset row a non-negative id shared exactly
+    by equal characteristic rows (the inverse from ``np.unique(x, axis=0,
+    return_inverse=True)``). With the rows ordered by id, one draw over
+    the N - count(own id) eligible positions skips the row's own block.
+    """
+    char_ids = np.asarray(char_ids)
+    counts = np.bincount(char_ids)
+    if np.count_nonzero(counts) < 2:
         raise MismatchImpossible("all characteristic rows are identical")
-    batch_indices = np.asarray(batch_indices)
-    out = np.empty(len(batch_indices), dtype=np.int64)
-    for j, idx in enumerate(batch_indices):
-        while True:  # rejection keeps the draw uniform over eligible rows
-            cand = int(rng.integers(0, dataset.n_samples))
-            if not np.array_equal(x[cand], x[idx]):
-                out[j] = cand
-                break
-    return out
+    order = np.argsort(char_ids, kind="stable")
+    own = char_ids[np.asarray(batch_indices)]
+    start = (np.cumsum(counts) - counts)[own]
+    r = rng.integers(0, char_ids.size - counts[own])
+    return order[r + counts[own] * (r >= start)]
+
+
+def _disc_step_grads(disc: DiscriminatorModel, m: int, xn, yn, yhat_n,
+                     xn_mis, beta: float):
+    """Score the real (x, y), generated (x, yhat) and mismatched (x', y)
+    pairs as one stacked 3s-row batch and backprop the negated three-pair
+    objective once. Returns (L_D, the 3s scores in that pair order, head
+    grads, encoder grads)."""
+    s = xn.shape[0]
+    scores, enc_tr, head_tr = _disc_scores_traced(
+        disc, np.vstack([xn, xn, xn_mis]), np.vstack([yn, yhat_n, yn]))
+    d_real, d_fy, d_fx = np.split(scores, 3)
+    loss_d = float(np.mean(discriminator_loss(d_real, d_fy, d_fx, beta)))
+    # minimizing -L_D: d/dd of -log terms, scores clamped like the loss
+    score_grad = np.concatenate([-1.0 / (s * _clamp(d_real)),
+                                 beta / (s * _clamp(1.0 - d_fy)),
+                                 (1.0 - beta) / (s * _clamp(1.0 - d_fx))])
+    head_grads, enc_grads, _ = _disc_backward(disc, m, enc_tr, head_tr,
+                                              score_grad)
+    return loss_d, scores, head_grads, enc_grads
 
 
 def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
     """Run the adversarial loop: per iteration, batch matched pairs, draw
-    mismatches and noise, score the three pairs, then take one
-    discriminator ascent step and one generator ascent step.
+    mismatches and noise, score the three pair types in one stacked
+    discriminator pass with one backprop (one ascent step on the weighted
+    objective), then take one generator ascent step against the updated
+    discriminator.
 
     Stops early once the moving averages of |dL_D| and |dL_G| over the
     convergence window drop below the tolerance. Deterministic given
@@ -313,7 +330,8 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
     """
     if dataset.n_samples < 1:
         raise ValueError("dataset is empty")
-    if np.unique(dataset.x, axis=0).shape[0] < 2:
+    char_ids = np.unique(dataset.x, axis=0, return_inverse=True)[1].ravel()
+    if char_ids.max() < 1:
         raise MismatchImpossible("all characteristic rows are identical")
     m, n = dataset.char_dim, dataset.expr_dim
     norm = Normalization.fit(dataset.x, dataset.y)
@@ -336,45 +354,28 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
     beta = config.beta
     loss_d_trace, loss_g_trace = [], []
     score_min, score_max = np.inf, -np.inf
-    recorded = [] if config.record_batches else None
 
     for it in range(config.iterations):
         idx = rng.choice(N, size=s, replace=N < s)
-        mis = sample_mismatch(idx, dataset, rng)
+        mis = sample_mismatch(idx, char_ids, rng)
         z = rng.standard_normal((s, config.z_dim))
-        if recorded is not None:
-            recorded.append((idx.copy(), mis.copy()))
+        xb = xn_all[idx]
 
         # --- discriminator ascent on the three-pair objective
-        yhat_n, mix_tr, dec_tr = _gen_forward_traced(gen, z, xn_all[idx])
-        d_real, enc_r, head_r = _disc_scores_traced(disc, xn_all[idx], yn_all[idx])
-        d_fy, enc_fy, head_fy = _disc_scores_traced(disc, xn_all[idx], yhat_n)
-        d_fx, enc_fx, head_fx = _disc_scores_traced(disc, xn_all[mis], yn_all[idx])
-        loss_d = float(np.mean(discriminator_loss(d_real, d_fy, d_fx, beta)))
+        yhat_n, mix_tr, dec_tr = _gen_forward_traced(gen, z, xb)
+        loss_d, scores, head_grads, enc_grads = _disc_step_grads(
+            disc, m, xb, yn_all[idx], yhat_n, xn_all[mis], beta)
         if not np.isfinite(loss_d):
             raise TrainingDiverged(f"discriminator loss became {loss_d} at "
                                    f"iteration {it}", iteration=it)
-        lo = min(d_real.min(), d_fy.min(), d_fx.min())
-        hi = max(d_real.max(), d_fy.max(), d_fx.max())
-        score_min, score_max = min(score_min, lo), max(score_max, hi)
-
-        # minimizing -L_D: d/dd of -log terms, scores clamped like the loss
-        g_real = -1.0 / (s * _clamp(d_real))
-        g_fy = beta / (s * _clamp(1.0 - d_fy))
-        g_fx = (1.0 - beta) / (s * _clamp(1.0 - d_fx))
-        head_grads = enc_grads = None
-        for enc_tr, head_tr, g_score in ((enc_r, head_r, g_real),
-                                         (enc_fy, head_fy, g_fy),
-                                         (enc_fx, head_fx, g_fx)):
-            hg, eg, _ = _disc_backward(disc, m, enc_tr, head_tr, g_score)
-            head_grads = _add_grads(head_grads, hg)
-            enc_grads = _add_grads(enc_grads, eg)
+        score_min = min(score_min, float(scores.min()))
+        score_max = max(score_max, float(scores.max()))
         ndnet.optimizer_step(disc.head, head_grads, opt["head"])
         ndnet.optimizer_step(disc.encoder, enc_grads, opt["encoder"])
 
         # --- generator ascent on log D(x, yhat) against the updated D; the
         # D step left the generator unchanged, so its traces still hold
-        d_fy2, enc_tr, head_tr = _disc_scores_traced(disc, xn_all[idx], yhat_n)
+        d_fy2, enc_tr, head_tr = _disc_scores_traced(disc, xb, yhat_n)
         loss_g = float(np.mean(generator_loss(d_fy2)))
         if not np.isfinite(loss_g):
             raise TrainingDiverged(f"generator loss became {loss_g} at "
@@ -399,14 +400,12 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
             if dd < config.convergence_tol and dg < config.convergence_tol:
                 break
 
-    diagnostics = {"score_min": score_min, "score_max": score_max}
-    if recorded is not None:
-        diagnostics["batches"] = recorded
     return CtesModel(generator=gen, discriminator=disc, config=config,
                      loss_d=np.array(loss_d_trace),
                      loss_g=np.array(loss_g_trace),
                      iterations_run=len(loss_d_trace),
-                     diagnostics=diagnostics)
+                     diagnostics={"score_min": score_min,
+                                  "score_max": score_max})
 
 
 def synthesize_each(model: CtesModel, X: np.ndarray,

@@ -33,7 +33,6 @@ class EnsembleConfig:
     h: int = 2
     train: TrainConfig = field(default_factory=TrainConfig)
     clf: ForestConfig = field(default_factory=ForestConfig)
-    synth_per_model: int | None = None  # None = one per training row
     seed: int = 0
 
     def __post_init__(self):
@@ -125,12 +124,9 @@ def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleMod
             f"only {len(finished)} of {config.k} members finished; "
             f"need at least h={config.h}")
 
-    per_model = config.synth_per_model or dataset.n_samples
-    x_rows = dataset.x[np.arange(per_model) % dataset.n_samples]
-    batches = []
-    for i in finished:
-        rng = np.random.default_rng(member_children[i][1])
-        batches.append(synthesize_each(models[i], x_rows, rng=rng, jitter=0.0))
+    batches = [synthesize_each(models[i], dataset.x, jitter=0.0,
+                               rng=np.random.default_rng(member_children[i][1]))
+               for i in finished]
 
     scores = np.zeros(config.k)
     if len(finished) >= 2:

@@ -84,8 +84,6 @@ class MethodSettings:
     train: TrainConfig = field(default_factory=TrainConfig)
     forest: ForestConfig = field(default_factory=ForestConfig)
     ensemble: EnsembleConfig | None = None  # None = EnsembleConfig defaults
-    pls_components: int | None = None
-    grnn_bandwidth: float | None = None
     classifier_epochs: int = 30  # conv classifier, matrix expressions only
     beta_override: float | None = None  # tuning sweeps trump the variant value
 
@@ -128,10 +126,9 @@ def fit_method(method: str, settings: MethodSettings,
     """Fit a named method (pls, grnn, cgan, gan-cls, ctes, se-ctes) on the
     training pool and return its model."""
     if method == "pls":
-        comps = settings.pls_components or min(train_ds.char_dim, 2)
-        return pls_fit(train_ds.x, train_ds.y, comps)
+        return pls_fit(train_ds.x, train_ds.y, min(train_ds.char_dim, 2))
     if method == "grnn":
-        return grnn_fit(train_ds.x, train_ds.y, settings.grnn_bandwidth)
+        return grnn_fit(train_ds.x, train_ds.y)
     variant = variant_config(method)
     beta = variant.beta if settings.beta_override is None else settings.beta_override
     tc = replace(settings.train, beta=beta, seed=seed)

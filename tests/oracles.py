@@ -167,3 +167,43 @@ def naive_deconv2d_grads(x, W, g, stride, padding):
                                 dW[ci, co, ki, kj] += x[bi, ci, i, j] * gv
                                 dx[bi, ci, i, j] += gv * W[ci, co, ki, kj]
     return dW, db, dx
+
+
+def three_pass_disc_grads(disc, m, xn, yn, yhat_n, xn_mis, beta):
+    """Reference for the discriminator step on the three-pair objective:
+    the real (x, y), generated (x, yhat) and mismatched (x', y) pairs each
+    get their own forward pass and backprop, and the three gradient sets
+    are summed. Returns (L_D, the 3s scores in that pair order, head grads,
+    encoder grads) for minimizing -L_D with scores clamped as in the
+    loss."""
+    s = xn.shape[0]
+
+    def clamp(d):
+        return np.clip(d, 1e-7, 1.0 - 1e-7)
+
+    pairs = ((xn, yn, lambda d: -1.0 / (s * clamp(d))),
+             (xn, yhat_n, lambda d: beta / (s * clamp(1.0 - d))),
+             (xn_mis, yn, lambda d: (1.0 - beta) / (s * clamp(1.0 - d))))
+    scores, head_sum, enc_sum = [], None, None
+    for x, y, score_grad in pairs:
+        enc_in = y if disc.expr_shape is None else y.reshape(
+            s, 1, *disc.expr_shape)
+        enc_tr = ndnet.forward(disc.encoder, enc_in)
+        head_tr = ndnet.forward(
+            disc.head, np.hstack([x, enc_tr.output.reshape(s, -1)]))
+        d = head_tr.output[:, 0]
+        head_g, head_in_g = ndnet.backprop(disc.head, head_tr,
+                                           score_grad(d)[:, None])
+        enc_g, _ = ndnet.backprop(disc.encoder, enc_tr,
+                                  head_in_g[:, m:].reshape(enc_tr.output.shape))
+        scores.append(d)
+        if head_sum is None:
+            head_sum, enc_sum = head_g, enc_g
+        else:
+            for acc, new in zip(head_sum + enc_sum, head_g + enc_g):
+                for key in acc:
+                    acc[key] = acc[key] + new[key]
+    d_real, d_fy, d_fx = (clamp(d) for d in scores)
+    loss = float(np.mean(np.log(d_real) + beta * np.log1p(-d_fy)
+                         + (1.0 - beta) * np.log1p(-d_fx)))
+    return loss, np.concatenate(scores), head_sum, enc_sum

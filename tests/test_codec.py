@@ -39,7 +39,6 @@ train_configs = st.builds(
     convergence_tol=st.floats(min_value=0.0, max_value=1.0),
     jitter=st.floats(min_value=0.0, max_value=1.0),
     seed=seeds,
-    record_batches=st.booleans(),
     conv_channels=st.lists(small_int, max_size=5).map(tuple))
 
 forest_configs = st.builds(

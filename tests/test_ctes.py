@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sectes.ctes import (TrainConfig, discriminator_forward,
-                         discriminator_loss, generator_loss, sample_mismatch,
-                         synthesize_each, toy_minimax_oracle, train_ctes)
+from oracles import three_pass_disc_grads
+from sectes import ctes
+from sectes.ctes import (TrainConfig, _disc_step_grads, build_discriminator,
+                         discriminator_forward, discriminator_loss,
+                         generator_loss, sample_mismatch, synthesize_each,
+                         toy_minimax_oracle, train_ctes)
 from sectes.datagen import PairedDataset, SimConfig, gen_multivariate_dataset
 from sectes.errors import ConfigError, MismatchImpossible
 
@@ -134,11 +137,15 @@ def test_discriminator_forward_range_and_determinism(trained_toy):
         assert s == discriminator_forward(trained_toy.discriminator, x, y)
 
 
+def char_ids(x):
+    return np.unique(x, axis=0, return_inverse=True)[1].ravel()
+
+
 def test_sample_mismatch_two_rows_forced():
     ds = PairedDataset(x=np.array([[0.0], [1.0]]), y=np.zeros((2, 1)),
                        groups=np.ones(2, int), n_groups=1)
     rng = np.random.default_rng(0)
-    mis = sample_mismatch([0, 1, 0], ds, rng)
+    mis = sample_mismatch([0, 1, 0], char_ids(ds.x), rng)
     assert mis.tolist() == [1, 0, 1]
 
 
@@ -147,7 +154,7 @@ def test_sample_mismatch_batch_of_fifty():
     train = ds.select(ds.groups != 4)  # 800-sample training pool
     rng = np.random.default_rng(3)
     idx = rng.choice(train.n_samples, size=50, replace=False)
-    mis = sample_mismatch(idx, train, rng)
+    mis = sample_mismatch(idx, char_ids(train.x), rng)
     assert len(mis) == 50
     for j, i in zip(mis, idx):
         assert not np.array_equal(train.x[j], train.x[i])
@@ -156,8 +163,9 @@ def test_sample_mismatch_batch_of_fifty():
 def test_sample_mismatch_deterministic():
     ds = toy_dataset()
     idx = list(range(10))
-    a = sample_mismatch(idx, ds, np.random.default_rng(9))
-    b = sample_mismatch(idx, ds, np.random.default_rng(9))
+    ids = char_ids(ds.x)
+    a = sample_mismatch(idx, ids, np.random.default_rng(9))
+    b = sample_mismatch(idx, ids, np.random.default_rng(9))
     assert np.array_equal(a, b)
 
 
@@ -165,9 +173,73 @@ def test_sample_mismatch_identical_characteristics_error():
     ds = PairedDataset(x=np.ones((5, 2)), y=np.zeros((5, 1)),
                        groups=np.ones(5, int), n_groups=1)
     with pytest.raises(MismatchImpossible):
-        sample_mismatch([0, 1], ds, np.random.default_rng(0))
+        sample_mismatch([0, 1], char_ids(ds.x), np.random.default_rng(0))
     with pytest.raises(MismatchImpossible):
         train_ctes(ds, TrainConfig(iterations=5, batch_size=2, seed=0))
+
+
+# characteristic rows in shuffled order: a x3, b x2, c x1, d x4
+CHARS = np.array([[0.4, 1.0], [0.1, 0.0], [0.9, 0.5], [0.4, 1.0],
+                  [0.1, 0.0], [0.2, 0.2], [0.9, 0.5], [0.9, 0.5],
+                  [0.4, 1.0], [0.9, 0.5]])
+
+
+def test_sample_mismatch_never_draws_an_equal_row_at_another_index():
+    idx = np.tile(np.arange(len(CHARS)), 500)
+    mis = sample_mismatch(idx, char_ids(CHARS), np.random.default_rng(5))
+    assert not (CHARS[mis] == CHARS[idx]).all(axis=1).any()
+    # every eligible row does get drawn for every batch row
+    for i in range(len(CHARS)):
+        eligible = np.nonzero((CHARS != CHARS[i]).any(axis=1))[0]
+        assert set(mis[idx == i].tolist()) == set(eligible.tolist())
+
+
+def test_sample_mismatch_draws_uniformly_over_eligible_rows():
+    draws = 90_000
+    ids = char_ids(CHARS)
+    rng = np.random.default_rng(11)
+    for i in range(len(CHARS)):
+        mis = sample_mismatch(np.full(draws, i), ids, rng)
+        eligible = np.nonzero(ids != ids[i])[0]
+        freq = np.bincount(mis, minlength=len(CHARS))[eligible] / draws
+        # at most 9 eligible rows: >= 10k expected draws per row, so the
+        # standard error is under 1% of it and 5% is over five of them
+        assert np.abs(freq * len(eligible) - 1.0).max() < 0.05
+
+
+def test_sample_mismatch_dominant_characteristic_returns_lone_row():
+    x = np.full((1000, 2), 0.5)
+    x[637] = [0.2, 0.3]
+    ids = char_ids(x)
+    rng = np.random.default_rng(2)
+    others = np.delete(np.arange(1000), 637)
+    assert (sample_mismatch(others, ids, rng) == 637).all()
+    mis = sample_mismatch(np.full(200, 637), ids, rng)
+    assert (mis != 637).all() and len(np.unique(mis)) > 100
+
+
+def _rel_err(a, b):
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+@pytest.mark.parametrize("expr_shape", [None, (4, 4)])
+def test_stacked_disc_step_matches_three_pair_passes(expr_shape):
+    m, s, beta = 3, 12, 0.9
+    n = 5 if expr_shape is None else 16
+    disc = build_discriminator(m, n, TrainConfig(hidden=16), 7, expr_shape)
+    rng = np.random.default_rng(4)
+    xn, xn_mis = rng.standard_normal((2, s, m))
+    yn, yhat_n = rng.standard_normal((2, s, n))
+    loss, scores, head_g, enc_g = _disc_step_grads(disc, m, xn, yn, yhat_n,
+                                                   xn_mis, beta)
+    ref_loss, ref_scores, ref_head, ref_enc = three_pass_disc_grads(
+        disc, m, xn, yn, yhat_n, xn_mis, beta)
+    assert _rel_err(loss, ref_loss) < 1e-12
+    assert _rel_err(scores, ref_scores) < 1e-12
+    for got, want in ((head_g, ref_head), (enc_g, ref_enc)):
+        for lay, ref_lay in zip(got, want, strict=True):
+            for key in ref_lay:
+                assert _rel_err(lay[key], ref_lay[key]) < 1e-12, key
 
 
 def test_training_is_deterministic():
@@ -204,12 +276,17 @@ def test_training_score_range_stays_in_unit_interval(trained_toy):
     assert trained_toy.diagnostics["score_max"] < 1.0
 
 
-def test_recorded_mismatches_never_equal_paired_rows():
+def test_recorded_mismatches_never_equal_paired_rows(monkeypatch):
     ds = toy_dataset(n=60)
-    cfg = TrainConfig(iterations=30, batch_size=10, seed=4,
-                      record_batches=True)
-    model = train_ctes(ds, cfg)
-    batches = model.diagnostics["batches"]
+    batches = []
+
+    def recording(idx, ids, rng):
+        mis = sample_mismatch(idx, ids, rng)
+        batches.append((idx.copy(), mis.copy()))
+        return mis
+
+    monkeypatch.setattr(ctes, "sample_mismatch", recording)
+    model = train_ctes(ds, TrainConfig(iterations=30, batch_size=10, seed=4))
     assert len(batches) == model.iterations_run
     for idx, mis in batches:
         for i, j in zip(idx, mis):
