@@ -63,17 +63,21 @@ class _Tree:
 
     def votes(self, X: np.ndarray, n_classes: int) -> np.ndarray:
         """One majority-class vote per sample (ties to the lower class)."""
-        out = np.empty(X.shape[0], dtype=np.int64)
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if self.feature[node] < 0:
-                out[idx] = int(np.argmax(self.counts[node]))
-                continue
-            go_left = X[idx, self.feature[node]] <= self.threshold[node]
-            stack.append((self.left[node], idx[go_left]))
-            stack.append((self.right[node], idx[~go_left]))
-        return out
+        feature = np.asarray(self.feature)
+        threshold = np.asarray(self.threshold)
+        left, right = np.asarray(self.left), np.asarray(self.right)
+        leaves = np.flatnonzero(feature < 0)
+        vote = np.full(feature.size, -1, dtype=np.int64)
+        vote[leaves] = np.argmax([self.counts[i] for i in leaves], axis=1)
+        # all rows still above a leaf step down one level together
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        rows = np.flatnonzero(feature[node] >= 0)
+        while rows.size:
+            at = node[rows]
+            go_left = X[rows, feature[at]] <= threshold[at]
+            node[rows] = np.where(go_left, left[at], right[at])
+            rows = rows[feature[node[rows]] >= 0]
+        return vote[node]
 
 
 def _best_split(vals: np.ndarray, codes: np.ndarray, n_classes: int):

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, TrainingDiverged
 
@@ -192,51 +193,65 @@ def _conv_out_hw(h: int, w: int, lay: LayerSpec) -> tuple[int, int]:
     return ho, wo
 
 
+# The conv kernels work on batch-last views (C, H, W, B) of the (B, C, H, W)
+# activations, so the batch is the contiguous inner axis of every im2col
+# copy and col2im add; their arrays come back as (B, C, H, W) views.
+
+def _batch_last(a):
+    return a.transpose(1, 2, 3, 0)
+
+
 def _pad(a, p: int):
-    return np.pad(a, ((0, 0), (0, 0), (p, p), (p, p)))
+    if p == 0:
+        return a
+    B, C, h, w = a.shape
+    out = np.zeros((C, h + 2 * p, w + 2 * p, B))
+    out[:, p:-p, p:-p] = _batch_last(a)
+    return out.transpose(3, 0, 1, 2)
 
 
-def _windows(lay: LayerSpec, ho: int, wo: int):
-    """Per kernel tap, the strided slice of the padded input it reads when
-    the convolution produces an ho x wo output."""
-    k, s = lay.kernel, lay.stride
-    for ki in range(k):
-        for kj in range(k):
-            yield ki, kj, (slice(None), slice(None),
-                           slice(ki, ki + s * ho, s), slice(kj, kj + s * wo, s))
+def _patches(xp, lay: LayerSpec):
+    """(C, ho, wo, B, k, k) view of the padded input xp: the k x k window
+    each output of the convolution reads."""
+    s = lay.stride
+    return sliding_window_view(_batch_last(xp), (lay.kernel, lay.kernel),
+                               axis=(1, 2))[:, ::s, ::s]
 
 
 # A conv2d layer's W is (out, in, k, k). A deconv2d layer's W is
 # (in, out, k, k): the W of the conv2d layer mapping the deconv's output
-# back to its input. So the three loops below serve both kinds: the
+# back to its input. So the three kernels below serve both kinds: the
 # deconv forward pass is that conv's input-gradient scatter, its input
 # gradient is that conv's forward contraction, and its weight gradient
-# is that conv's weight gradient with the two activations swapped.
+# is that conv's weight gradient with the two activations swapped. Each
+# is one BLAS product over the im2col patches (Chellapilla et al. 2006);
+# the scatter then adds its columns back onto the input grid (col2im).
 
-def _conv_contract(xp, W, lay: LayerSpec, ho: int, wo: int):
+def _conv_contract(xp, W, lay: LayerSpec):
     """Convolution of the padded input xp, without bias."""
-    z = np.zeros((xp.shape[0], W.shape[0], ho, wo))
-    for ki, kj, win in _windows(lay, ho, wo):
-        z += np.einsum("bchw,oc->bohw", xp[win], W[:, :, ki, kj])
-    return z
+    z = np.tensordot(W, _patches(xp, lay),
+                     axes=((1, 2, 3), (0, 4, 5)))  # (O, ho, wo, B)
+    return z.transpose(3, 0, 1, 2)
 
 
 def _conv_scatter(g, W, lay: LayerSpec, hp: int, wp: int):
     """Input gradient of the convolution, on the hp x wp padded input."""
-    dxp = np.zeros((g.shape[0], W.shape[1], hp, wp))
-    for ki, kj, win in _windows(lay, g.shape[2], g.shape[3]):
-        dxp[win] += np.einsum("bohw,oc->bchw", g, W[:, :, ki, kj])
-    return dxp
+    k, s = lay.kernel, lay.stride
+    ho, wo = g.shape[2:]
+    cols = np.tensordot(W, _batch_last(g), axes=(0, 0))  # (C, k, k, ho, wo, B)
+    dxp = np.zeros((W.shape[1], hp, wp, g.shape[0]))
+    for ki in range(k):
+        for kj in range(k):
+            dxp[:, ki:ki + s * ho:s, kj:kj + s * wo:s] += cols[:, ki, kj]
+    return dxp.transpose(3, 0, 1, 2)
 
 
 def _conv_weight_grad(g, xp, lay: LayerSpec):
     """Weight gradient of the convolution from its output gradient g and
     padded input xp."""
-    k = lay.kernel
-    dW = np.empty((g.shape[1], xp.shape[1], k, k))
-    for ki, kj, win in _windows(lay, g.shape[2], g.shape[3]):
-        dW[:, :, ki, kj] = np.einsum("bohw,bchw->oc", g, xp[win])
-    return dW
+    dW = np.tensordot(_patches(xp, lay), _batch_last(g),
+                      axes=((1, 2, 3), (1, 2, 3)))  # (C, k, k, O)
+    return dW.transpose(3, 0, 1, 2)
 
 
 def forward(params: NetParams, x: np.ndarray) -> Trace:
@@ -261,7 +276,7 @@ def forward(params: NetParams, x: np.ndarray) -> Trace:
             ho, wo = _conv_out_hw(a.shape[2], a.shape[3], lay)
             p = lay.padding
             if lay.kind == "conv2d":
-                z = _conv_contract(_pad(a, p), W, lay, ho, wo)
+                z = _conv_contract(_pad(a, p), W, lay)
             else:
                 full = _conv_scatter(a, W, lay, ho + 2 * p, wo + 2 * p)
                 z = full[:, :, p:p + ho, p:p + wo]
@@ -307,7 +322,7 @@ def backprop(params: NetParams, trace: Trace,
         else:
             gp = _pad(g, p)
             dW = _conv_weight_grad(a_prev, gp, lay)
-            g_in = _conv_contract(gp, W, lay, h, w)
+            g_in = _conv_contract(gp, W, lay)
         grads[i] = {"W": dW, "b": g.sum(axis=(0, 2, 3))}
         g = g_in
     return grads, g

@@ -169,6 +169,78 @@ def naive_deconv2d_grads(x, W, g, stride, padding):
     return dW, db, dx
 
 
+def _tap_windows(k, s, ho, wo):
+    """Per kernel tap, the strided slice of the padded input it reads when
+    the convolution produces an ho x wo output."""
+    for ki in range(k):
+        for kj in range(k):
+            yield ki, kj, (slice(None), slice(None),
+                           slice(ki, ki + s * ho, s), slice(kj, kj + s * wo, s))
+
+
+def _tap_contract(xp, W, k, s, ho, wo):
+    z = np.zeros((xp.shape[0], W.shape[0], ho, wo))
+    for ki, kj, win in _tap_windows(k, s, ho, wo):
+        z += np.einsum("bchw,oc->bohw", xp[win], W[:, :, ki, kj])
+    return z
+
+
+def _tap_scatter(g, W, k, s, hp, wp):
+    dxp = np.zeros((g.shape[0], W.shape[1], hp, wp))
+    for ki, kj, win in _tap_windows(k, s, g.shape[2], g.shape[3]):
+        dxp[win] += np.einsum("bohw,oc->bchw", g, W[:, :, ki, kj])
+    return dxp
+
+
+def _tap_weight_grad(g, xp, k, s):
+    dW = np.empty((g.shape[1], xp.shape[1], k, k))
+    for ki, kj, win in _tap_windows(k, s, g.shape[2], g.shape[3]):
+        dW[:, :, ki, kj] = np.einsum("bohw,bchw->oc", g, xp[win])
+    return dW
+
+
+def tap_loop_layer(lay, x, W, b, g):
+    """One linear conv2d/deconv2d layer computed tap by tap, one einsum per
+    kernel tap and no im2col buffer. Returns the layer's output for input x
+    and, for output gradient g, dW, db and dx."""
+    k, s, p = lay.kernel, lay.stride, lay.padding
+    h, w = x.shape[2:]
+
+    def pad(a):
+        return np.pad(a, ((0, 0), (0, 0), (p, p), (p, p)))
+
+    if lay.kind == "conv2d":
+        ho = (h + 2 * p - k) // s + 1
+        wo = (w + 2 * p - k) // s + 1
+        z = _tap_contract(pad(x), W, k, s, ho, wo)
+        dW = _tap_weight_grad(g, pad(x), k, s)
+        dx = _tap_scatter(g, W, k, s, h + 2 * p, w + 2 * p)[
+            :, :, p:p + h, p:p + w]
+    else:
+        ho, wo = (h - 1) * s - 2 * p + k, (w - 1) * s - 2 * p + k
+        z = _tap_scatter(x, W, k, s, ho + 2 * p, wo + 2 * p)[
+            :, :, p:p + ho, p:p + wo]
+        dW = _tap_weight_grad(x, pad(g), k, s)
+        dx = _tap_contract(pad(g), W, k, s, h, w)
+    return z + b[None, :, None, None], dW, g.sum(axis=(0, 2, 3)), dx
+
+
+def stack_walk_votes(tree, X):
+    """Per-sample majority-class vote of one forest tree, routing index
+    sets down the tree one node at a time (ties to the lower class)."""
+    out = np.empty(X.shape[0], dtype=np.int64)
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if tree.feature[node] < 0:
+            out[idx] = int(np.argmax(tree.counts[node]))
+            continue
+        go_left = X[idx, tree.feature[node]] <= tree.threshold[node]
+        stack.append((tree.left[node], idx[go_left]))
+        stack.append((tree.right[node], idx[~go_left]))
+    return out
+
+
 def three_pass_disc_grads(disc, m, xn, yn, yhat_n, xn_mis, beta):
     """Reference for the discriminator step on the three-pair objective:
     the real (x, y), generated (x, yhat) and mismatched (x', y) pairs each

@@ -5,6 +5,8 @@ from sectes.forest import (Forest, ForestConfig, _Tree, fit_forest, gini,
                            predict_forest, predict_proba)
 from sectes.errors import ConfigError
 
+from oracles import stack_walk_votes
+
 
 def test_gini_reference_values():
     assert gini([5, 5]) == pytest.approx(0.5)
@@ -174,3 +176,36 @@ def test_max_depth_limits_tree():
     for tree in forest.trees:
         # depth 2 allows at most 7 nodes
         assert len(tree.feature) <= 7
+
+
+def _forest_cases():
+    rng = np.random.default_rng(24)
+    Xb, yb = _blobs(rng, n=60, sep=1.5)
+    Xm = rng.normal(size=(150, 4))
+    ym = np.digitize(Xm[:, 0] + 0.5 * rng.normal(size=150), [-0.5, 0.5])
+    return {
+        "binary": (fit_forest(Xb, yb, ForestConfig(n_trees=15, seed=25)), 2),
+        "multiclass": (fit_forest(Xm, ym, ForestConfig(n_trees=15, seed=26)),
+                       4),
+        "max_depth": (fit_forest(Xm, ym, ForestConfig(n_trees=15, max_depth=2,
+                                                      seed=27)), 4),
+        "leaf_trees": (Forest(trees=[_leaf_tree([5, 1]), _leaf_tree([1, 5]),
+                                     _leaf_tree([4, 4])],
+                              classes=np.array([0, 1]), n_features=4), 4),
+    }
+
+
+@pytest.mark.parametrize("case", ["binary", "multiclass", "max_depth",
+                                  "leaf_trees"])
+def test_votes_match_stack_walk(case):
+    forest, d = _forest_cases()[case]
+    rng = np.random.default_rng(28)
+    # rows exactly on split thresholds test the <= rule
+    on_split = np.repeat(np.asarray(forest.trees[0].threshold)[:, None], d, 1)
+    probe = np.vstack([rng.normal(0.0, 3.0, size=(200, d)), on_split,
+                       np.full((1, d), np.nan)])
+    for tree in forest.trees:
+        votes = tree.votes(probe, forest.n_classes)
+        assert votes.dtype == np.int64
+        assert np.array_equal(votes, stack_walk_votes(tree, probe))
+    assert forest.trees[0].votes(np.empty((0, d)), forest.n_classes).shape == (0,)

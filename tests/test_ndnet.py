@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +10,7 @@ from sectes.errors import ConfigError, TrainingDiverged
 
 from oracles import (fd_grads, loss_and_grads, max_grad_rel_error,
                      min_preactivation, naive_conv2d, naive_conv2d_grads,
-                     naive_deconv2d, naive_deconv2d_grads)
+                     naive_deconv2d, naive_deconv2d_grads, tap_loop_layer)
 
 
 def params_equal(a, b):
@@ -228,6 +230,102 @@ def test_deconv2d_is_adjoint_of_conv2d(cin, cout, kernel, stride, padding,
     lhs, rhs = float(np.sum(cx * g)), float(np.sum(x * dg))
     scale = float(np.sum(np.abs(cx * g))) + float(np.sum(np.abs(x * dg)))
     assert abs(lhs - rhs) <= 1e-12 * scale + 1e-300
+
+
+def _linear_layer(lay, seed):
+    params = ndnet.init_params([lay], seed)
+    params.layers[0]["b"][:] = np.random.default_rng(seed).normal(
+        size=lay.out_channels)
+    return params
+
+
+def _check_layer_against(params, x, oracle, fwd_tol, grad_tol):
+    """ndnet's output and (W, b, input) gradients of one linear layer
+    against oracle(x, W, b, g) -> (output, dW, db, dx); each tolerance maps
+    the oracle's array to the largest absolute error allowed."""
+    W, b = params.layers[0]["W"], params.layers[0]["b"]
+    trace = ndnet.forward(params, x)
+    g = np.random.default_rng(x.size).normal(size=trace.output.shape)
+    grads, dx = ndnet.backprop(params, trace, g)
+    got = (trace.output, grads[0]["W"], grads[0]["b"], dx)
+    for i, (a, r) in enumerate(zip(got, oracle(x, W, b, g))):
+        assert a.shape == r.shape, (params.spec[0], i)
+        tol = fwd_tol if i == 0 else grad_tol
+        assert np.max(np.abs(a - r)) <= tol(r), (params.spec[0], i)
+
+
+def _absolute(limit):
+    return lambda ref: limit
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=st.integers(1, 3), cin=st.integers(1, 3), cout=st.integers(1, 3),
+       kernel=st.integers(1, 4), stride=st.integers(1, 3),
+       padding=st.integers(0, 2), out_h=st.integers(1, 4),
+       out_w=st.integers(1, 4), skip_h=st.integers(0, 2),
+       skip_w=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_conv2d_matches_naive_loops_on_random_geometries(
+        batch, cin, cout, kernel, stride, padding, out_h, out_w, skip_h,
+        skip_w, seed):
+    # skip_h/skip_w (< stride) trailing rows/columns no window reaches
+    assume(skip_h < stride and skip_w < stride)
+    h = (out_h - 1) * stride + kernel - 2 * padding + skip_h
+    w = (out_w - 1) * stride + kernel - 2 * padding + skip_w
+    assume(h >= 1 and w >= 1)
+    params = _linear_layer(ndnet.conv2d(cin, cout, kernel=kernel,
+                                        stride=stride, padding=padding,
+                                        activation="none"), seed)
+    x = np.random.default_rng(seed).normal(size=(batch, cin, h, w))
+
+    def oracle(x, W, b, g):
+        return ((naive_conv2d(x, W, b, stride, padding),)
+                + naive_conv2d_grads(x, W, g, stride, padding))
+
+    _check_layer_against(params, x, oracle, _absolute(1e-12),
+                         _absolute(1e-10))
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=st.integers(1, 3), cin=st.integers(1, 3), cout=st.integers(1, 3),
+       kernel=st.integers(1, 4), stride=st.integers(1, 3),
+       padding=st.integers(0, 2), h=st.integers(1, 5), w=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_deconv2d_matches_naive_loops_on_random_geometries(
+        batch, cin, cout, kernel, stride, padding, h, w, seed):
+    # output side (side - 1) * stride - 2 * padding + kernel must be >= 1
+    assume((min(h, w) - 1) * stride - 2 * padding + kernel >= 1)
+    params = _linear_layer(ndnet.deconv2d(cin, cout, kernel=kernel,
+                                          stride=stride, padding=padding,
+                                          activation="none"), seed)
+    x = np.random.default_rng(seed).normal(size=(batch, cin, h, w))
+
+    def oracle(x, W, b, g):
+        return ((naive_deconv2d(x, W, b, stride, padding),)
+                + naive_deconv2d_grads(x, W, g, stride, padding))
+
+    _check_layer_against(params, x, oracle, _absolute(1e-12),
+                         _absolute(1e-10))
+
+
+# every layer of the 16x16 discriminator encoder and generator decoder,
+# with the input side it sees in training
+TRAINING_LAYERS = (
+    [(ndnet.conv2d(ci, co, activation="none"), side)
+     for ci, co, side in ((1, 8, 16), (8, 16, 8), (16, 32, 4), (32, 64, 2))]
+    + [(ndnet.deconv2d(ci, co, activation="none"), side)
+       for ci, co, side in ((64, 32, 1), (32, 16, 2), (16, 8, 4), (8, 1, 8))])
+
+
+@pytest.mark.parametrize("lay,side", TRAINING_LAYERS, ids=[
+    f"{lay.kind}-{lay.in_channels}to{lay.out_channels}-{side}x{side}"
+    for lay, side in TRAINING_LAYERS])
+def test_training_shape_layers_match_tap_loop_kernels(lay, side):
+    params = _linear_layer(lay, side)
+    x = np.random.default_rng(side).normal(size=(50, lay.in_channels,
+                                                 side, side))
+    relative = lambda ref: 1e-12 * np.max(np.abs(ref))
+    _check_layer_against(params, x, functools.partial(tap_loop_layer, lay),
+                         relative, relative)
 
 
 def test_deconv_mirrors_conv_geometry():
