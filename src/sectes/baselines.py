@@ -17,7 +17,7 @@ from .errors import ConfigError
 
 @dataclass
 class PlsModel:
-    """Latent-component linear regression state (NIPALS fit)."""
+    """Latent-component linear regression state."""
 
     mean_x: np.ndarray
     mean_y: np.ndarray
@@ -26,7 +26,8 @@ class PlsModel:
 
 
 def pls_fit(X: np.ndarray, Y: np.ndarray, components: int) -> PlsModel:
-    """Fit partial-least-squares regression by NIPALS deflation.
+    """Fit partial-least-squares regression by deflation; each weight vector
+    is the leading left singular vector of the deflated X'Y (NIPALS's limit).
 
     Handles multi-output responses; deterministic. Requested components
     may be cut short if X or Y deflates to zero first.
@@ -48,45 +49,27 @@ def pls_fit(X: np.ndarray, Y: np.ndarray, components: int) -> PlsModel:
     if not np.any(np.abs(Xc) > 1e-12):
         raise ValueError("X has zero variance")
 
-    W = np.zeros((m, components))
-    P = np.zeros((m, components))
-    Q = np.zeros((Y.shape[1], components))
-    done = 0
-    for a in range(components):
+    comps = []  # (w, p, q) of each fitted component
+    while len(comps) < components:
         if np.all(np.abs(Yc) < 1e-12) or np.all(np.abs(Xc) < 1e-12):
             break
-        u = Yc[:, int(np.argmax(Yc.var(axis=0)))]
-        t = None
-        for _ in range(500):
-            w = Xc.T @ u
-            norm = np.linalg.norm(w)
-            if norm < 1e-15:
-                break
-            w /= norm
-            t_new = Xc @ w
-            q = Yc.T @ t_new / (t_new @ t_new)
-            qq = q @ q
-            if qq < 1e-30:
-                break
-            u_new = Yc @ q / qq
-            if t is not None and np.linalg.norm(t_new - t) < 1e-12:
-                t = t_new
-                break
-            t, u = t_new, u_new
-        if t is None or norm < 1e-15:
+        U, sv, _ = np.linalg.svd(Xc.T @ Yc, full_matrices=False)
+        if sv[0] < 1e-15:
             break
+        w = U[:, 0]
+        t = Xc @ w
         tt = t @ t
         p = Xc.T @ t / tt
         q = Yc.T @ t / tt
         Xc = Xc - np.outer(t, p)
         Yc = Yc - np.outer(t, q)
-        W[:, a], P[:, a], Q[:, a] = w, p, q
-        done = a + 1
-    if done == 0:
+        comps.append((w, p, q))
+    if not comps:
         raise ValueError("no usable component found")
-    W, P, Q = W[:, :done], P[:, :done], Q[:, :done]
+    W, P, Q = (np.column_stack(cols) for cols in zip(*comps))
     coef = W @ np.linalg.solve(P.T @ W, Q.T)
-    return PlsModel(mean_x=mean_x, mean_y=mean_y, coef=coef, n_components=done)
+    return PlsModel(mean_x=mean_x, mean_y=mean_y, coef=coef,
+                    n_components=len(comps))
 
 
 def _check_width(x: np.ndarray, m: int) -> np.ndarray:
@@ -151,12 +134,10 @@ def grnn_predict(model: GrnnModel, x: np.ndarray) -> np.ndarray:
     expo = -d2 / (2.0 * model.bandwidth ** 2)
     w = np.exp(expo - expo.max(axis=1, keepdims=True))
     totals = w.sum(axis=1, keepdims=True)
-    pred = np.empty((xb.shape[0], model.train_y.shape[1]))
-    for i in range(xb.shape[0]):
-        if totals[i, 0] > 0 and np.isfinite(totals[i, 0]):
-            pred[i] = w[i] @ model.train_y / totals[i, 0]
-        else:  # defensive: fall back to the nearest training neighbor
-            pred[i] = model.train_y[int(np.argmin(d2[i]))]
+    # defensive: rows without usable weights take the nearest neighbor's target
+    pred = np.where((totals > 0) & np.isfinite(totals),
+                    (w @ model.train_y) / totals,
+                    model.train_y[d2.argmin(axis=1)])
     return pred[0] if single else pred
 
 

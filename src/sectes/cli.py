@@ -290,7 +290,10 @@ def _method_settings(cfg: ExperimentConfig, label: str):
     """Split a method label (``ctes[beta=0.7]`` names a sweep job) into the
     method name and its :class:`MethodSettings`."""
     m = _SWEEP_RE.match(label)
-    method, beta = (m.group(1), float(m.group(2))) if m else (label, None)
+    try:
+        method, beta = (m.group(1), float(m.group(2))) if m else (label, None)
+    except ValueError:
+        raise ConfigError(f"method {label!r}: beta is not a number") from None
     ensemble = EnsembleConfig(k=cfg.ensemble.k, h=cfg.ensemble.h,
                               clf=cfg.forest)
     return method, MethodSettings(train=cfg.train, forest=cfg.forest,

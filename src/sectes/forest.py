@@ -41,43 +41,29 @@ def gini(class_counts) -> float:
     return float(1.0 - np.dot(frac, frac))
 
 
+@dataclass
 class _Tree:
-    """Flat-array CART tree. Leaves keep full class-count vectors."""
+    """CART tree as flat node arrays; node 0 is the root, ``feature`` is -1
+    at a leaf, and ``counts`` holds every node's class counts, shape
+    (nodes, n_classes)."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "counts")
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
 
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.counts: list = []
-
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.counts.append(None)
-        return len(self.feature) - 1
-
-    def votes(self, X: np.ndarray, n_classes: int) -> np.ndarray:
+    def votes(self, X: np.ndarray) -> np.ndarray:
         """One majority-class vote per sample (ties to the lower class)."""
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left, right = np.asarray(self.left), np.asarray(self.right)
-        leaves = np.flatnonzero(feature < 0)
-        vote = np.full(feature.size, -1, dtype=np.int64)
-        vote[leaves] = np.argmax([self.counts[i] for i in leaves], axis=1)
         # all rows still above a leaf step down one level together
         node = np.zeros(X.shape[0], dtype=np.int64)
-        rows = np.flatnonzero(feature[node] >= 0)
+        rows = np.flatnonzero(self.feature[node] >= 0)
         while rows.size:
             at = node[rows]
-            go_left = X[rows, feature[at]] <= threshold[at]
-            node[rows] = np.where(go_left, left[at], right[at])
-            rows = rows[feature[node[rows]] >= 0]
-        return vote[node]
+            go_left = X[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(go_left, self.left[at], self.right[at])
+            rows = rows[self.feature[node[rows]] >= 0]
+        return self.counts[node].argmax(axis=1)
 
 
 def _best_split(vals: np.ndarray, codes: np.ndarray, n_classes: int):
@@ -125,17 +111,15 @@ def _grow_tree(X: np.ndarray, codes: np.ndarray, n_classes: int,
                cfg: ForestConfig, rng: np.random.Generator) -> _Tree:
     d = X.shape[1]
     mtry = cfg.max_features or max(1, int(np.floor(np.sqrt(d))))
-    tree = _Tree()
-    root = tree._new_node()
-    stack = [(root, np.arange(X.shape[0]), 0)]
+    feature, threshold, left, right, counts = [-1], [0.0], [-1], [-1], [None]
+    stack = [(0, np.arange(X.shape[0]), 0)]
     while stack:
         node, idx, depth = stack.pop()
         node_codes = codes[idx]
-        counts = np.bincount(node_codes, minlength=n_classes)
-        pure = counts.max() == idx.size
+        counts[node] = np.bincount(node_codes, minlength=n_classes)
+        pure = counts[node].max() == idx.size
         depth_capped = cfg.max_depth and depth >= cfg.max_depth
         if pure or depth_capped or idx.size < cfg.min_samples_split:
-            tree.counts[node] = counts
             continue
         # scan a random feature order; constant features do not use up mtry
         best = None
@@ -150,19 +134,19 @@ def _grow_tree(X: np.ndarray, codes: np.ndarray, n_classes: int,
             if evaluated >= mtry:
                 break
         if best is None:
-            tree.counts[node] = counts
             continue
         _, feat, thr = best
-        tree.feature[node] = feat
-        tree.threshold[node] = thr
         go_left = X[idx, feat] <= thr
-        left = tree._new_node()
-        right = tree._new_node()
-        tree.left[node] = left
-        tree.right[node] = right
-        stack.append((left, idx[go_left], depth + 1))
-        stack.append((right, idx[~go_left], depth + 1))
-    return tree
+        feature[node], threshold[node] = feat, thr
+        left[node], right[node] = len(feature), len(feature) + 1
+        feature += [-1, -1]
+        threshold += [0.0, 0.0]
+        left += [-1, -1]
+        right += [-1, -1]
+        counts += [None, None]
+        stack.append((left[node], idx[go_left], depth + 1))
+        stack.append((right[node], idx[~go_left], depth + 1))
+    return _Tree(*map(np.asarray, (feature, threshold, left, right, counts)))
 
 
 @dataclass
@@ -206,8 +190,7 @@ def predict_proba(forest: Forest, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (n, {forest.n_features}) features")
     votes = np.zeros((X.shape[0], forest.n_classes))
     for tree in forest.trees:
-        v = tree.votes(X, forest.n_classes)
-        votes[np.arange(X.shape[0]), v] += 1.0
+        votes[np.arange(X.shape[0]), tree.votes(X)] += 1.0
     return votes / len(forest.trees)
 
 

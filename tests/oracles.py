@@ -279,3 +279,48 @@ def three_pass_disc_grads(disc, m, xn, yn, yhat_n, xn_mis, beta):
     loss = float(np.mean(np.log(d_real) + beta * np.log1p(-d_fy)
                          + (1.0 - beta) * np.log1p(-d_fx)))
     return loss, np.concatenate(scores), head_sum, enc_sum
+
+
+def nipals_pls(X, Y, components):
+    """PLS regression by NIPALS power iteration with deflation: each weight
+    vector comes from alternating X'u and Y q projections until the score
+    vector stops moving. Returns (coef, components actually fitted)."""
+    Xc = X - X.mean(axis=0)
+    Yc = Y - Y.mean(axis=0)
+    m = X.shape[1]
+    W = np.zeros((m, components))
+    P = np.zeros((m, components))
+    Q = np.zeros((Y.shape[1], components))
+    done = 0
+    for a in range(components):
+        if np.all(np.abs(Yc) < 1e-12) or np.all(np.abs(Xc) < 1e-12):
+            break
+        u = Yc[:, int(np.argmax(Yc.var(axis=0)))]
+        t = None
+        for _ in range(500):
+            w = Xc.T @ u
+            norm = np.linalg.norm(w)
+            if norm < 1e-15:
+                break
+            w /= norm
+            t_new = Xc @ w
+            q = Yc.T @ t_new / (t_new @ t_new)
+            qq = q @ q
+            if qq < 1e-30:
+                break
+            u_new = Yc @ q / qq
+            if t is not None and np.linalg.norm(t_new - t) < 1e-12:
+                t = t_new
+                break
+            t, u = t_new, u_new
+        if t is None or norm < 1e-15:
+            break
+        tt = t @ t
+        p = Xc.T @ t / tt
+        q = Yc.T @ t / tt
+        Xc = Xc - np.outer(t, p)
+        Yc = Yc - np.outer(t, q)
+        W[:, a], P[:, a], Q[:, a] = w, p, q
+        done = a + 1
+    W, P, Q = W[:, :done], P[:, :done], Q[:, :done]
+    return W @ np.linalg.solve(P.T @ W, Q.T), done

@@ -3,8 +3,12 @@ import pytest
 
 from sectes.baselines import (grnn_fit, grnn_predict, pls_fit, pls_predict,
                               variant_config)
+from sectes.datagen import (GpSimConfig, SimConfig, gen_multivariate_dataset,
+                            gen_scalar_to_matrix_dataset)
 from sectes.ensemble import EnsembleConfig
 from sectes.errors import ConfigError
+
+from oracles import nipals_pls
 
 
 def test_pls_exact_on_scalar_linear_map():
@@ -62,6 +66,34 @@ def test_pls_validation_errors():
         pls_fit(Xr, Y, components=3)  # > m
 
 
+def _orthogonal_columns_with_y_in_span():
+    # centered, orthogonal, equal-norm columns: X'X = 4I, so the first
+    # weight vector is parallel to b and one component explains y exactly
+    X = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    return X, X @ np.array([[2.0], [-0.5]])
+
+
+@pytest.mark.parametrize("case", ["multivariate", "scalar_to_matrix",
+                                  "y_deflates"])
+def test_pls_matches_nipals_oracle(case):
+    if case == "multivariate":
+        ds = gen_multivariate_dataset(SimConfig(sigma=0.07, groups=3,
+                                                samples_per_group=40, seed=1))
+        X, Y = ds.x, ds.y
+    elif case == "scalar_to_matrix":
+        ds = gen_scalar_to_matrix_dataset(GpSimConfig(
+            images_per_category=8, categories=2, seed=2))
+        X, Y = ds.x, ds.y
+    else:
+        X, Y = _orthogonal_columns_with_y_in_span()
+    model = pls_fit(X, Y, components=2)
+    coef, fitted = nipals_pls(X, Y, 2)
+    assert model.n_components == fitted == (1 if case == "y_deflates" else 2)
+    assert model.coef.shape == (X.shape[1], Y.shape[1])
+    assert (np.abs(model.coef - coef).max()
+            <= 1e-9 * np.abs(coef).max())
+
+
 def test_grnn_single_pair_returns_its_target():
     model = grnn_fit(np.array([[1.0, 2.0]]), np.array([[5.0, 6.0, 7.0]]),
                      bandwidth=0.5)
@@ -86,6 +118,16 @@ def test_grnn_tiny_bandwidth_matches_nearest_neighbor():
     for p in probes:
         nn = int(np.argmin(((X - p) ** 2).sum(axis=1)))
         assert np.allclose(grnn_predict(model, p), Y[nn])
+
+
+def test_grnn_underflowing_bandwidth_falls_back_to_nearest_neighbor():
+    # b**2 underflows to zero, so every Gaussian weight is NaN: probes on
+    # and off the training points take their nearest neighbor's target
+    model = grnn_fit(np.array([[0.0], [1.0], [3.0]]),
+                     np.array([[1.0], [2.0], [3.0]]), bandwidth=1e-200)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pred = grnn_predict(model, np.array([[0.9], [3.0], [0.2]]))
+    assert pred.ravel().tolist() == [2.0, 3.0, 1.0]
 
 
 def test_grnn_output_is_convex_combination():

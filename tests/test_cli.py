@@ -326,6 +326,16 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     _single_error_line(capsys, "train.jitter: expected finite float")
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--method", "ctes[beta=.]", "--out", "model.json"],
+    ["validate", "--method", "ctes[beta=1e-3.]", "--group", "2"],
+])
+def test_unparsable_sweep_beta_names_the_label(tmp_path, capsys, argv):
+    argv = [str(tmp_path / a) if a == "model.json" else a for a in argv]
+    assert main(argv) == 2
+    _single_error_line(capsys, f"method {argv[2]!r}: beta")
+
+
 def test_negative_learning_rate_rejected():
     with pytest.raises(ConfigError, match="learning_rate"):
         build_config({"train": {"learning_rate": -1.0}})
