@@ -22,7 +22,6 @@ import sys
 import time
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, \
     replace
 
@@ -36,6 +35,7 @@ from .datagen import GpSimConfig, PairedDataset, SimConfig, \
 from .ensemble import EnsembleConfig, EnsembleModel
 from .errors import ConfigError, ModelFormatError
 from .forest import ForestConfig
+from .parallel import task_map
 from .validation import MethodSettings, aggregate_trials, fit_method, \
     identify_group_experiment, risk_difference_eval, sample_model
 
@@ -387,11 +387,8 @@ def run_suite(cfg: ExperimentConfig) -> dict:
     jobs = enumerate_jobs(cfg)
 
     log.info("running %d jobs with %d workers", len(jobs), cfg.workers)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_run_job, [cfg] * len(jobs), jobs))
-    else:
-        results = [_run_job(cfg, job) for job in jobs]
+    with task_map(len(jobs), cfg.workers) as map_fn:
+        results = map_fn(_run_job, [cfg] * len(jobs), jobs)
     results.sort(key=_job_key)
 
     trials_path = os.path.join(cfg.out_dir, f"{cfg.study}_trials.csv")

@@ -18,6 +18,7 @@ from .ctes import (CtesModel, TrainConfig, _as_rng, synthesize_each,
 from .datagen import PairedDataset
 from .errors import ConfigError, EnsembleError, TrainingDiverged
 from .forest import ForestConfig, fit_forest, predict_forest
+from .parallel import serial_map, task_map
 
 
 @dataclass
@@ -55,14 +56,16 @@ class EnsembleModel:
 
 
 def inverse_validation_scores(fake_batches: list, real: np.ndarray,
-                              clf_settings: ForestConfig,
-                              seed: int) -> np.ndarray:
+                              clf_settings: ForestConfig, seed: int, *,
+                              map_fn=serial_map) -> np.ndarray:
     """Score each member's batch by its own inverse-validation classifier.
 
     Classifier i trains on all other members' fakes (category 0) against
     the real expressions (category 1); the score is the fraction of batch
     i assigned to category 0. Peer rows are put in a canonical sorted
-    order so scores do not depend on how members are numbered.
+    order so scores do not depend on how members are numbered. The k
+    classifier fits go through ``map_fn``, such as a
+    :func:`parallel.task_map` map.
     """
     k = len(fake_batches)
     if k < 2:
@@ -76,18 +79,20 @@ def inverse_validation_scores(fake_batches: list, real: np.ndarray,
     if any(b.shape[0] == 0 for b in batches) or real.shape[0] == 0:
         raise ValueError("batches must be non-empty")
     cfg = replace(clf_settings, seed=seed)
-    labels_real = np.ones(real.shape[0], dtype=np.int64)
-    scores = np.empty(k)
-    for i in range(k):
-        peers = np.vstack([b for j, b in enumerate(batches) if j != i])
-        peers = peers[np.lexsort(peers.T[::-1])]
-        X = np.vstack([peers, real])
-        y = np.concatenate([np.zeros(peers.shape[0], dtype=np.int64),
-                            labels_real])
-        clf = fit_forest(X, y, cfg)
-        pred = predict_forest(clf, batches[i])
-        scores[i] = float(np.mean(pred == 0))
-    return scores
+    return np.array(map_fn(_member_score, range(k), [batches] * k,
+                           [real] * k, [cfg] * k))
+
+
+def _member_score(i: int, batches: list, real: np.ndarray,
+                  cfg: ForestConfig) -> float:
+    """Fraction of batch i that a forest fitted to the other batches
+    (category 0) against the real rows (category 1) puts in category 0."""
+    peers = np.vstack(batches[:i] + batches[i + 1:])
+    peers = peers[np.lexsort(peers.T[::-1])]
+    X = np.vstack([peers, real])
+    y = np.repeat([0, 1], [peers.shape[0], real.shape[0]])
+    clf = fit_forest(X, y, cfg)
+    return float(np.mean(predict_forest(clf, batches[i]) == 0))
 
 
 def select_top_h(scores, h: int) -> list[int]:
@@ -100,43 +105,60 @@ def select_top_h(scores, h: int) -> list[int]:
     return sorted(ranked[:h])
 
 
+def _train_member(dataset: PairedDataset, config: TrainConfig):
+    """One member's model, or the divergence that stopped it."""
+    try:
+        return train_ctes(dataset, config)
+    except TrainingDiverged as exc:
+        return exc
+
+
 def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleModel:
     """Train k members on distinct derived seeds, score them by inverse
     validation on one synthesized expression per training characteristic,
-    and select the top h."""
+    and select the top h.
+
+    The k trainings, then the k classifier fits, run on one process pool
+    (:func:`parallel.task_map`); every task has its own seed, so the result
+    does not depend on the number of workers.
+    """
     root = np.random.SeedSequence(config.seed)
     member_seqs = root.spawn(config.k)
     score_seq = root.spawn(1)[0]
     member_children = [seq.spawn(2) for seq in member_seqs]  # (train, synth)
+    member_cfgs = [replace(config.train,
+                           seed=int(children[0].generate_state(1)[0]))
+                   for children in member_children]
 
-    models: list = [None] * config.k
-    diagnostics: list = [None] * config.k
-    for i in range(config.k):
-        cfg_i = replace(config.train,
-                        seed=int(member_children[i][0].generate_state(1)[0]))
-        try:
-            models[i] = train_ctes(dataset, cfg_i)
-        except TrainingDiverged as exc:
-            diagnostics[i] = f"member {i} diverged: {exc}"
-    finished = [i for i in range(config.k) if models[i] is not None]
-    if len(finished) < config.h:
-        raise EnsembleError(
-            f"only {len(finished)} of {config.k} members finished; "
-            f"need at least h={config.h}")
+    with task_map(config.k) as map_fn:
+        models: list = [None] * config.k
+        diagnostics: list = [None] * config.k
+        for i, out in enumerate(map_fn(_train_member, [dataset] * config.k,
+                                       member_cfgs)):
+            if isinstance(out, TrainingDiverged):
+                diagnostics[i] = f"member {i} diverged: {out}"
+            else:
+                models[i] = out
+        finished = [i for i in range(config.k) if models[i] is not None]
+        if len(finished) < config.h:
+            raise EnsembleError(
+                f"only {len(finished)} of {config.k} members finished; "
+                f"need at least h={config.h}")
 
-    batches = [synthesize_each(models[i], dataset.x, jitter=0.0,
-                               rng=np.random.default_rng(member_children[i][1]))
-               for i in finished]
+        batches = [synthesize_each(
+            models[i], dataset.x, jitter=0.0,
+            rng=np.random.default_rng(member_children[i][1]))
+            for i in finished]
 
-    scores = np.zeros(config.k)
-    if len(finished) >= 2:
-        sub_scores = inverse_validation_scores(
-            batches, dataset.y, config.clf,
-            seed=int(score_seq.generate_state(1)[0]))
-        for pos, i in enumerate(finished):
-            scores[i] = sub_scores[pos]
-    else:  # a single finished member is selected by default
-        scores[finished[0]] = 1.0
+        scores = np.zeros(config.k)
+        if len(finished) >= 2:
+            sub_scores = inverse_validation_scores(
+                batches, dataset.y, config.clf,
+                seed=int(score_seq.generate_state(1)[0]), map_fn=map_fn)
+            for pos, i in enumerate(finished):
+                scores[i] = sub_scores[pos]
+        else:  # a single finished member is selected by default
+            scores[finished[0]] = 1.0
 
     selected = select_top_h(scores, config.h)
     return EnsembleModel(models=models, scores=scores, selected=selected,

@@ -75,33 +75,35 @@ def _best_split(vals: np.ndarray, codes: np.ndarray, n_classes: int):
     """
     order = vals.argsort()
     sv = vals[order]
-    boundary = np.nonzero(sv[1:] > sv[:-1])[0]
+    boundary = (sv[1:] > sv[:-1]).nonzero()[0]
     if boundary.size == 0:
         return None
     sy = codes[order]
     n_left = boundary + 1.0
     n_right = vals.size - n_left
     if n_classes == 2:
-        l1 = np.cumsum(sy)[boundary]
+        cum = sy.cumsum()
+        l1 = cum[boundary]
         l0 = n_left - l1
-        r1 = sy.sum() - l1
+        r1 = cum[-1] - l1
         r0 = n_right - r1
         # n_side * gini_side == 2 * count0 * count1 / n_side
         score = l0 * l1 / n_left + r0 * r1 / n_right
     else:
         onehot = sy[:, None] == np.arange(n_classes)[None, :]
-        cum = np.cumsum(onehot, axis=0).astype(np.float64)
+        cum = onehot.cumsum(axis=0).astype(np.float64)
         lc = cum[boundary]
         rc = cum[-1] - lc
         score = (n_left - (lc * lc).sum(axis=1) / n_left
                  + n_right - (rc * rc).sum(axis=1) / n_right)
     while True:
-        best = int(np.argmin(score))
-        b = boundary[best]
-        mid = (sv[b] + sv[b + 1]) / 2.0
+        best = int(score.argmin())
+        b = int(boundary[best])
+        lo, hi = float(sv[b]), float(sv[b + 1])
+        mid = (lo + hi) / 2.0
         # adjacent floats can collapse the midpoint onto an observed value
-        if sv[b] < mid < sv[b + 1]:
-            return float(score[best]), float(mid)
+        if lo < mid < hi:
+            return float(score[best]), mid
         score[best] = np.inf
         if not np.isfinite(score).any():
             return None
@@ -109,10 +111,12 @@ def _best_split(vals: np.ndarray, codes: np.ndarray, n_classes: int):
 
 def _grow_tree(X: np.ndarray, codes: np.ndarray, n_classes: int,
                cfg: ForestConfig, rng: np.random.Generator) -> _Tree:
-    d = X.shape[1]
+    """One tree on the columns of the feature-major ``X`` (features,
+    rows), so each candidate feature's values are one contiguous row."""
+    d = X.shape[0]
     mtry = cfg.max_features or max(1, int(np.floor(np.sqrt(d))))
     feature, threshold, left, right, counts = [-1], [0.0], [-1], [-1], [None]
-    stack = [(0, np.arange(X.shape[0]), 0)]
+    stack = [(0, np.arange(X.shape[1]), 0)]
     while stack:
         node, idx, depth = stack.pop()
         node_codes = codes[idx]
@@ -125,7 +129,7 @@ def _grow_tree(X: np.ndarray, codes: np.ndarray, n_classes: int,
         best = None
         evaluated = 0
         for f in rng.permutation(d):
-            split = _best_split(X[idx, f], node_codes, n_classes)
+            split = _best_split(X[f, idx], node_codes, n_classes)
             if split is None:
                 continue
             evaluated += 1
@@ -136,7 +140,7 @@ def _grow_tree(X: np.ndarray, codes: np.ndarray, n_classes: int,
         if best is None:
             continue
         _, feat, thr = best
-        go_left = X[idx, feat] <= thr
+        go_left = X[feat, idx] <= thr
         feature[node], threshold[node] = feat, thr
         left[node], right[node] = len(feature), len(feature) + 1
         feature += [-1, -1]
@@ -173,13 +177,15 @@ def fit_forest(X: np.ndarray, labels: np.ndarray, cfg: ForestConfig) -> Forest:
         raise ValueError("need at least 2 classes")
     by_class = [np.nonzero(codes == c)[0] for c in range(len(classes))]
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
+    XT = np.ascontiguousarray(X.T)  # one contiguous row per feature
     trees = []
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(seeds[t])
         boot = np.concatenate([
             cls_idx[rng.integers(0, len(cls_idx), size=len(cls_idx))]
             for cls_idx in by_class])
-        trees.append(_grow_tree(X[boot], codes[boot], len(classes), cfg, rng))
+        trees.append(_grow_tree(XT[:, boot], codes[boot], len(classes), cfg,
+                                rng))
     return Forest(trees=trees, classes=classes, n_features=X.shape[1])
 
 

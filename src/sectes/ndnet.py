@@ -360,7 +360,7 @@ def optimizer_step(params: NetParams, grads: list[dict],
     """
     for glay in grads:
         for g in glay.values():
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise TrainingDiverged("non-finite gradient")
     if state.kind == "sgd":
         for lay, glay in zip(params.layers, grads):
@@ -373,10 +373,20 @@ def optimizer_step(params: NetParams, grads: list[dict],
     bias2 = 1.0 - b2 ** state.step
     for lay, glay, mlay, vlay in zip(params.layers, grads, state.m, state.v):
         for key in lay:
-            g = glay[key]
-            mlay[key] = b1 * mlay[key] + (1.0 - b1) * g
-            vlay[key] = b2 * vlay[key] + (1.0 - b2) * g * g
-            m_hat = mlay[key] / bias1
-            v_hat = vlay[key] / bias2
-            lay[key] -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            g, m, v = glay[key], mlay[key], vlay[key]
+            # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g, in place
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            tmp = (1.0 - b2) * g
+            tmp *= g
+            v += tmp
+            # step = lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(v, bias2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += state.eps
+            step = m / bias1
+            step *= state.lr
+            step /= tmp
+            lay[key] -= step
     return params, state

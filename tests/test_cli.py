@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import re
 import warnings
 
@@ -193,6 +195,28 @@ def test_bench_reports_are_deterministic(tmp_path):
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert manifest["n_jobs"] == 4
     assert all(j["status"] == "ok" for j in manifest["jobs"])
+
+
+def test_se_ctes_bench_csvs_do_not_depend_on_workers_or_cpus(tmp_path,
+                                                              monkeypatch):
+    # at workers 2 each se-ctes job runs its members serially inside a
+    # bench worker (pools never nest); at workers 1 it opens its own pool
+    def run(name, workers):
+        cfg = bench_config(tmp_path, name, workers)
+        cfg.methods = ["pls", "se-ctes"]
+        cfg.ensemble.k, cfg.ensemble.h = 3, 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_suite(cfg)["n_failed"] == 0
+        return [(tmp_path / name / f).read_bytes() for f in
+                ("multivariate_trials.csv", "multivariate_summary.csv")]
+
+    one, two = run("w1", 1), run("w2", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert one == two == run("cpu1", 1)
+    assert multiprocessing.active_children() == []
 
 
 def test_bench_failure_is_recorded_not_fatal(tmp_path):

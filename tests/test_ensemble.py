@@ -1,7 +1,12 @@
+import multiprocessing
+import os
+import pickle
+
 import numpy as np
 import pytest
 
 from sectes import ensemble as ensemble_mod
+from sectes import parallel
 from sectes.ctes import TrainConfig, train_ctes
 from sectes.datagen import (GpSimConfig, PairedDataset,
                             gen_scalar_to_matrix_dataset)
@@ -141,19 +146,27 @@ def test_train_se_ctes_deterministic():
     assert np.array_equal(a.scores, b.scores)
 
 
+def member_train_seed(config, i):
+    """The training seed train_se_ctes derives for member i."""
+    member = np.random.SeedSequence(config.seed).spawn(config.k)[i]
+    return int(member.spawn(2)[0].generate_state(1)[0])
+
+
 def test_train_se_ctes_divergent_member_scores_zero(monkeypatch):
+    # members may train in worker processes, so the failing member is
+    # picked by its derived seed rather than by counting calls
     ds = small_dataset()
+    cfg = tiny_ensemble_config(k=3, h=1, seed=2)
     real_train = ensemble_mod.train_ctes
-    calls = {"n": 0}
+    doomed = member_train_seed(cfg, 1)
 
     def flaky(dataset, config):
-        calls["n"] += 1
-        if calls["n"] == 2:  # second member blows up
+        if config.seed == doomed:  # second member blows up
             raise TrainingDiverged("forced", iteration=3)
         return real_train(dataset, config)
 
     monkeypatch.setattr(ensemble_mod, "train_ctes", flaky)
-    ens = train_se_ctes(ds, tiny_ensemble_config(k=3, h=1, seed=2))
+    ens = train_se_ctes(ds, cfg)
     assert ens.models[1] is None
     assert ens.scores[1] == 0.0
     assert "diverged" in ens.diagnostics[1]
@@ -169,6 +182,87 @@ def test_train_se_ctes_too_many_failures(monkeypatch):
     monkeypatch.setattr(ensemble_mod, "train_ctes", always_fails)
     with pytest.raises(EnsembleError):
         train_se_ctes(ds, tiny_ensemble_config(k=3, h=1, seed=3))
+
+
+def test_training_diverged_survives_pickling():
+    # diverged members come back from worker processes as pickles
+    exc = pickle.loads(pickle.dumps(TrainingDiverged("forced", iteration=3)))
+    assert isinstance(exc, TrainingDiverged)
+    assert str(exc) == "forced"
+    assert exc.iteration == 3
+
+
+def assert_same_ensemble(a, b):
+    assert a.selected == b.selected
+    assert np.array_equal(a.scores, b.scores)
+    assert a.diagnostics == b.diagnostics
+    for ma, mb in zip(a.models, b.models):
+        assert ma.iterations_run == mb.iterations_run
+        assert np.array_equal(ma.loss_d, mb.loss_d)
+        assert np.array_equal(ma.loss_g, mb.loss_g)
+        nets = lambda m: (m.generator.mixer, m.generator.decoder,
+                          m.discriminator.encoder, m.discriminator.head)
+        for na, nb in zip(nets(ma), nets(mb)):
+            for la, lb in zip(na.layers, nb.layers):
+                assert la.keys() == lb.keys()
+                for key in la:
+                    assert np.array_equal(la[key], lb[key])
+
+
+@pytest.mark.parametrize("kind", ["vector", "matrix"])
+def test_train_se_ctes_same_result_on_one_cpu(monkeypatch, kind):
+    if kind == "vector":
+        ds = small_dataset(seed=5)
+        cfg = EnsembleConfig(k=5, h=2,
+                             train=TrainConfig(iterations=30, batch_size=10),
+                             clf=ForestConfig(n_trees=15), seed=11)
+    else:
+        ds = gen_scalar_to_matrix_dataset(GpSimConfig(
+            grid=4, images_per_category=6, categories=2, char_dim=3, seed=1))
+        cfg = EnsembleConfig(k=5, h=2, train=TrainConfig(
+            iterations=4, batch_size=6, conv_channels=(2, 3)),
+            clf=ForestConfig(n_trees=5), seed=12)
+    pooled = train_se_ctes(ds, cfg)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert parallel.usable_cpus() == 1
+    assert_same_ensemble(train_se_ctes(ds, cfg), pooled)
+
+
+def worker_pid(_):
+    return os.getpid()
+
+
+def nested_map_is_serial(_):
+    with parallel.task_map(2) as map_fn:
+        return map_fn is parallel.serial_map
+
+
+def test_task_map_uses_worker_processes_that_do_not_nest(monkeypatch):
+    if parallel.usable_cpus() < 2:
+        pytest.skip("needs two usable CPUs")
+    with parallel.task_map(4) as map_fn:
+        assert os.getpid() not in map_fn(worker_pid, range(4))
+        assert map_fn(nested_map_is_serial, range(2)) == [True, True]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    with parallel.task_map(4) as map_fn:
+        assert map_fn(worker_pid, range(2)) == [os.getpid()] * 2
+
+
+def test_train_se_ctes_leaves_no_child_processes(monkeypatch):
+    ds = small_dataset()
+    train_se_ctes(ds, tiny_ensemble_config(k=3, h=1, seed=4))
+    assert multiprocessing.active_children() == []
+
+    def always_fails(dataset, config):
+        raise TrainingDiverged("forced")
+
+    monkeypatch.setattr(ensemble_mod, "train_ctes", always_fails)
+    with pytest.raises(EnsembleError):
+        train_se_ctes(ds, tiny_ensemble_config(k=3, h=1, seed=4))
+    assert multiprocessing.active_children() == []
 
 
 def ens_of_constants(values, h=None):
