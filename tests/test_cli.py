@@ -200,7 +200,10 @@ def test_bench_reports_are_deterministic(tmp_path):
 def test_se_ctes_bench_csvs_do_not_depend_on_workers_or_cpus(tmp_path,
                                                               monkeypatch):
     # at workers 2 each se-ctes job runs its members serially inside a
-    # bench worker (pools never nest); at workers 1 it opens its own pool
+    # bench worker (pools never nest); at workers 1 it opens its own pool,
+    # sized as for a BLAS pinned to one thread
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
     def run(name, workers):
         cfg = bench_config(tmp_path, name, workers)
         cfg.methods = ["pls", "se-ctes"]

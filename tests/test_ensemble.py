@@ -18,6 +18,13 @@ from sectes.forest import ForestConfig
 from sectes.validation import sample_model
 
 
+@pytest.fixture
+def one_blas_thread(monkeypatch):
+    """Size ensemble pools as for a BLAS pinned to one thread, so that
+    train_se_ctes runs its tasks in worker processes on 2+ CPUs."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
 def small_dataset(seed=0, n=60):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 1, size=(n, 1))
@@ -152,7 +159,8 @@ def member_train_seed(config, i):
     return int(member.spawn(2)[0].generate_state(1)[0])
 
 
-def test_train_se_ctes_divergent_member_scores_zero(monkeypatch):
+def test_train_se_ctes_divergent_member_scores_zero(monkeypatch,
+                                                   one_blas_thread):
     # members may train in worker processes, so the failing member is
     # picked by its derived seed rather than by counting calls
     ds = small_dataset()
@@ -210,7 +218,8 @@ def assert_same_ensemble(a, b):
 
 
 @pytest.mark.parametrize("kind", ["vector", "matrix"])
-def test_train_se_ctes_same_result_on_one_cpu(monkeypatch, kind):
+def test_train_se_ctes_same_result_on_one_cpu(monkeypatch, one_blas_thread,
+                                              kind):
     if kind == "vector":
         ds = small_dataset(seed=5)
         cfg = EnsembleConfig(k=5, h=2,
@@ -239,19 +248,28 @@ def nested_map_is_serial(_):
         return map_fn is parallel.serial_map
 
 
-def test_task_map_uses_worker_processes_that_do_not_nest(monkeypatch):
+def test_task_map_uses_worker_processes_that_do_not_nest(monkeypatch,
+                                                        one_blas_thread):
     if parallel.usable_cpus() < 2:
         pytest.skip("needs two usable CPUs")
     with parallel.task_map(4) as map_fn:
         assert os.getpid() not in map_fn(worker_pid, range(4))
         assert map_fn(nested_map_is_serial, range(2)) == [True, True]
+    # a BLAS running one thread per CPU already fills the CPUs
+    for key in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(key, raising=False)
+    assert parallel.blas_threads() == parallel.usable_cpus()
+    with parallel.task_map(4) as map_fn:
+        assert map_fn is parallel.serial_map
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     with parallel.task_map(4) as map_fn:
         assert map_fn(worker_pid, range(2)) == [os.getpid()] * 2
 
 
-def test_train_se_ctes_leaves_no_child_processes(monkeypatch):
+def test_train_se_ctes_leaves_no_child_processes(monkeypatch,
+                                                 one_blas_thread):
     ds = small_dataset()
     train_se_ctes(ds, tiny_ensemble_config(k=3, h=1, seed=4))
     assert multiprocessing.active_children() == []
