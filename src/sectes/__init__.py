@@ -8,8 +8,8 @@ classification-based validation protocol. The ``sectes`` console command
 exposes the experiment harness.
 """
 
-from .baselines import (GrnnModel, PlsModel, VariantSpec, grnn_fit,
-                        grnn_predict, pls_fit, pls_predict, variant_config)
+from .baselines import (GrnnModel, PlsModel, grnn_fit, grnn_predict, pls_fit,
+                        pls_predict)
 from .ctes import (CtesModel, DiscriminatorModel, GeneratorModel,
                    Normalization, TrainConfig, discriminator_forward,
                    discriminator_loss, generator_loss, sample_mismatch,

@@ -1,9 +1,7 @@
-"""Benchmark regressors and the named adversarial-trainer configurations.
+"""Benchmark regressors: partial least squares and GRNN.
 
-PLS and GRNN are deterministic mappings; their "synthesis" repeats the
-prediction for every requested sample. The variant table realizes the
-published baseline configurations purely as settings of the adversarial
-trainer (mismatch weight, with or without ensembling).
+Both are deterministic mappings; their "synthesis" repeats the
+prediction for every requested sample.
 """
 
 from __future__ import annotations
@@ -139,30 +137,3 @@ def grnn_predict(model: GrnnModel, x: np.ndarray) -> np.ndarray:
                     (w @ model.train_y) / totals,
                     model.train_y[d2.argmin(axis=1)])
     return pred[0] if single else pred
-
-
-@dataclass(frozen=True)
-class VariantSpec:
-    """Trainer settings realizing one named method configuration."""
-
-    name: str
-    beta: float
-    ensemble: bool  # sizes come from EnsembleConfig
-
-
-_VARIANTS = {
-    "cgan": VariantSpec(name="cgan", beta=1.0, ensemble=False),
-    "gan-cls": VariantSpec(name="gan-cls", beta=0.5, ensemble=False),
-    "ctes": VariantSpec(name="ctes", beta=0.9, ensemble=False),
-    "se-ctes": VariantSpec(name="se-ctes", beta=0.9, ensemble=True),
-}
-
-
-def variant_config(name: str) -> VariantSpec:
-    """Map a method name to its trainer settings; all other settings are
-    shared across the variants."""
-    try:
-        return _VARIANTS[name]
-    except KeyError:
-        raise ConfigError(f"unknown variant {name!r}; expected one of "
-                          f"{sorted(_VARIANTS)}") from None

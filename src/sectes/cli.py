@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import os
-import re
 import reprlib
 import sys
 import time
@@ -36,13 +35,12 @@ from .ensemble import EnsembleConfig, EnsembleModel
 from .errors import ConfigError, ModelFormatError
 from .forest import ForestConfig
 from .parallel import task_map
-from .validation import MethodSettings, aggregate_trials, fit_method, \
-    identify_group_experiment, risk_difference_eval, sample_model
+from .validation import KNOWN_METHODS, MethodSettings, aggregate_trials, \
+    fit_method, identify_group_experiment, risk_difference_eval, sample_model
 
 log = logging.getLogger("sectes")
 
-MODEL_FORMAT_VERSION = 3
-KNOWN_METHODS = ("pls", "grnn", "cgan", "gan-cls", "ctes", "se-ctes")
+MODEL_FORMAT_VERSION = 4
 STUDIES = ("multivariate", "scalar-to-matrix", "tabular-risk")
 
 
@@ -283,21 +281,11 @@ def parse_config(path) -> ExperimentConfig:
 
 # --- the benchmark grid ---
 
-_SWEEP_RE = re.compile(r"^(ctes|se-ctes|cgan|gan-cls)\[beta=([0-9.eE+-]+)\]$")
-
-
-def _method_settings(cfg: ExperimentConfig, label: str):
-    """Split a method label (``ctes[beta=0.7]`` names a sweep job) into the
-    method name and its :class:`MethodSettings`."""
-    m = _SWEEP_RE.match(label)
-    try:
-        method, beta = (m.group(1), float(m.group(2))) if m else (label, None)
-    except ValueError:
-        raise ConfigError(f"method {label!r}: beta is not a number") from None
+def _method_settings(cfg: ExperimentConfig) -> MethodSettings:
     ensemble = EnsembleConfig(k=cfg.ensemble.k, h=cfg.ensemble.h,
                               clf=cfg.forest)
-    return method, MethodSettings(train=cfg.train, forest=cfg.forest,
-                                  ensemble=ensemble, beta_override=beta)
+    return MethodSettings(train=cfg.train, forest=cfg.forest,
+                          ensemble=ensemble)
 
 
 def _job_dataset(cfg: ExperimentConfig, sigma, trial: int) -> PairedDataset:
@@ -316,26 +304,31 @@ def _job_dataset(cfg: ExperimentConfig, sigma, trial: int) -> PairedDataset:
     return read_dataset_csv(cfg.data_csv)
 
 
+def _study_row(cfg: ExperimentConfig, dataset: PairedDataset, method: str,
+               group: int, seed: int) -> dict:
+    """Run the config's study for one method label and group; returns the
+    report columns of the job."""
+    settings = _method_settings(cfg)
+    if cfg.study == "tabular-risk":
+        rep = risk_difference_eval(dataset, group, method, settings,
+                                   seed=seed)
+        return {"mean_abs_diff": rep.mean_abs_diff, "std": rep.std,
+                "n": rep.n}
+    rep = identify_group_experiment(
+        dataset, group, method, settings, seed=seed,
+        replicates=cfg.replicates, subsample_merged=cfg.subsample_merged)
+    return {"A1": rep.a1, "A2": rep.a2,
+            "TP": rep.confusion.tp, "FP": rep.confusion.fp,
+            "FN": rep.confusion.fn, "TN": rep.confusion.tn}
+
+
 def _run_job(cfg: ExperimentConfig, job: dict) -> dict:
     """One grid cell; returns a result row (or an error marker)."""
     started = time.monotonic()
     try:
-        method, settings = _method_settings(cfg, job["method"])
         dataset = _job_dataset(cfg, job["sigma"], job["trial"])
-        if cfg.study == "tabular-risk":
-            rep = risk_difference_eval(dataset, job["group"], method,
-                                       settings, seed=job["seed"])
-            row = {"mean_abs_diff": rep.mean_abs_diff, "std": rep.std,
-                   "n": rep.n}
-        else:
-            rep = identify_group_experiment(
-                dataset, job["group"], method, settings, seed=job["seed"],
-                replicates=cfg.replicates,
-                subsample_merged=cfg.subsample_merged,
-                sigma=job["sigma"], trial=job["trial"])
-            row = {"A1": rep.a1, "A2": rep.a2,
-                   "TP": rep.confusion.tp, "FP": rep.confusion.fp,
-                   "FN": rep.confusion.fn, "TN": rep.confusion.tn}
+        row = _study_row(cfg, dataset, job["method"], job["group"],
+                         job["seed"])
         status, error = "ok", None
     except Exception as exc:  # recorded in the manifest, suite continues
         row, status, error = {}, "failed", f"{type(exc).__name__}: {exc}"
@@ -367,9 +360,10 @@ def _write_summary(path, reports: list) -> None:
 
 def enumerate_jobs(cfg: ExperimentConfig) -> list[dict]:
     """The (method x sigma x group x trial) grid with derived seeds;
-    the tuning sweep adds one extra method label per grid beta."""
+    the tuning sweep adds one extra method label per grid beta, written
+    so that it parses back to exactly that beta."""
     methods = list(cfg.methods)
-    methods += [f"ctes[beta={b:g}]" for b in cfg.beta_grid]
+    methods += [f"ctes[beta={b!r}]" for b in cfg.beta_grid]
     sigmas = cfg.sigmas if cfg.study == "multivariate" else [None]
     return [{"method": m, "sigma": s, "group": g, "trial": t,
              "seed": stable_seed(cfg.master_seed, m, s, g, t)}
@@ -467,8 +461,8 @@ def cmd_train(args) -> int:
     else:
         sigma = args.sigma if args.sigma is not None else cfg.sigmas[0]
         dataset = _job_dataset(cfg, sigma, 0)
-    method, settings = _method_settings(cfg, args.method)
-    save_model(fit_method(method, settings, dataset, seed), args.out)
+    save_model(fit_method(args.method, _method_settings(cfg), dataset, seed),
+               args.out)
     print(args.out)
     return 0
 
@@ -507,22 +501,15 @@ def cmd_validate(args) -> int:
     cfg = _load_or_default_config(args.config)
     seed = args.seed if args.seed is not None else cfg.master_seed
     sigma = args.sigma if args.sigma is not None else cfg.sigmas[0]
-    dataset = _job_dataset(cfg, sigma, 0)
-    method, settings = _method_settings(cfg, args.method)
-    if cfg.study == "tabular-risk":
-        rep = risk_difference_eval(dataset, args.group, method, settings,
-                                   seed=seed)
-        print(f"method={rep.method} group={rep.group} "
-              f"mean|r_a-r_s|={rep.mean_abs_diff:.4f} std={rep.std:.4f}")
-    else:
-        rep = identify_group_experiment(
-            dataset, args.group, method, settings, seed=seed,
-            replicates=cfg.replicates, subsample_merged=cfg.subsample_merged,
-            sigma=None if cfg.study != "multivariate" else sigma)
-        print(f"method={rep.method} sigma={rep.sigma} group={rep.group} "
-              f"A1={rep.a1:.3f} A2={rep.a2:.3f} "
-              f"TP={rep.confusion.tp} FP={rep.confusion.fp} "
-              f"FN={rep.confusion.fn} TN={rep.confusion.tn}")
+    row = _study_row(cfg, _job_dataset(cfg, sigma, 0), args.method,
+                     args.group, seed)
+    cells = [f"method={args.method}", f"group={args.group}"]
+    if cfg.study != "tabular-risk":
+        shown = sigma if cfg.study == "multivariate" else None
+        cells.insert(1, f"sigma={shown}")
+    cells += [f"{k}={v:.3f}" if isinstance(v, float) else f"{k}={v}"
+              for k, v in row.items()]
+    print(" ".join(cells))
     return 0
 
 

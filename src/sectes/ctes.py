@@ -36,7 +36,6 @@ class TrainConfig:
     iterations: int = 1000
     z_dim: int = 8
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     hidden: int = 64
     convergence_window: int = 50
     convergence_tol: float = 1e-4
@@ -344,8 +343,7 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
     gen.norm = disc.norm = norm
     rng = np.random.default_rng(seeds[2])
 
-    opt = {net: ndnet.init_opt_state(params, config.optimizer,
-                                     config.learning_rate)
+    opt = {net: ndnet.init_opt_state(params, config.learning_rate)
            for net, params in (("mixer", gen.mixer), ("decoder", gen.decoder),
                                ("encoder", disc.encoder), ("head", disc.head))}
 

@@ -1,5 +1,5 @@
 """Minimal feed-forward network core: dense and 2-D convolutional layers,
-exact reverse-mode gradients, and stochastic gradient optimizers.
+exact reverse-mode gradients, and the Adam optimizer.
 
 Networks are homogeneous stacks (all dense, or all conv-family). Composite
 models (e.g. a dense mixer feeding a deconvolutional decoder) are built by
@@ -73,11 +73,6 @@ class NetParams:
 
     spec: list[LayerSpec]
     layers: list[dict[str, np.ndarray]]  # each {"W": ..., "b": ...}
-
-    def copy(self) -> "NetParams":
-        return NetParams(spec=list(self.spec),
-                         layers=[{k: v.copy() for k, v in lay.items()}
-                                 for lay in self.layers])
 
 
 @dataclass
@@ -328,32 +323,30 @@ def backprop(params: NetParams, trace: Trace,
     return grads, g
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptState:
-    """Per-parameter accumulator state for the optimizer."""
+    """Per-parameter Adam moment estimates."""
 
-    kind: str = "adam"  # "adam" | "sgd"
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
 
-def init_opt_state(params: NetParams, kind: str = "adam",
-                   lr: float = 1e-3) -> OptState:
-    if kind not in ("adam", "sgd"):
-        raise ConfigError(f"unknown optimizer {kind!r}")
+def init_opt_state(params: NetParams, lr: float = 1e-3) -> OptState:
     zeros = lambda: [{k: np.zeros_like(v) for k, v in lay.items()}
                      for lay in params.layers]
-    return OptState(kind=kind, lr=lr, m=zeros(), v=zeros())
+    return OptState(lr=lr, m=zeros(), v=zeros())
 
 
 def optimizer_step(params: NetParams, grads: list[dict],
                    state: OptState) -> tuple[NetParams, OptState]:
-    """Apply one optimizer update in place.
+    """Apply one Adam update in place.
 
     Raises :class:`TrainingDiverged` on any non-finite gradient so callers
     can attribute the fault to a training iteration.
@@ -362,13 +355,8 @@ def optimizer_step(params: NetParams, grads: list[dict],
         for g in glay.values():
             if not np.isfinite(g).all():
                 raise TrainingDiverged("non-finite gradient")
-    if state.kind == "sgd":
-        for lay, glay in zip(params.layers, grads):
-            for key in lay:
-                lay[key] -= state.lr * glay[key]
-        return params, state
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
     for lay, glay, mlay, vlay in zip(params.layers, grads, state.m, state.v):
@@ -384,7 +372,7 @@ def optimizer_step(params: NetParams, grads: list[dict],
             # step = lr * (m / bias1) / (sqrt(v / bias2) + eps)
             np.divide(v, bias2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += state.eps
+            tmp += ADAM_EPS
             step = m / bias1
             step *= state.lr
             step /= tmp

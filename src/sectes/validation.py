@@ -21,12 +21,18 @@ import numpy as np
 
 from . import ndnet
 from .baselines import (GrnnModel, PlsModel, grnn_fit, grnn_predict, pls_fit,
-                        pls_predict, variant_config)
+                        pls_predict)
 from .ctes import TrainConfig, conv_encoder_spec, synthesize_each, train_ctes
 from .datagen import PairedDataset
 from .ensemble import (EnsembleConfig, EnsembleModel, ensemble_synthesize,
                        train_se_ctes)
+from .errors import ConfigError
 from .forest import ForestConfig, fit_forest, predict_forest, predict_proba
+
+KNOWN_METHODS = ("pls", "grnn", "cgan", "gan-cls", "ctes", "se-ctes")
+# the two baselines defined by their mismatch weight; ctes and se-ctes
+# train at TrainConfig.beta
+_FIXED_BETA = {"cgan": 1.0, "gan-cls": 0.5}
 
 
 @dataclass
@@ -85,7 +91,6 @@ class MethodSettings:
     forest: ForestConfig = field(default_factory=ForestConfig)
     ensemble: EnsembleConfig | None = None  # None = EnsembleConfig defaults
     classifier_epochs: int = 30  # conv classifier, matrix expressions only
-    beta_override: float | None = None  # tuning sweeps trump the variant value
 
 
 def compute_a_metrics(confusion: ConfusionCounts) -> tuple[float, float]:
@@ -123,16 +128,30 @@ def _method_name(method) -> str:
 
 def fit_method(method: str, settings: MethodSettings,
                train_ds: PairedDataset, seed: int):
-    """Fit a named method (pls, grnn, cgan, gan-cls, ctes, se-ctes) on the
-    training pool and return its model."""
-    if method == "pls":
+    """Fit a method label on the training pool and return its model.
+
+    The label is a name from :data:`KNOWN_METHODS`; an adversarial name
+    may carry a mismatch weight, as in ``ctes[beta=0.7]``, that replaces
+    the name's own (``settings.train.beta`` for ctes and se-ctes).
+    """
+    name, sweep, arg = method.partition("[beta=")
+    if name not in KNOWN_METHODS or (sweep and (
+            name in ("pls", "grnn") or not arg.endswith("]"))):
+        raise ConfigError(f"unknown method {method!r}; expected one of "
+                          f"{KNOWN_METHODS}")
+    if name == "pls":
         return pls_fit(train_ds.x, train_ds.y, min(train_ds.char_dim, 2))
-    if method == "grnn":
+    if name == "grnn":
         return grnn_fit(train_ds.x, train_ds.y)
-    variant = variant_config(method)
-    beta = variant.beta if settings.beta_override is None else settings.beta_override
+    beta = _FIXED_BETA.get(name, settings.train.beta)
+    if sweep:
+        try:
+            beta = float(arg[:-1])
+        except ValueError:
+            raise ConfigError(
+                f"method {method!r}: beta is not a number") from None
     tc = replace(settings.train, beta=beta, seed=seed)
-    if variant.ensemble:
+    if name == "se-ctes":
         base = settings.ensemble or EnsembleConfig(clf=settings.forest)
         return train_se_ctes(train_ds, replace(base, train=tc, seed=seed))
     return train_ctes(train_ds, tc)
@@ -158,7 +177,7 @@ def sample_model(model, X: np.ndarray, rng,
 def fit_and_synthesize(method, settings: MethodSettings,
                        train_ds: PairedDataset, x_target: np.ndarray,
                        seed: int) -> np.ndarray:
-    """Fit ``method`` (a :func:`fit_method` name, or a callable
+    """Fit ``method`` (a :func:`fit_method` label, or a callable
     ``(train_ds, x_target, rng) -> expressions`` injecting an oracle or
     stub synthesizer) and synthesize one expression per target row."""
     x_target = np.atleast_2d(np.asarray(x_target, dtype=np.float64))
@@ -349,8 +368,8 @@ def fit_conv_classifier(Y: np.ndarray, labels: np.ndarray, expr_shape: tuple,
     imgs = ((Y - mean) / std).reshape(-1, 1, h, w)
     onehot = np.eye(len(classes))[codes]
 
-    opt_e = ndnet.init_opt_state(encoder, "adam", lr)
-    opt_h = ndnet.init_opt_state(head, "adam", lr)
+    opt_e = ndnet.init_opt_state(encoder, lr)
+    opt_h = ndnet.init_opt_state(head, lr)
     n = imgs.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n)

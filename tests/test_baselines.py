@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from sectes.baselines import (grnn_fit, grnn_predict, pls_fit, pls_predict,
-                              variant_config)
+from sectes.baselines import grnn_fit, grnn_predict, pls_fit, pls_predict
 from sectes.datagen import (GpSimConfig, SimConfig, gen_multivariate_dataset,
                             gen_scalar_to_matrix_dataset)
-from sectes.ensemble import EnsembleConfig
 from sectes.errors import ConfigError
 
 from oracles import nipals_pls
@@ -153,15 +151,3 @@ def test_grnn_validation():
         grnn_fit(np.empty((0, 2)), np.empty((0, 1)))
     with pytest.raises(ConfigError):
         grnn_fit(np.ones((2, 1)), np.ones((2, 1)), bandwidth=-1.0)
-
-
-def test_variant_table():
-    assert variant_config("cgan").beta == 1.0
-    assert variant_config("gan-cls").beta == 0.5
-    assert variant_config("ctes").beta == 0.9
-    assert not variant_config("ctes").ensemble
-    se = variant_config("se-ctes")
-    assert (se.beta, se.ensemble) == (0.9, True)
-    assert (EnsembleConfig().k, EnsembleConfig().h) == (5, 2)
-    with pytest.raises(ConfigError):
-        variant_config("wgan")

@@ -13,11 +13,13 @@ from sectes.cli import (ExperimentConfig, build_config, dumps_canonical,
 from sectes.baselines import grnn_fit, pls_fit
 from sectes.ctes import TrainConfig, synthesize_each, train_ctes
 from sectes.datagen import (PairedDataset, SimConfig,
-                            gen_multivariate_dataset, read_dataset_csv)
-from sectes.ensemble import EnsembleConfig, train_se_ctes
+                            gen_multivariate_dataset, read_dataset_csv,
+                            write_dataset_csv)
+from sectes.ensemble import EnsembleConfig, EnsembleModel, train_se_ctes
 from sectes.errors import ConfigError, ModelFormatError
 from sectes.forest import ForestConfig
-from sectes.validation import sample_model
+from sectes.validation import (KNOWN_METHODS, MethodSettings, fit_method,
+                               sample_model)
 
 
 def small_dataset(seed=0, n=60):
@@ -86,6 +88,18 @@ def test_beta_grid_adds_sweep_jobs():
     labels = sorted({j["method"] for j in jobs})
     assert labels == ["ctes", "ctes[beta=0.5]", "ctes[beta=0.7]",
                       "ctes[beta=0.9]"]
+
+
+@pytest.mark.filterwarnings("ignore:beta=:UserWarning")
+def test_beta_grid_labels_train_at_the_grid_value():
+    grid = [0.1234567, 1.0, 0.7, 1e-05, 2 / 3]
+    cfg = build_config({"methods": [], "sigmas": [0.05], "trials": 1,
+                        "groups": [4], "beta_grid": grid})
+    labels = [j["method"] for j in enumerate_jobs(cfg)]
+    assert "ctes[beta=1.0]" in labels
+    settings = MethodSettings(train=TrainConfig(iterations=0))
+    assert [fit_method(label, settings, small_dataset(), 0).config.beta
+            for label in labels] == grid
 
 
 def test_stable_seed_is_order_and_process_independent():
@@ -234,6 +248,47 @@ def test_bench_failure_is_recorded_not_fatal(tmp_path):
     assert all(j["error"] for j in failed)
 
 
+def tabular_csv(path, seed=0, n_per_group=20):
+    """Three groups of vector expressions with a binary outcome."""
+    rng = np.random.default_rng(seed)
+    groups = np.repeat([1, 2, 3], n_per_group)
+    x = rng.normal(groups[:, None], 0.5, size=(len(groups), 2))
+    y = rng.normal(groups[:, None], 0.5, size=(len(groups), 3))
+    outcome = (y.sum(axis=1) + 0.5 * rng.standard_normal(len(y)) > 6)
+    write_dataset_csv(PairedDataset(x=x, y=y, groups=groups, n_groups=3,
+                                    outcome=outcome.astype(int)), path)
+
+
+def test_tabular_risk_bench_and_validate(tmp_path, capsys):
+    tabular_csv(tmp_path / "risk.csv")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "study": "tabular-risk", "data_csv": str(tmp_path / "risk.csv"),
+        "trials": 2, "methods": ["pls", "grnn", "ctes"], "groups": [1, 3],
+        "train": {"iterations": 5, "batch_size": 10},
+        "forest": {"n_trees": 5}, "master_seed": 4}))
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["bench", "--config", str(cfg_path), "--workers", workers,
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["n_failed"] == 0
+        reports.append([(out / f"tabular-risk_{name}.csv").read_bytes()
+                        for name in ("trials", "summary")])
+    assert reports[0] == reports[1]
+    trials, summary = (r.decode().splitlines() for r in reports[0])
+    assert trials[0] == "method,group,trial,mean_abs_diff,std,n"
+    assert len(trials) == 1 + 3 * 2 * 2
+    assert summary[0] == "method,group,mean_abs_diff,std,n_trials"
+    assert len(summary) == 1 + 3 * 2
+
+    capsys.readouterr()
+    assert main(["validate", "--config", str(cfg_path), "--method", "pls",
+                 "--group", "3"]) == 0
+    assert re.fullmatch(r"method=pls group=3 mean_abs_diff=\d\.\d{3} "
+                        r"std=\d\.\d{3} n=20\n", capsys.readouterr().out)
+
+
 def test_simulate_and_report_subcommands(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -363,6 +418,31 @@ def test_unparsable_sweep_beta_names_the_label(tmp_path, capsys, argv):
     _single_error_line(capsys, f"method {argv[2]!r}: beta")
 
 
+def test_train_rejects_unknown_method(tmp_path, capsys):
+    assert main(["train", "--method", "wgan",
+                 "--out", str(tmp_path / "m.json")]) == 2
+    _single_error_line(capsys, "'wgan'", *map(repr, KNOWN_METHODS))
+
+
+@pytest.mark.filterwarnings("ignore:beta=:UserWarning")
+@pytest.mark.parametrize("method,beta", [
+    ("ctes", 0.7), ("se-ctes", 0.7), ("cgan", 1.0), ("gan-cls", 0.5),
+    ("ctes[beta=0.6]", 0.6)])
+def test_train_takes_beta_from_config_unless_method_sets_it(tmp_path, method,
+                                                            beta):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "sigmas": [0.05], "samples_per_group": 20,
+        "train": {"beta": 0.7, "iterations": 2, "batch_size": 10},
+        "ensemble": {"k": 3, "h": 1}, "forest": {"n_trees": 3}}))
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--config", str(cfg_path), "--method", method,
+                 "--out", str(model_path)]) == 0
+    model = load_model(model_path)
+    members = model.models if isinstance(model, EnsembleModel) else [model]
+    assert [m.config.beta for m in members] == [beta] * len(members)
+
+
 def test_negative_learning_rate_rejected():
     with pytest.raises(ConfigError, match="learning_rate"):
         build_config({"train": {"learning_rate": -1.0}})
@@ -443,6 +523,8 @@ def test_truncated_model_payload_names_field(tmp_path, capsys, model_docs,
 
 def test_load_rejects_format_1_and_unknown_kind(tmp_path, model_docs):
     for edit, message in ((_set("format_version", 1), "version 1"),
+                          (_set("format_version", 3),
+                           "unsupported format version 3"),
                           (_drop("kind"), "unknown model kind None"),
                           (_set("kind", "wgan"), "unknown model kind 'wgan'")):
         doc = json.loads(json.dumps(model_docs["pls"]))

@@ -33,7 +33,6 @@ train_configs = st.builds(
     iterations=st.integers(min_value=0, max_value=5000),
     z_dim=small_int,
     learning_rate=st.floats(min_value=1e-9, max_value=1.0),
-    optimizer=st.sampled_from(["adam", "sgd"]),
     hidden=small_int,
     convergence_window=small_int,
     convergence_tol=st.floats(min_value=0.0, max_value=1.0),

@@ -1,26 +1,34 @@
-"""The demos and the README's python blocks import only names that exist.
+"""The demos and the README's python blocks import only names that exist,
+and the README's JSON blocks are valid experiment configs.
 
 The scripts are parsed, not run, so this check is fast; it keeps a
-deleted or renamed public name from silently breaking the narrative
-examples.
+deleted or renamed public name or config field from silently breaking
+the narrative examples.
 """
 
 import ast
 import importlib
+import json
 import re
 from pathlib import Path
 
 import pytest
 
+from sectes.cli import build_config
+
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = sorted(ROOT.glob("demos/*.py")) + [ROOT / "README.md"]
 
 
+def fenced_blocks(path, language):
+    return re.findall(rf"^```{language}\n(.*?)^```", path.read_text(),
+                      re.M | re.S)
+
+
 def python_sources(path):
-    text = path.read_text()
     if path.suffix == ".md":
-        return re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
-    return [text]
+        return fenced_blocks(path, "python")
+    return [path.read_text()]
 
 
 def sectes_imports(source):
@@ -49,3 +57,10 @@ def test_doc_imports_from_sectes_exist(path):
         mod = importlib.import_module(module)
         assert name is None or hasattr(mod, name), \
             f"{path.name}: {module} has no {name!r}"
+
+
+def test_readme_json_blocks_are_valid_configs():
+    blocks = fenced_blocks(ROOT / "README.md", "json")
+    assert blocks
+    for block in blocks:
+        build_config(json.loads(block))

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from sectes.ctes import TrainConfig, build_discriminator
+from sectes.ctes import CtesModel, TrainConfig, build_discriminator
 from sectes.datagen import (GpSimConfig, PairedDataset, SimConfig,
                             gen_multivariate_dataset,
                             gen_scalar_to_matrix_dataset)
+from sectes.ensemble import EnsembleConfig, EnsembleModel
 from sectes.errors import ConfigError
 from sectes.forest import ForestConfig
-from sectes.validation import (ConfusionCounts, MethodSettings,
+from sectes.validation import (KNOWN_METHODS, ConfusionCounts, MethodSettings,
                                ValidationReport, aggregate_trials,
                                compute_a_metrics, fit_conv_classifier,
-                               identify_group_experiment,
+                               fit_method, identify_group_experiment,
                                predict_conv_classifier, risk_difference_eval,
                                split_train_test)
 
@@ -88,6 +89,28 @@ def degenerate_synthesizer(train_ds, x_target, rng):
     scale = train_ds.y.std()
     return np.full((len(x_target), train_ds.expr_dim),
                    train_ds.y.mean() + 100.0 * scale)
+
+
+@pytest.mark.filterwarnings("ignore:beta=:UserWarning")
+def test_fit_method_table():
+    forest = ForestConfig(n_trees=3)
+    settings = MethodSettings(
+        train=TrainConfig(iterations=0, batch_size=10), forest=forest,
+        ensemble=EnsembleConfig(k=3, h=1, clf=forest))
+    train_ds = grouped_dataset([20, 20])
+    fit = lambda method: fit_method(method, settings, train_ds, 0)
+    assert fit("cgan").config.beta == 1.0
+    assert fit("gan-cls").config.beta == 0.5
+    ctes = fit("ctes")
+    assert isinstance(ctes, CtesModel) and ctes.config.beta == 0.9
+    se = fit("se-ctes")
+    assert isinstance(se, EnsembleModel)
+    assert [m.config.beta for m in se.models] == [0.9] * 3
+    assert (EnsembleConfig().k, EnsembleConfig().h) == (5, 2)
+    with pytest.raises(ConfigError) as exc:
+        fit("wgan")
+    for name in ("wgan",) + KNOWN_METHODS:
+        assert repr(name) in str(exc.value)
 
 
 def test_experiment_test_set_composition():
