@@ -416,7 +416,11 @@ def run_suite(cfg: ExperimentConfig) -> dict:
                                   group=r["group"], a1=r["row"]["A1"],
                                   a2=r["row"]["A2"]) for r in ok])
 
-    config_hash = hashlib.sha256(dumps_canonical(cfg).encode()).hexdigest()
+    # how and where a run executes does not change what it computes
+    experiment = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+                  if f.name not in ("workers", "out_dir")}
+    config_hash = hashlib.sha256(
+        dumps_canonical(experiment).encode()).hexdigest()
     manifest = {
         "config_hash": config_hash,
         "master_seed": cfg.master_seed,

@@ -227,16 +227,20 @@ def _disc_scores_traced(disc: DiscriminatorModel, xn: np.ndarray, yn: np.ndarray
 
 
 def _disc_backward(disc: DiscriminatorModel, m: int, enc_tr, head_tr,
-                   score_grad: np.ndarray):
+                   score_grad: np.ndarray, y_grad: bool = True):
     """Backprop a per-row score gradient through head and encoder; the
     parameter gradients are summed over every traced row, so one call
     serves a stacked batch of pair types. Returns (head grads, encoder
-    grads, gradient w.r.t. the normalized expression rows)."""
+    grads, gradient w.r.t. the normalized expression rows, or None when
+    ``y_grad`` is false)."""
     head_grads, head_in_grad = ndnet.backprop(disc.head, head_tr,
                                               score_grad[:, None])
     enc_grad = head_in_grad[:, m:].reshape(enc_tr.output.shape)
-    enc_grads, y_grad = ndnet.backprop(disc.encoder, enc_tr, enc_grad)
-    return head_grads, enc_grads, y_grad.reshape(score_grad.shape[0], -1)
+    enc_grads, g = ndnet.backprop(disc.encoder, enc_tr, enc_grad,
+                                  input_grad=y_grad)
+    if g is not None:
+        g = g.reshape(score_grad.shape[0], -1)
+    return head_grads, enc_grads, g
 
 
 def discriminator_forward(disc: DiscriminatorModel, x: np.ndarray,
@@ -274,26 +278,42 @@ def generator_loss(d_fake_y):
     return np.log(_clamp(np.asarray(d_fake_y, dtype=np.float64)))
 
 
-def sample_mismatch(batch_indices, char_ids, rng: np.random.Generator
-                    ) -> np.ndarray:
-    """Mismatched characteristic indices: for every batch row j, a row
-    drawn uniformly from the dataset rows whose characteristic differs
-    from that of row ``batch_indices[j]``.
+@dataclass(frozen=True)
+class MismatchTable:
+    """Per-row lookups for :func:`sample_mismatch`, built once per dataset
+    from its characteristic ids: the rows ordered by id, and for each row
+    the size and start of its id's block in that order."""
 
-    ``char_ids`` gives each dataset row a non-negative id shared exactly
-    by equal characteristic rows (the inverse from ``np.unique(x, axis=0,
-    return_inverse=True)``). With the rows ordered by id, one draw over
-    the N - count(own id) eligible positions skips the row's own block.
-    """
+    order: np.ndarray
+    count: np.ndarray
+    start: np.ndarray
+
+
+def mismatch_table(char_ids) -> MismatchTable:
+    """Table for ``char_ids``, which gives each dataset row a non-negative
+    id shared exactly by equal characteristic rows (the inverse from
+    ``np.unique(x, axis=0, return_inverse=True)``)."""
     char_ids = np.asarray(char_ids)
     counts = np.bincount(char_ids)
     if np.count_nonzero(counts) < 2:
         raise MismatchImpossible("all characteristic rows are identical")
-    order = np.argsort(char_ids, kind="stable")
-    own = char_ids[np.asarray(batch_indices)]
-    start = (np.cumsum(counts) - counts)[own]
-    r = rng.integers(0, char_ids.size - counts[own])
-    return order[r + counts[own] * (r >= start)]
+    return MismatchTable(order=np.argsort(char_ids, kind="stable"),
+                         count=counts[char_ids],
+                         start=(np.cumsum(counts) - counts)[char_ids])
+
+
+def sample_mismatch(batch_indices, table: MismatchTable,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Mismatched characteristic indices: for every batch row j, a row
+    drawn uniformly from the dataset rows whose characteristic differs
+    from that of row ``batch_indices[j]``.
+
+    With the rows ordered by characteristic id, one draw over the
+    N - count(own id) eligible positions skips the row's own block.
+    """
+    count = table.count[batch_indices]
+    r = rng.integers(0, table.order.size - count)
+    return table.order[r + count * (r >= table.start[batch_indices])]
 
 
 def _disc_step_grads(disc: DiscriminatorModel, m: int, xn, yn, yhat_n,
@@ -305,14 +325,14 @@ def _disc_step_grads(disc: DiscriminatorModel, m: int, xn, yn, yhat_n,
     s = xn.shape[0]
     scores, enc_tr, head_tr = _disc_scores_traced(
         disc, np.vstack([xn, xn, xn_mis]), np.vstack([yn, yhat_n, yn]))
-    d_real, d_fy, d_fx = np.split(scores, 3)
+    d_real, d_fy, d_fx = scores[:s], scores[s:2 * s], scores[2 * s:]
     loss_d = float(np.mean(discriminator_loss(d_real, d_fy, d_fx, beta)))
     # minimizing -L_D: d/dd of -log terms, scores clamped like the loss
     score_grad = np.concatenate([-1.0 / (s * _clamp(d_real)),
                                  beta / (s * _clamp(1.0 - d_fy)),
                                  (1.0 - beta) / (s * _clamp(1.0 - d_fx))])
     head_grads, enc_grads, _ = _disc_backward(disc, m, enc_tr, head_tr,
-                                              score_grad)
+                                              score_grad, y_grad=False)
     return loss_d, scores, head_grads, enc_grads
 
 
@@ -329,9 +349,8 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
     """
     if dataset.n_samples < 1:
         raise ValueError("dataset is empty")
-    char_ids = np.unique(dataset.x, axis=0, return_inverse=True)[1].ravel()
-    if char_ids.max() < 1:
-        raise MismatchImpossible("all characteristic rows are identical")
+    mismatch = mismatch_table(
+        np.unique(dataset.x, axis=0, return_inverse=True)[1].ravel())
     m, n = dataset.char_dim, dataset.expr_dim
     norm = Normalization.fit(dataset.x, dataset.y)
     xn_all = norm.norm_x(dataset.x)
@@ -355,7 +374,7 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
 
     for it in range(config.iterations):
         idx = rng.choice(N, size=s, replace=N < s)
-        mis = sample_mismatch(idx, char_ids, rng)
+        mis = sample_mismatch(idx, mismatch, rng)
         z = rng.standard_normal((s, config.z_dim))
         xb = xn_all[idx]
 
@@ -385,7 +404,8 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
         dec_out_grad = yhat_grad.reshape(dec_tr.output.shape)
         dec_grads, dec_in_grad = ndnet.backprop(gen.decoder, dec_tr, dec_out_grad)
         mix_grads, _ = ndnet.backprop(gen.mixer, mix_tr,
-                                      dec_in_grad.reshape(mix_tr.output.shape))
+                                      dec_in_grad.reshape(mix_tr.output.shape),
+                                      input_grad=False)
         ndnet.optimizer_step(gen.decoder, dec_grads, opt["decoder"])
         ndnet.optimizer_step(gen.mixer, mix_grads, opt["mixer"])
 

@@ -9,6 +9,10 @@ Members that diverge during training score 0 and fall out naturally.
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
+from concurrent.futures import FIRST_COMPLETED, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +22,7 @@ from .ctes import (CtesModel, TrainConfig, _as_rng, synthesize_each,
 from .datagen import PairedDataset
 from .errors import ConfigError, EnsembleError, TrainingDiverged
 from .forest import ForestConfig, fit_forest, predict_forest
-from .parallel import serial_map, task_map
+from .parallel import serial_map, task_pool
 
 
 @dataclass
@@ -79,20 +83,55 @@ def inverse_validation_scores(fake_batches: list, real: np.ndarray,
     if any(b.shape[0] == 0 for b in batches) or real.shape[0] == 0:
         raise ValueError("batches must be non-empty")
     cfg = replace(clf_settings, seed=seed)
-    return np.array(map_fn(_member_score, range(k), [batches] * k,
-                           [real] * k, [cfg] * k))
+    return np.array(map_fn(_member_score, [batches[:i] + batches[i + 1:]
+                                           for i in range(k)],
+                           [real] * k, [cfg] * k, batches))
 
 
-def _member_score(i: int, batches: list, real: np.ndarray,
-                  cfg: ForestConfig) -> float:
-    """Fraction of batch i that a forest fitted to the other batches
-    (category 0) against the real rows (category 1) puts in category 0."""
-    peers = np.vstack(batches[:i] + batches[i + 1:])
+def _member_score(peers: list, real: np.ndarray, cfg: ForestConfig,
+                  batch: np.ndarray | int) -> float | None:
+    """A member's inverse-validation score: the share of its batch that a
+    forest fitted to its peers' batches (category 0) against the real
+    rows (category 1) puts in category 0.
+
+    For a member still training, ``batch`` is instead the key of its
+    late-batch pipe, read once the forest is fitted; a None there (the
+    member diverged) gives None.
+    """
+    peers = np.vstack(peers)
     peers = peers[np.lexsort(peers.T[::-1])]
     X = np.vstack([peers, real])
     y = np.repeat([0, 1], [peers.shape[0], real.shape[0]])
     clf = fit_forest(X, y, cfg)
-    return float(np.mean(predict_forest(clf, batches[i]) == 0))
+    if isinstance(batch, int):
+        batch = _late_batches[batch].recv()
+        if batch is None:
+            return None
+    return float(np.mean(predict_forest(clf, batch) == 0))
+
+
+# A forest started before its own member is done waits, in its worker,
+# for that member's batch. The batch travels down a pipe that the pool's
+# workers inherit: the pool forks them at its first task, after the pipe
+# is made. Pipes are kept by call, so concurrent calls stay apart.
+_late_batches: dict = {}
+_calls = itertools.count()
+
+
+@contextmanager
+def _late_batch_pipe():
+    """Yield (key, sending end) of a new late-batch pipe. On exit a None
+    tells a forest that may still be waiting that no batch will come."""
+    key = next(_calls)
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    _late_batches[key] = receiver
+    try:
+        yield key, sender
+    finally:
+        sender.send(None)
+        del _late_batches[key]
+        receiver.close()
+        sender.close()
 
 
 def select_top_h(scores, h: int) -> list[int]:
@@ -118,49 +157,81 @@ def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleMod
     validation on one synthesized expression per training characteristic,
     and select the top h.
 
-    The k trainings, then the k classifier fits, run on one process pool
-    (:func:`parallel.task_map`); every task has its own seed, so the result
-    does not depend on the number of workers.
+    The tasks run on one process pool (:func:`parallel.task_pool`) and
+    are scheduled by what they need, not by phase: member i's forest is
+    fitted on the other members' batches only, so it starts as soon as
+    every other member has finished or diverged, while member i may still
+    be training. Each member's batch is synthesized here as the member
+    arrives; a forest that started early gets its member's batch through
+    a pipe and scores it in its worker. A diverged member gets no score.
+    Every task has its own seed, so the result does not depend on the
+    number of workers or on the order in which tasks finish. Once more
+    than k - h members have diverged, the queued tasks are cancelled and
+    :class:`EnsembleError` is raised.
     """
+    k, h = config.k, config.h
     root = np.random.SeedSequence(config.seed)
-    member_seqs = root.spawn(config.k)
+    member_seqs = root.spawn(k)
     score_seq = root.spawn(1)[0]
     member_children = [seq.spawn(2) for seq in member_seqs]  # (train, synth)
     member_cfgs = [replace(config.train,
                            seed=int(children[0].generate_state(1)[0]))
                    for children in member_children]
+    clf_cfg = replace(config.clf, seed=int(score_seq.generate_state(1)[0]))
 
-    with task_map(config.k) as map_fn:
-        models: list = [None] * config.k
-        diagnostics: list = [None] * config.k
-        for i, out in enumerate(map_fn(_train_member, [dataset] * config.k,
-                                       member_cfgs)):
-            if isinstance(out, TrainingDiverged):
-                diagnostics[i] = f"member {i} diverged: {out}"
-            else:
-                models[i] = out
-        finished = [i for i in range(config.k) if models[i] is not None]
-        if len(finished) < config.h:
-            raise EnsembleError(
-                f"only {len(finished)} of {config.k} members finished; "
-                f"need at least h={config.h}")
+    models: list = [None] * k
+    diagnostics: list = [None] * k
+    batches: dict = {}  # finished member -> its synthesized batch
+    scores = np.zeros(k)
+    with task_pool(k) as pool, _late_batch_pipe() as (key, late_batch):
+        pending = {pool.submit(_train_member, dataset, cfg): ("member", i)
+                   for i, cfg in enumerate(member_cfgs)}
+        training = set(range(k))
+        forest_due = set(range(k))
+        # the member whose forest started before it was done; never set
+        # when tasks run inline, as every member is then done at the
+        # first wait
+        early = None
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=pending.get):
+                kind, i = pending.pop(future)
+                out = future.result()
+                if kind == "score":
+                    if out is not None:
+                        scores[i] = out
+                    continue
+                training.discard(i)
+                if isinstance(out, TrainingDiverged):
+                    diagnostics[i] = f"member {i} diverged: {out}"
+                else:
+                    models[i] = out
+                    batches[i] = synthesize_each(
+                        out, dataset.x, jitter=0.0,
+                        rng=np.random.default_rng(member_children[i][1]))
+                if i == early:
+                    late_batch.send(batches.get(i))
+                diverged = k - len(training) - len(batches)
+                if k - diverged < h:
+                    raise EnsembleError(f"{diverged} of {k} members diverged; "
+                                        f"need at least h={h} to finish")
+            # forest j waits for every member but j; a diverged member, or
+            # one without a finished peer, gets none
+            for j in sorted(forest_due):
+                if training - {j}:
+                    continue
+                forest_due.discard(j)
+                peers = [batches[p] for p in sorted(batches) if p != j]
+                if peers and (j in batches or j in training):
+                    if j in training:
+                        early = j
+                    batch = batches[j] if j in batches else key
+                    pending[pool.submit(_member_score, peers, dataset.y,
+                                        clf_cfg, batch)] = ("score", j)
 
-        batches = [synthesize_each(
-            models[i], dataset.x, jitter=0.0,
-            rng=np.random.default_rng(member_children[i][1]))
-            for i in finished]
-
-        scores = np.zeros(config.k)
-        if len(finished) >= 2:
-            sub_scores = inverse_validation_scores(
-                batches, dataset.y, config.clf,
-                seed=int(score_seq.generate_state(1)[0]), map_fn=map_fn)
-            for pos, i in enumerate(finished):
-                scores[i] = sub_scores[pos]
-        else:  # a single finished member is selected by default
-            scores[finished[0]] = 1.0
-
-    selected = select_top_h(scores, config.h)
+    if len(batches) == 1:  # a single finished member is selected by default
+        scores[next(iter(batches))] = 1.0
+    selected = select_top_h(scores, h)
     return EnsembleModel(models=models, scores=scores, selected=selected,
                          config=config, diagnostics=diagnostics)
 

@@ -13,7 +13,7 @@ promoted to a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -156,12 +156,15 @@ def _apply_activation(z: np.ndarray, act: str) -> np.ndarray:
     return z
 
 
-def _activation_grad(z: np.ndarray, post: np.ndarray, act: str) -> np.ndarray:
+def _activation_backward(g: np.ndarray, z: np.ndarray, post: np.ndarray,
+                         act: str) -> np.ndarray:
+    """Gradient at the pre-activation z from the gradient g at its
+    activation ``post``."""
     if act == "relu":
-        return (z > 0.0).astype(z.dtype)
+        return g * (z > 0.0).astype(z.dtype)
     if act == "sigmoid":
-        return post * (1.0 - post)
-    return np.ones_like(z)
+        return g * (post * (1.0 - post))
+    return g
 
 
 def _promote(params: NetParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -282,13 +285,15 @@ def forward(params: NetParams, x: np.ndarray) -> Trace:
     return Trace(x=x, pre=pre, post=post)
 
 
-def backprop(params: NetParams, trace: Trace,
-             out_grad: np.ndarray) -> tuple[list[dict], np.ndarray]:
+def backprop(params: NetParams, trace: Trace, out_grad: np.ndarray,
+             input_grad: bool = True) -> tuple[list[dict], np.ndarray | None]:
     """Exact reverse-mode gradients of the forward map.
 
     ``out_grad`` is the loss gradient with respect to the network output
     (post-activation). Returns (per-layer {"W","b"} gradients, gradient
-    with respect to the network input).
+    with respect to the network input). With ``input_grad=False`` the
+    first layer's input gradient is not computed and None takes its
+    place; the parameter gradients are the same.
     """
     if len(trace.pre) != len(params.spec):
         raise ValueError("trace does not match network depth")
@@ -303,21 +308,26 @@ def backprop(params: NetParams, trace: Trace,
         lay = params.spec[i]
         W = params.layers[i]["W"]
         a_prev = trace.post[i - 1] if i > 0 else trace.x
-        g = g * _activation_grad(trace.pre[i], trace.post[i], lay.activation)
+        g = _activation_backward(g, trace.pre[i], trace.post[i],
+                                 lay.activation)
+        need_in = i > 0 or input_grad
         if lay.kind == "dense":
             grads[i] = {"W": a_prev.T @ g, "b": g.sum(axis=0)}
-            g = g @ W.T
+            g = g @ W.T if need_in else None
             continue
         p, (h, w) = lay.padding, a_prev.shape[2:]
+        g_in = None
         if lay.kind == "conv2d":
             xp = _pad(a_prev, p)
             dW = _conv_weight_grad(g, xp, lay)
-            dxp = _conv_scatter(g, W, lay, *xp.shape[2:])
-            g_in = dxp[:, :, p:p + h, p:p + w]
+            if need_in:
+                dxp = _conv_scatter(g, W, lay, *xp.shape[2:])
+                g_in = dxp[:, :, p:p + h, p:p + w]
         else:
             gp = _pad(g, p)
             dW = _conv_weight_grad(a_prev, gp, lay)
-            g_in = _conv_contract(gp, W, lay)
+            if need_in:
+                g_in = _conv_contract(gp, W, lay)
         grads[i] = {"W": dW, "b": g.sum(axis=(0, 2, 3))}
         g = g_in
     return grads, g
@@ -330,51 +340,72 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptState:
-    """Per-parameter Adam moment estimates."""
+    """Adam state of one network: a contiguous (3, n) float64 buffer whose
+    rows hold the network's n parameters and their first and second
+    moment estimates. The network's layer arrays are ``views`` into the
+    first row."""
 
-    lr: float = 1e-3
+    lr: float
+    buffer: np.ndarray
+    views: tuple
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
 
 
 def init_opt_state(params: NetParams, lr: float = 1e-3) -> OptState:
-    zeros = lambda: [{k: np.zeros_like(v) for k, v in lay.items()}
-                     for lay in params.layers]
-    return OptState(lr=lr, m=zeros(), v=zeros())
+    """Adam state for ``params``. Every layer array is rebound, with the
+    same values, to a view of the state's buffer, so that one update
+    covers the whole network."""
+    buffer = np.zeros((3, sum(a.size for lay in params.layers
+                              for a in lay.values())))
+    views, offset = [], 0
+    for lay in params.layers:
+        for key, a in lay.items():
+            view = buffer[0, offset:offset + a.size].reshape(a.shape)
+            view[...] = a
+            lay[key] = view
+            views.append(view)
+            offset += a.size
+    return OptState(lr=lr, buffer=buffer, views=tuple(views))
 
 
 def optimizer_step(params: NetParams, grads: list[dict],
                    state: OptState) -> tuple[NetParams, OptState]:
-    """Apply one Adam update in place.
+    """Apply one Adam update in place, on the flat rows of ``state``'s
+    buffer.
 
     Raises :class:`TrainingDiverged` on any non-finite gradient so callers
-    can attribute the fault to a training iteration.
+    can attribute the fault to a training iteration, and ValueError if a
+    layer array of ``params`` is no longer the view that
+    :func:`init_opt_state` made (the update would miss it).
     """
-    for glay in grads:
-        for g in glay.values():
-            if not np.isfinite(g).all():
-                raise TrainingDiverged("non-finite gradient")
+    arrays = [lay[key] for lay in params.layers for key in lay]
+    if len(arrays) != len(state.views) or any(
+            a is not b for a, b in zip(arrays, state.views)):
+        raise ValueError("network parameters are not views of the optimizer "
+                         "state's buffer; call init_opt_state again")
+    g = np.concatenate([glay[key].ravel()
+                        for lay, glay in zip(params.layers, grads)
+                        for key in lay])
+    if not np.isfinite(g).all():
+        raise TrainingDiverged("non-finite gradient")
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
-    for lay, glay, mlay, vlay in zip(params.layers, grads, state.m, state.v):
-        for key in lay:
-            g, m, v = glay[key], mlay[key], vlay[key]
-            # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g, in place
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            tmp = (1.0 - b2) * g
-            tmp *= g
-            v += tmp
-            # step = lr * (m / bias1) / (sqrt(v / bias2) + eps)
-            np.divide(v, bias2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += ADAM_EPS
-            step = m / bias1
-            step *= state.lr
-            step /= tmp
-            lay[key] -= step
+    params_flat, m, v = state.buffer
+    # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g, in place
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    tmp = (1.0 - b2) * g
+    tmp *= g
+    v += tmp
+    # step = lr * (m / bias1) / (sqrt(v / bias2) + eps)
+    np.divide(v, bias2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    step = m / bias1
+    step *= state.lr
+    step /= tmp
+    params_flat -= step
     return params, state

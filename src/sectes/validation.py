@@ -382,7 +382,8 @@ def fit_conv_classifier(Y: np.ndarray, labels: np.ndarray, expr_shape: tuple,
             out_grad = (probs - onehot[sel]) / len(sel)
             hg, flat_grad = ndnet.backprop(head, head_tr, out_grad)
             eg, _ = ndnet.backprop(encoder, enc_tr,
-                                   flat_grad.reshape(enc_tr.output.shape))
+                                   flat_grad.reshape(enc_tr.output.shape),
+                                   input_grad=False)
             ndnet.optimizer_step(head, hg, opt_h)
             ndnet.optimizer_step(encoder, eg, opt_e)
     return ConvClassifier(encoder=encoder, head=head, classes=classes,

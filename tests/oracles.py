@@ -324,3 +324,34 @@ def nipals_pls(X, Y, components):
         done = a + 1
     W, P, Q = W[:, :done], P[:, :done], Q[:, :done]
     return W @ np.linalg.solve(P.T @ W, Q.T), done
+
+
+def per_array_adam(layers, grads_seq, lr):
+    """Adam applied to each parameter array on its own, with the same
+    in-place arithmetic in the same order as ``ndnet.optimizer_step``;
+    returns copies of ``layers`` after each gradient set of ``grads_seq``
+    in turn."""
+    layers = [{k: a.copy() for k, a in lay.items()} for lay in layers]
+    m = [{k: np.zeros_like(a) for k, a in lay.items()} for lay in layers]
+    v = [{k: np.zeros_like(a) for k, a in lay.items()} for lay in layers]
+    b1, b2 = ndnet.ADAM_BETA1, ndnet.ADAM_BETA2
+    for step, grads in enumerate(grads_seq, 1):
+        bias1 = 1.0 - b1 ** step
+        bias2 = 1.0 - b2 ** step
+        for lay, glay, mlay, vlay in zip(layers, grads, m, v):
+            for key in lay:
+                g, mk, vk = glay[key], mlay[key], vlay[key]
+                mk *= b1
+                mk += (1.0 - b1) * g
+                vk *= b2
+                tmp = (1.0 - b2) * g
+                tmp *= g
+                vk += tmp
+                np.divide(vk, bias2, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += ndnet.ADAM_EPS
+                delta = mk / bias1
+                delta *= lr
+                delta /= tmp
+                lay[key] -= delta
+    return layers

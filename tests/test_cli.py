@@ -211,6 +211,21 @@ def test_bench_reports_are_deterministic(tmp_path):
     assert all(j["status"] == "ok" for j in manifest["jobs"])
 
 
+def test_config_hash_ignores_workers_and_out_dir(tmp_path):
+    def manifest(out_name, **changes):
+        cfg = build_config({"sigmas": [0.05], "trials": 1,
+                            "methods": ["pls"], "groups": [3],
+                            "samples_per_group": 20,
+                            "out_dir": str(tmp_path / out_name), **changes})
+        return run_suite(cfg)
+
+    one = manifest("a", workers=1)
+    two = manifest("b", workers=2)
+    assert one["n_failed"] == two["n_failed"] == 0
+    assert one["config_hash"] == two["config_hash"]
+    assert manifest("c", master_seed=1)["config_hash"] != one["config_hash"]
+
+
 def test_se_ctes_bench_csvs_do_not_depend_on_workers_or_cpus(tmp_path,
                                                               monkeypatch):
     # at workers 2 each se-ctes job runs its members serially inside a

@@ -1,6 +1,9 @@
 import multiprocessing
 import os
 import pickle
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -159,26 +162,103 @@ def member_train_seed(config, i):
     return int(member.spawn(2)[0].generate_state(1)[0])
 
 
-def test_train_se_ctes_divergent_member_scores_zero(monkeypatch,
-                                                   one_blas_thread):
-    # members may train in worker processes, so the failing member is
-    # picked by its derived seed rather than by counting calls
-    ds = small_dataset()
-    cfg = tiny_ensemble_config(k=3, h=1, seed=2)
+def force_divergence(monkeypatch, cfg, members):
+    """Make the given members of an ensemble run diverge. Members may
+    train in worker processes, so they are picked by their derived seeds
+    rather than by counting calls."""
     real_train = ensemble_mod.train_ctes
-    doomed = member_train_seed(cfg, 1)
+    doomed = {member_train_seed(cfg, i) for i in members}
 
     def flaky(dataset, config):
-        if config.seed == doomed:  # second member blows up
+        if config.seed in doomed:
             raise TrainingDiverged("forced", iteration=3)
         return real_train(dataset, config)
 
     monkeypatch.setattr(ensemble_mod, "train_ctes", flaky)
+
+
+def on_one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert parallel.usable_cpus() == 1
+
+
+def test_train_se_ctes_divergent_member_scores_zero(monkeypatch,
+                                                   one_blas_thread):
+    ds = small_dataset()
+    cfg = tiny_ensemble_config(k=3, h=1, seed=2)
+    force_divergence(monkeypatch, cfg, [1])  # second member blows up
     ens = train_se_ctes(ds, cfg)
     assert ens.models[1] is None
     assert ens.scores[1] == 0.0
     assert "diverged" in ens.diagnostics[1]
     assert 1 not in ens.selected
+    # the pooled run is the one-process run
+    on_one_cpu(monkeypatch)
+    assert_same_ensemble(train_se_ctes(ds, cfg), ens)
+
+
+def test_train_se_ctes_lone_finished_member_scores_one(monkeypatch):
+    ds = small_dataset()
+    cfg = tiny_ensemble_config(k=3, h=1, seed=2)
+    force_divergence(monkeypatch, cfg, [0, 2])
+    fits = []
+    monkeypatch.setattr(ensemble_mod, "fit_forest",
+                        lambda *args: fits.append(args))
+    on_one_cpu(monkeypatch)
+    ens = train_se_ctes(ds, cfg)
+    assert ens.scores.tolist() == [0.0, 1.0, 0.0]
+    assert ens.selected == [1] and fits == []
+
+
+def test_train_se_ctes_too_few_finished_cancels_and_leaves_no_children(
+        monkeypatch, one_blas_thread):
+    ds = small_dataset()
+    cfg = tiny_ensemble_config(k=7, h=3, seed=5)
+    force_divergence(monkeypatch, cfg, [0, 1, 2, 4, 6])
+    with pytest.raises(EnsembleError, match="5 of 7 members diverged"):
+        train_se_ctes(ds, cfg)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("last_diverges", [False, True])
+def test_forest_fits_while_its_member_still_trains(monkeypatch,
+                                                   last_diverges):
+    """Member 4's forest needs only members 0-3, so on two workers it is
+    fitted while member 4 trains; the result is the one-process result,
+    also when member 4 then diverges."""
+    ds = small_dataset()
+    cfg = tiny_ensemble_config(k=5, h=2, seed=6)
+    if last_diverges:
+        force_divergence(monkeypatch, cfg, [4])
+    on_one_cpu(monkeypatch)
+    want = train_se_ctes(ds, cfg)
+    real_train, real_fit = ensemble_mod.train_ctes, ensemble_mod.fit_forest
+    last = member_train_seed(cfg, 4)
+    forest_started = threading.Event()
+    overlapped = []
+
+    def train_last_after_a_forest(dataset, config):
+        if config.seed == last:
+            overlapped.append(forest_started.wait(timeout=30))
+        return real_train(dataset, config)
+
+    def fit(*args):
+        forest_started.set()
+        return real_fit(*args)
+
+    @contextmanager
+    def two_threads(tasks):
+        with ThreadPoolExecutor(2) as pool:
+            yield pool
+
+    monkeypatch.setattr(ensemble_mod, "train_ctes", train_last_after_a_forest)
+    monkeypatch.setattr(ensemble_mod, "fit_forest", fit)
+    monkeypatch.setattr(ensemble_mod, "task_pool", two_threads)
+    assert_same_ensemble(train_se_ctes(ds, cfg), want)
+    assert overlapped == [True]
+    assert (want.models[4] is None) == last_diverges
 
 
 def test_train_se_ctes_too_many_failures(monkeypatch):
@@ -205,6 +285,9 @@ def assert_same_ensemble(a, b):
     assert np.array_equal(a.scores, b.scores)
     assert a.diagnostics == b.diagnostics
     for ma, mb in zip(a.models, b.models):
+        assert (ma is None) == (mb is None)
+        if ma is None:
+            continue
         assert ma.iterations_run == mb.iterations_run
         assert np.array_equal(ma.loss_d, mb.loss_d)
         assert np.array_equal(ma.loss_g, mb.loss_g)

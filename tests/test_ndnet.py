@@ -9,6 +9,7 @@ from sectes import ndnet
 from sectes.errors import ConfigError, TrainingDiverged
 
 from oracles import (fd_grads, loss_and_grads, max_grad_rel_error,
+                     per_array_adam,
                      min_preactivation, naive_conv2d, naive_conv2d_grads,
                      naive_deconv2d, naive_deconv2d_grads, tap_loop_layer)
 
@@ -393,3 +394,80 @@ def test_backprop_rejects_mismatched_out_grad():
     trace = ndnet.forward(params, np.ones((2, 2)))
     with pytest.raises(ValueError):
         ndnet.backprop(params, trace, np.ones((2, 5)))
+
+
+# (layer specs, input shape) of a small stack of each layer kind
+STACKS = {
+    "dense": ([ndnet.dense(5, 7, "relu"), ndnet.dense(7, 3, "sigmoid")],
+              (6, 5)),
+    "conv2d": ([ndnet.conv2d(1, 3), ndnet.conv2d(3, 4, activation="none")],
+               (6, 1, 8, 8)),
+    "deconv2d": ([ndnet.deconv2d(4, 3),
+                  ndnet.deconv2d(3, 1, activation="none")], (6, 4, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv2d", "deconv2d"])
+def test_backprop_without_input_grad_keeps_parameter_grads(kind):
+    spec, shape = STACKS[kind]
+    params = ndnet.init_params(spec, 4)
+    rng = np.random.default_rng(8)
+    trace = ndnet.forward(params, rng.normal(size=shape))
+    out_grad = rng.normal(size=trace.output.shape)
+    full, in_grad = ndnet.backprop(params, trace, out_grad)
+    lean, none = ndnet.backprop(params, trace, out_grad, input_grad=False)
+    assert in_grad.shape == trace.x.shape and none is None
+    for a, b in zip(full, lean, strict=True):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert np.array_equal(a[key], b[key])
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv2d"])
+def test_flat_adam_matches_per_array_adam(kind):
+    spec, shape = STACKS[kind]
+    params = ndnet.init_params(spec, 6)
+    start = [{k: a.copy() for k, a in lay.items()} for lay in params.layers]
+    state = ndnet.init_opt_state(params, lr=3e-3)
+    rng = np.random.default_rng(2)
+    grads_seq = []
+    for _ in range(25):
+        trace = ndnet.forward(params, rng.normal(size=shape))
+        grads, _ = ndnet.backprop(params, trace,
+                                  rng.normal(size=trace.output.shape))
+        grads_seq.append(grads)
+        ndnet.optimizer_step(params, grads, state)
+    want = per_array_adam(start, grads_seq, lr=3e-3)
+    assert state.step == 25
+    for got, ref in zip(params.layers, want, strict=True):
+        for key in ref:
+            assert np.array_equal(got[key], ref[key])
+
+
+def test_optimizer_state_holds_params_in_one_buffer():
+    params = ndnet.init_params(STACKS["conv2d"][0], 1)
+    before = [{k: a.copy() for k, a in lay.items()} for lay in params.layers]
+    state = ndnet.init_opt_state(params)
+    n = sum(a.size for lay in before for a in lay.values())
+    assert state.buffer.shape == (3, n) and state.buffer.flags.c_contiguous
+    assert not state.buffer[1:].any()  # moments start at zero
+    for lay, ref in zip(params.layers, before):
+        for key in ref:
+            assert np.array_equal(lay[key], ref[key])
+            assert np.shares_memory(lay[key], state.buffer[0])
+
+
+def test_optimizer_step_rejects_params_rebound_from_the_buffer():
+    params = ndnet.init_params(STACKS["dense"][0], 0)
+    state = ndnet.init_opt_state(params)
+    params.layers[1]["W"] = params.layers[1]["W"].copy()
+    grads = [{k: np.ones_like(a) for k, a in lay.items()}
+             for lay in params.layers]
+    stale = state.buffer.copy()
+    with pytest.raises(ValueError, match="init_opt_state"):
+        ndnet.optimizer_step(params, grads, state)
+    assert state.step == 0 and np.array_equal(state.buffer, stale)
+    # a fresh state adopts the rebound arrays
+    state = ndnet.init_opt_state(params)
+    ndnet.optimizer_step(params, grads, state)
+    assert state.step == 1
