@@ -418,6 +418,12 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
             if dd < config.convergence_tol and dg < config.convergence_tol:
                 break
 
+    # the model keeps copies of the parameters, so that the optimizer
+    # buffers holding them and their Adam moments are freed
+    for params in (gen.mixer, gen.decoder, disc.encoder, disc.head):
+        for lay in params.layers:
+            for key in lay:
+                lay[key] = lay[key].copy()
     return CtesModel(generator=gen, discriminator=disc, config=config,
                      loss_d=np.array(loss_d_trace),
                      loss_g=np.array(loss_g_trace),

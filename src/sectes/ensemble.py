@@ -10,6 +10,7 @@ Members that diverge during training score 0 and fall out naturally.
 from __future__ import annotations
 
 import itertools
+import mmap
 import multiprocessing
 from concurrent.futures import FIRST_COMPLETED, wait
 from contextlib import contextmanager
@@ -22,7 +23,7 @@ from .ctes import (CtesModel, TrainConfig, _as_rng, synthesize_each,
 from .datagen import PairedDataset
 from .errors import ConfigError, EnsembleError, TrainingDiverged
 from .forest import ForestConfig, fit_forest, predict_forest
-from .parallel import serial_map, task_pool
+from .parallel import task_pool
 
 
 @dataclass
@@ -60,16 +61,14 @@ class EnsembleModel:
 
 
 def inverse_validation_scores(fake_batches: list, real: np.ndarray,
-                              clf_settings: ForestConfig, seed: int, *,
-                              map_fn=serial_map) -> np.ndarray:
+                              clf_settings: ForestConfig,
+                              seed: int) -> np.ndarray:
     """Score each member's batch by its own inverse-validation classifier.
 
     Classifier i trains on all other members' fakes (category 0) against
     the real expressions (category 1); the score is the fraction of batch
     i assigned to category 0. Peer rows are put in a canonical sorted
-    order so scores do not depend on how members are numbered. The k
-    classifier fits go through ``map_fn``, such as a
-    :func:`parallel.task_map` map.
+    order so scores do not depend on how members are numbered.
     """
     k = len(fake_batches)
     if k < 2:
@@ -83,9 +82,8 @@ def inverse_validation_scores(fake_batches: list, real: np.ndarray,
     if any(b.shape[0] == 0 for b in batches) or real.shape[0] == 0:
         raise ValueError("batches must be non-empty")
     cfg = replace(clf_settings, seed=seed)
-    return np.array(map_fn(_member_score, [batches[:i] + batches[i + 1:]
-                                           for i in range(k)],
-                           [real] * k, [cfg] * k, batches))
+    return np.array([_member_score(batches[:i] + batches[i + 1:], real, cfg,
+                                   batches[i]) for i in range(k)])
 
 
 def _member_score(peers: list, real: np.ndarray, cfg: ForestConfig,
@@ -95,8 +93,8 @@ def _member_score(peers: list, real: np.ndarray, cfg: ForestConfig,
     rows (category 1) puts in category 0.
 
     For a member still training, ``batch`` is instead the key of its
-    late-batch pipe, read once the forest is fitted; a None there (the
-    member diverged) gives None.
+    late-batch slot, read once the forest is fitted; a member that
+    diverged there gives None.
     """
     peers = np.vstack(peers)
     peers = peers[np.lexsort(peers.T[::-1])]
@@ -104,33 +102,45 @@ def _member_score(peers: list, real: np.ndarray, cfg: ForestConfig,
     y = np.repeat([0, 1], [peers.shape[0], real.shape[0]])
     clf = fit_forest(X, y, cfg)
     if isinstance(batch, int):
-        batch = _late_batches[batch].recv()
-        if batch is None:
+        ready, batch = _late_batches[batch]
+        if not ready.recv():
             return None
     return float(np.mean(predict_forest(clf, batch) == 0))
 
 
 # A forest started before its own member is done waits, in its worker,
-# for that member's batch. The batch travels down a pipe that the pool's
-# workers inherit: the pool forks them at its first task, after the pipe
-# is made. Pipes are kept by call, so concurrent calls stay apart.
+# for that member's batch. The batch is copied to memory shared with the
+# pool's workers, and a flag sent down a pipe says whether it is there.
+# The workers inherit both: the pool forks them at its first task, after
+# the slot is made. A flag never fills the pipe, so sending it never
+# waits for the worker. Slots are kept by call, so concurrent calls stay
+# apart.
 _late_batches: dict = {}
 _calls = itertools.count()
 
 
 @contextmanager
-def _late_batch_pipe():
-    """Yield (key, sending end) of a new late-batch pipe. On exit a None
-    tells a forest that may still be waiting that no batch will come."""
+def _late_batch_slot(shape: tuple):
+    """Yield (key, post) of a new slot for a batch of ``shape``.
+    ``post(batch)`` hands the batch to a forest waiting on ``key``;
+    ``post(None)``, or leaving the block, tells it no batch will come."""
     key = next(_calls)
-    receiver, sender = multiprocessing.Pipe(duplex=False)
-    _late_batches[key] = receiver
+    ready, sender = multiprocessing.Pipe(duplex=False)
+    nbytes = 8 * int(np.prod(shape))
+    shared = np.ndarray(shape, buffer=mmap.mmap(-1, max(nbytes, 1)))
+    _late_batches[key] = ready, shared
+
+    def post(batch):
+        if batch is not None:
+            shared[...] = batch
+        sender.send(batch is not None)
+
     try:
-        yield key, sender
+        yield key, post
     finally:
-        sender.send(None)
+        sender.send(False)
         del _late_batches[key]
-        receiver.close()
+        ready.close()
         sender.close()
 
 
@@ -163,8 +173,8 @@ def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleMod
     every other member has finished or diverged, while member i may still
     be training. Each member's batch is synthesized here as the member
     arrives; a forest that started early gets its member's batch through
-    a pipe and scores it in its worker. A diverged member gets no score.
-    Every task has its own seed, so the result does not depend on the
+    shared memory and scores it in its worker. A diverged member gets no
+    score. Every task has its own seed, so the result does not depend on the
     number of workers or on the order in which tasks finish. Once more
     than k - h members have diverged, the queued tasks are cancelled and
     :class:`EnsembleError` is raised.
@@ -183,7 +193,8 @@ def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleMod
     diagnostics: list = [None] * k
     batches: dict = {}  # finished member -> its synthesized batch
     scores = np.zeros(k)
-    with task_pool(k) as pool, _late_batch_pipe() as (key, late_batch):
+    with (task_pool(k) as pool,
+          _late_batch_slot(dataset.y.shape) as (key, post_late_batch)):
         pending = {pool.submit(_train_member, dataset, cfg): ("member", i)
                    for i, cfg in enumerate(member_cfgs)}
         training = set(range(k))
@@ -210,7 +221,7 @@ def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleMod
                         out, dataset.x, jitter=0.0,
                         rng=np.random.default_rng(member_children[i][1]))
                 if i == early:
-                    late_batch.send(batches.get(i))
+                    post_late_batch(batches.get(i))
                 diverged = k - len(training) - len(batches)
                 if k - diverged < h:
                     raise EnsembleError(f"{diverged} of {k} members diverged; "

@@ -35,11 +35,6 @@ def blas_threads() -> int:
     return usable_cpus()
 
 
-def serial_map(fn, *iterables) -> list:
-    """``map`` run in this process, as a list."""
-    return list(map(fn, *iterables))
-
-
 class InlineExecutor(Executor):
     """An executor that runs each task in this process as it is
     submitted, so tasks run in submission order and every future it
@@ -85,10 +80,6 @@ def task_pool(tasks: int, workers: int | None = None):
 
 @contextmanager
 def task_map(tasks: int, workers: int | None = None):
-    """Yield ``map(fn, *iterables) -> list`` over a :func:`task_pool`:
-    :func:`serial_map` where its tasks would stay in this process."""
+    """Yield ``map(fn, *iterables) -> list`` over a :func:`task_pool`."""
     with task_pool(tasks, workers) as pool:
-        if isinstance(pool, InlineExecutor):
-            yield serial_map
-        else:
-            yield lambda fn, *iterables: list(pool.map(fn, *iterables))
+        yield lambda fn, *iterables: list(pool.map(fn, *iterables))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import three_pass_disc_grads
-from sectes import ctes
+from sectes import ctes, ndnet
 from sectes.ctes import (TrainConfig, _disc_step_grads, build_discriminator,
                          discriminator_forward, discriminator_loss,
                          generator_loss, mismatch_table, sample_mismatch,
@@ -262,6 +262,26 @@ def test_training_is_deterministic():
             assert np.array_equal(la["W"], lb["W"])
     c = train_ctes(ds, TrainConfig(iterations=40, batch_size=16, seed=22))
     assert not np.array_equal(a.loss_d, c.loss_d)
+
+
+def test_trained_model_does_not_hold_optimizer_buffers(monkeypatch):
+    states, real_init = [], ndnet.init_opt_state
+
+    def recording_init(params, lr):
+        states.append(real_init(params, lr))
+        return states[-1]
+
+    monkeypatch.setattr(ndnet, "init_opt_state", recording_init)
+    model = train_ctes(toy_dataset(n=40),
+                       TrainConfig(iterations=5, batch_size=8, seed=2))
+    monkeypatch.undo()
+    assert len(states) == 4 and all(s.step == 5 for s in states)
+    nets = (model.generator.mixer, model.generator.decoder,
+            model.discriminator.encoder, model.discriminator.head)
+    for net in nets:
+        for lay in net.layers:
+            for a in lay.values():
+                assert not any(np.shares_memory(a, s.buffer) for s in states)
 
 
 def test_training_improves_over_untrained(trained_toy):

@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import pickle
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
@@ -261,6 +262,60 @@ def test_forest_fits_while_its_member_still_trains(monkeypatch,
     assert (want.models[4] is None) == last_diverges
 
 
+def wide_dataset(n=120, d=80, seed=0):
+    """A dataset whose expression batches (n*d float64) are larger than a
+    pipe's 64 KiB buffer."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, size=(n, 1))
+    y = x + 0.05 * rng.standard_normal((n, d))
+    return PairedDataset(x=x, y=y, groups=np.ones(n, int), n_groups=1)
+
+
+def slow_member(monkeypatch, cfg, member, seconds):
+    """Make one member train ``seconds`` longer, so that on two workers
+    its forest is fitted while it still trains."""
+    real_train = ensemble_mod.train_ctes
+    slow = member_train_seed(cfg, member)
+
+    def train(dataset, config):
+        if config.seed == slow:
+            time.sleep(seconds)
+        return real_train(dataset, config)
+
+    monkeypatch.setattr(ensemble_mod, "train_ctes", train)
+
+
+def test_train_se_ctes_pooled_with_batches_larger_than_a_pipe(
+        monkeypatch, one_blas_thread):
+    ds = wide_dataset()
+    assert ds.y.nbytes > 64 * 1024
+    cfg = tiny_ensemble_config(k=3, h=1, seed=8)
+    slow_member(monkeypatch, cfg, 2, 1.0)
+    pooled = train_se_ctes(ds, cfg)
+    assert multiprocessing.active_children() == []
+    on_one_cpu(monkeypatch)
+    assert_same_ensemble(train_se_ctes(ds, cfg), pooled)
+
+
+def test_train_se_ctes_raises_when_an_early_forest_fails(monkeypatch,
+                                                        one_blas_thread):
+    """Member 2's forest starts while member 2 trains and fails after
+    member 2 is done. Its error reaches the caller: handing member 2's
+    large batch over must not wait for the failed forest to take it."""
+    ds = wide_dataset()
+    cfg = tiny_ensemble_config(k=3, h=1, seed=8)
+    slow_member(monkeypatch, cfg, 2, 0.5)
+
+    def failing_fit(*args):
+        time.sleep(1.5)
+        raise RuntimeError("forest failed")
+
+    monkeypatch.setattr(ensemble_mod, "fit_forest", failing_fit)
+    with pytest.raises(RuntimeError, match="forest failed"):
+        train_se_ctes(ds, cfg)
+    assert multiprocessing.active_children() == []
+
+
 def test_train_se_ctes_too_many_failures(monkeypatch):
     ds = small_dataset()
 
@@ -326,9 +381,9 @@ def worker_pid(_):
     return os.getpid()
 
 
-def nested_map_is_serial(_):
+def nested_map_stays_in_its_worker(_):
     with parallel.task_map(2) as map_fn:
-        return map_fn is parallel.serial_map
+        return map_fn(worker_pid, range(2)) == [os.getpid()] * 2
 
 
 def test_task_map_uses_worker_processes_that_do_not_nest(monkeypatch,
@@ -337,13 +392,13 @@ def test_task_map_uses_worker_processes_that_do_not_nest(monkeypatch,
         pytest.skip("needs two usable CPUs")
     with parallel.task_map(4) as map_fn:
         assert os.getpid() not in map_fn(worker_pid, range(4))
-        assert map_fn(nested_map_is_serial, range(2)) == [True, True]
+        assert map_fn(nested_map_stays_in_its_worker, range(2)) == [True] * 2
     # a BLAS running one thread per CPU already fills the CPUs
     for key in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(key, raising=False)
     assert parallel.blas_threads() == parallel.usable_cpus()
     with parallel.task_map(4) as map_fn:
-        assert map_fn is parallel.serial_map
+        assert map_fn(worker_pid, range(2)) == [os.getpid()] * 2
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
