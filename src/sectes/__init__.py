@@ -28,7 +28,7 @@ from .errors import (ConfigError, EnsembleError, MismatchImpossible,
 from .forest import (Forest, ForestConfig, fit_forest, gini, predict_forest,
                      predict_proba)
 from .validation import (ConfusionCounts, MethodSettings, RiskEvalReport,
-                         TrialSummary, ValidationReport, aggregate_trials,
+                         ValidationReport, aggregate_trials,
                          compute_a_metrics, fit_and_synthesize, fit_method,
                          identify_group_experiment, risk_difference_eval,
                          sample_model, split_train_test)

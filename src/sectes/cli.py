@@ -28,20 +28,18 @@ import numpy as np
 
 from .baselines import GrnnModel, PlsModel
 from .ctes import CtesModel, TrainConfig
-from .datagen import GpSimConfig, PairedDataset, SimConfig, \
-    gen_multivariate_dataset, gen_scalar_to_matrix_dataset, \
-    read_dataset_csv, write_dataset_csv
+from .datagen import GpSimConfig, SimConfig, gen_multivariate_dataset, \
+    gen_scalar_to_matrix_dataset, read_dataset_csv, write_dataset_csv
 from .ensemble import EnsembleConfig, EnsembleModel
 from .errors import ConfigError, ModelFormatError
 from .forest import ForestConfig
-from .parallel import task_map
+from .parallel import task_pool
 from .validation import KNOWN_METHODS, MethodSettings, aggregate_trials, \
     fit_method, identify_group_experiment, risk_difference_eval, sample_model
 
 log = logging.getLogger("sectes")
 
 MODEL_FORMAT_VERSION = 4
-STUDIES = ("multivariate", "scalar-to-matrix", "tabular-risk")
 
 
 # --- canonical JSON with exact float round-trips ---
@@ -49,12 +47,8 @@ STUDIES = ("multivariate", "scalar-to-matrix", "tabular-risk")
 def dumps_canonical(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits;
     a dataclass is written as an object of its fields."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if obj is None or isinstance(obj, (bool, str)):  # bool before int
+        return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -62,8 +56,6 @@ def dumps_canonical(obj) -> str:
         if math.isnan(v) or math.isinf(v):
             raise ValueError("cannot serialize non-finite float")
         return f"{v:.17g}"
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if is_dataclass(obj):
@@ -226,7 +218,6 @@ class ExperimentConfig:
     sigmas: list[float] = field(
         default_factory=lambda: [0.01, 0.03, 0.05, 0.07, 0.09])
     trials: int = 5
-    replicates: int = 1
     methods: list[str] = field(default_factory=lambda: list(KNOWN_METHODS))
     groups: list[int] = field(default_factory=lambda: [2, 3, 4])
     samples_per_group: int = 200
@@ -234,8 +225,6 @@ class ExperimentConfig:
     ensemble: EnsembleSize = field(default_factory=EnsembleSize)
     forest: ForestConfig = field(default_factory=ForestConfig)
     beta_grid: list[float] = field(default_factory=list)
-    fresh_data_per_trial: bool = True
-    subsample_merged: bool = True
     gp: GpSize = field(default_factory=GpSize)
     data_csv: str | None = None
     out_dir: str = "out"
@@ -245,7 +234,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.study not in STUDIES:
             raise ConfigError(f"study: must be one of {STUDIES}")
-        for name in ("trials", "replicates", "workers"):
+        for name in ("trials", "workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1")
         for s in self.sigmas:
@@ -288,47 +277,81 @@ def _method_settings(cfg: ExperimentConfig) -> MethodSettings:
                           ensemble=ensemble)
 
 
-def _job_dataset(cfg: ExperimentConfig, sigma, trial: int) -> PairedDataset:
-    data_trial = trial if cfg.fresh_data_per_trial else 0
-    if cfg.study == "multivariate":
-        seed = stable_seed(cfg.master_seed, "data", sigma, data_trial)
-        return gen_multivariate_dataset(SimConfig(
-            sigma=sigma, samples_per_group=cfg.samples_per_group, seed=seed))
-    if cfg.study == "scalar-to-matrix":
-        seed = stable_seed(cfg.master_seed, "data", "gp", data_trial)
-        return gen_scalar_to_matrix_dataset(GpSimConfig(
-            grid=cfg.gp.grid, images_per_category=cfg.gp.images_per_category,
-            seed=seed))
+def _multivariate_data(cfg: ExperimentConfig, sigma, trial: int):
+    return gen_multivariate_dataset(SimConfig(
+        sigma=sigma, samples_per_group=cfg.samples_per_group,
+        seed=stable_seed(cfg.master_seed, "data", sigma, trial)))
+
+
+def _gp_data(cfg: ExperimentConfig, sigma, trial: int):
+    return gen_scalar_to_matrix_dataset(GpSimConfig(
+        grid=cfg.gp.grid, images_per_category=cfg.gp.images_per_category,
+        seed=stable_seed(cfg.master_seed, "data", "gp", trial)))
+
+
+def _csv_data(cfg: ExperimentConfig, sigma, trial: int):
     if not cfg.data_csv:
-        raise ConfigError("data_csv: required for the tabular-risk study")
+        raise ConfigError(f"data_csv: required for the {cfg.study} study")
     return read_dataset_csv(cfg.data_csv)
 
 
-def _study_row(cfg: ExperimentConfig, dataset: PairedDataset, method: str,
-               group: int, seed: int) -> dict:
-    """Run the config's study for one method label and group; returns the
-    report columns of the job."""
-    settings = _method_settings(cfg)
-    if cfg.study == "tabular-risk":
-        rep = risk_difference_eval(dataset, group, method, settings,
-                                   seed=seed)
-        return {"mean_abs_diff": rep.mean_abs_diff, "std": rep.std,
-                "n": rep.n}
-    rep = identify_group_experiment(
-        dataset, group, method, settings, seed=seed,
-        replicates=cfg.replicates, subsample_merged=cfg.subsample_merged)
-    return {"A1": rep.a1, "A2": rep.a2,
-            "TP": rep.confusion.tp, "FP": rep.confusion.fp,
-            "FN": rep.confusion.fn, "TN": rep.confusion.tn}
+# The rows call the protocols through this module's names, so that a
+# tracer or test patching them here sees every job.
+def _identify_row(dataset, group, method, settings, seed) -> dict:
+    rep = identify_group_experiment(dataset, group, method, settings,
+                                    seed=seed)
+    c = rep.confusion
+    return {"A1": rep.a1, "A2": rep.a2, "TP": c.tp, "FP": c.fp, "FN": c.fn,
+            "TN": c.tn}
+
+
+def _risk_row(dataset, group, method, settings, seed) -> dict:
+    rep = risk_difference_eval(dataset, group, method, settings, seed=seed)
+    return {"mean_abs_diff": rep.mean_abs_diff, "std": rep.std, "n": rep.n}
+
+
+@dataclass(frozen=True)
+class Study:
+    """How a study makes its data, runs one job and lays out its reports."""
+
+    dataset: typing.Callable  # (cfg, sigma, trial) -> PairedDataset
+    row: typing.Callable  # (dataset, group, method, settings, seed) -> columns
+    sim_file: str | None  # ``simulate``'s file name; None: reads data_csv
+    sweeps_sigma: bool    # one dataset per configured sigma
+    keys: tuple           # trial CSV key columns, ``trial`` last
+    values: tuple         # trial CSV value columns, as ``row`` names them
+    stds: dict            # averaged value column -> its summary std column
+    summary: tuple        # summary CSV columns
+
+
+_IDENTIFY = dict(row=_identify_row, keys=("method", "sigma", "group", "trial"),
+                 values=("A1", "A2", "TP", "FP", "FN", "TN"),
+                 stds={"A1": "A1_std", "A2": "A2_std"},
+                 summary=("method", "sigma", "group", "A1", "A1_std", "A2",
+                          "A2_std"))
+STUDY_TABLE = {
+    "multivariate": Study(_multivariate_data,
+                          sim_file="multivariate_sigma{sigma:g}.csv",
+                          sweeps_sigma=True, **_IDENTIFY),
+    "scalar-to-matrix": Study(_gp_data, sim_file="scalar_to_matrix.csv",
+                              sweeps_sigma=False, **_IDENTIFY),
+    "tabular-risk": Study(
+        _csv_data, _risk_row, sim_file=None, sweeps_sigma=False,
+        keys=("method", "group", "trial"), values=("mean_abs_diff", "std", "n"),
+        stds={"mean_abs_diff": "std"},
+        summary=("method", "group", "mean_abs_diff", "std", "n_trials")),
+}
+STUDIES = tuple(STUDY_TABLE)
 
 
 def _run_job(cfg: ExperimentConfig, job: dict) -> dict:
     """One grid cell; returns a result row (or an error marker)."""
     started = time.monotonic()
+    study = STUDY_TABLE[cfg.study]
     try:
-        dataset = _job_dataset(cfg, job["sigma"], job["trial"])
-        row = _study_row(cfg, dataset, job["method"], job["group"],
-                         job["seed"])
+        dataset = study.dataset(cfg, job["sigma"], job["trial"])
+        row = study.row(dataset, job["group"], job["method"],
+                        _method_settings(cfg), job["seed"])
         status, error = "ok", None
     except Exception as exc:  # recorded in the manifest, suite continues
         row, status, error = {}, "failed", f"{type(exc).__name__}: {exc}"
@@ -341,7 +364,7 @@ def _job_key(job: dict):
             job["group"], job["trial"])
 
 
-def _write_csv(path, header: list, rows: list) -> None:
+def _write_csv(path, header, rows: list) -> None:
     """Floats at 17 significant digits; None becomes an empty cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -350,12 +373,13 @@ def _write_csv(path, header: list, rows: list) -> None:
                           for v in row] for row in rows)
 
 
-def _write_summary(path, reports: list) -> None:
-    """Mean and sample std of A1/A2 per (method, sigma, group)."""
-    rows = [[s.method, s.sigma, s.group, s.a1_mean, s.a1_std, s.a2_mean,
-             s.a2_std] for s in (aggregate_trials(reports) if reports else [])]
-    _write_csv(path, ["method", "sigma", "group", "A1", "A1_std", "A2",
-                      "A2_std"], rows)
+def _write_summary(path, study: Study, rows: list[dict]) -> None:
+    """Mean and sample std over trials of each averaged column, per
+    trial CSV key without ``trial``."""
+    summary = aggregate_trials(rows, study.keys[:-1], study.stds) \
+        if rows else []
+    _write_csv(path, study.summary,
+               [[s[c] for c in study.summary] for s in summary])
 
 
 def enumerate_jobs(cfg: ExperimentConfig) -> list[dict]:
@@ -364,7 +388,7 @@ def enumerate_jobs(cfg: ExperimentConfig) -> list[dict]:
     so that it parses back to exactly that beta."""
     methods = list(cfg.methods)
     methods += [f"ctes[beta={b!r}]" for b in cfg.beta_grid]
-    sigmas = cfg.sigmas if cfg.study == "multivariate" else [None]
+    sigmas = cfg.sigmas if STUDY_TABLE[cfg.study].sweeps_sigma else [None]
     return [{"method": m, "sigma": s, "group": g, "trial": t,
              "seed": stable_seed(cfg.master_seed, m, s, g, t)}
             for m in methods for s in sigmas for g in cfg.groups
@@ -377,44 +401,23 @@ def run_suite(cfg: ExperimentConfig) -> dict:
 
     Returns the manifest dict; ``n_failed`` is nonzero if any job failed.
     """
+    study = STUDY_TABLE[cfg.study]
+    if study.sim_file is None:  # a bad data_csv fails here, not per job
+        study.dataset(cfg, None, 0)
     os.makedirs(cfg.out_dir, exist_ok=True)
     jobs = enumerate_jobs(cfg)
 
     log.info("running %d jobs with %d workers", len(jobs), cfg.workers)
-    with task_map(len(jobs), cfg.workers) as map_fn:
-        results = map_fn(_run_job, [cfg] * len(jobs), jobs)
+    with task_pool(len(jobs), cfg.workers) as pool:
+        results = list(pool.map(_run_job, [cfg] * len(jobs), jobs))
     results.sort(key=_job_key)
 
-    trials_path = os.path.join(cfg.out_dir, f"{cfg.study}_trials.csv")
-    summary_path = os.path.join(cfg.out_dir, f"{cfg.study}_summary.csv")
-    ok = [r for r in results if r["status"] == "ok"]
-    if cfg.study == "tabular-risk":
-        keys = ["method", "group", "trial"]
-        values = ["mean_abs_diff", "std", "n"]
-    else:
-        keys = ["method", "sigma", "group", "trial"]
-        values = ["A1", "A2", "TP", "FP", "FN", "TN"]
-    _write_csv(trials_path, keys + values,
-               [[r[k] for k in keys] + [r["row"][v] for v in values]
-                for r in ok])
-    if cfg.study == "tabular-risk":
-        cells: dict = {}
-        for r in ok:
-            cells.setdefault((r["method"], r["group"]), []).append(
-                r["row"]["mean_abs_diff"])
-        rows = []
-        for (method, group) in sorted(cells):
-            vals = np.array(cells[(method, group)])
-            std = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-            rows.append([method, group, float(vals.mean()), std, len(vals)])
-        _write_csv(summary_path,
-                   ["method", "group", "mean_abs_diff", "std", "n_trials"],
-                   rows)
-    else:
-        _write_summary(summary_path, [
-            types.SimpleNamespace(method=r["method"], sigma=r["sigma"],
-                                  group=r["group"], a1=r["row"]["A1"],
-                                  a2=r["row"]["A2"]) for r in ok])
+    ok = [{**r, **r["row"]} for r in results if r["status"] == "ok"]
+    _write_csv(os.path.join(cfg.out_dir, f"{cfg.study}_trials.csv"),
+               study.keys + study.values,
+               [[r[c] for c in study.keys + study.values] for r in ok])
+    _write_summary(os.path.join(cfg.out_dir, f"{cfg.study}_summary.csv"),
+                   study, ok)
 
     # how and where a run executes does not change what it computes
     experiment = {f.name: getattr(cfg, f.name) for f in fields(cfg)
@@ -426,9 +429,8 @@ def run_suite(cfg: ExperimentConfig) -> dict:
         "master_seed": cfg.master_seed,
         "n_jobs": len(results),
         "n_failed": sum(r["status"] == "failed" for r in results),
-        "jobs": [{k: r[k] for k in
-                  ("method", "sigma", "group", "trial", "seed", "status",
-                   "error", "wall_time")} for r in results],
+        "jobs": [{k: v for k, v in r.items() if k != "row"}
+                 for r in results],
     }
     with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
         fh.write(dumps_canonical(manifest))
@@ -445,26 +447,34 @@ def cmd_simulate(args) -> int:
     cfg = _load_or_default_config(args.config)
     if args.seed is not None:
         cfg.master_seed = args.seed
-    if cfg.study == "tabular-risk":
-        raise ConfigError("simulate supports the multivariate and "
-                          "scalar-to-matrix studies")
+    study = STUDY_TABLE[cfg.study]
+    if study.sim_file is None:
+        raise ConfigError(f"simulate: the {cfg.study} study reads data_csv")
     os.makedirs(args.out, exist_ok=True)
-    for sigma in cfg.sigmas if cfg.study == "multivariate" else [None]:
-        path = os.path.join(args.out, "scalar_to_matrix.csv" if sigma is None
-                            else f"multivariate_sigma{sigma:g}.csv")
-        write_dataset_csv(_job_dataset(cfg, sigma, 0), path)
+    for sigma in cfg.sigmas if study.sweeps_sigma else [None]:
+        path = os.path.join(args.out, study.sim_file.format(sigma=sigma))
+        write_dataset_csv(study.dataset(cfg, sigma, 0), path)
         print(path)
     return 0
+
+
+def _config_data(cfg: ExperimentConfig, sigma):
+    """Trial 0 of the config's study and the sigma it was drawn at: the
+    given one, else the config's first (None for a study without one)."""
+    study = STUDY_TABLE[cfg.study]
+    sigma = sigma if study.sweeps_sigma else None
+    if study.sweeps_sigma and sigma is None:
+        if not cfg.sigmas:
+            raise ConfigError("sigmas: empty, so pass --sigma")
+        sigma = cfg.sigmas[0]
+    return study.dataset(cfg, sigma, 0), sigma
 
 
 def cmd_train(args) -> int:
     cfg = _load_or_default_config(args.config)
     seed = args.seed if args.seed is not None else cfg.master_seed
-    if args.data:
-        dataset = read_dataset_csv(args.data)
-    else:
-        sigma = args.sigma if args.sigma is not None else cfg.sigmas[0]
-        dataset = _job_dataset(cfg, sigma, 0)
+    dataset = read_dataset_csv(args.data) if args.data \
+        else _config_data(cfg, args.sigma)[0]
     save_model(fit_method(args.method, _method_settings(cfg), dataset, seed),
                args.out)
     print(args.out)
@@ -504,13 +514,12 @@ def cmd_synth(args) -> int:
 def cmd_validate(args) -> int:
     cfg = _load_or_default_config(args.config)
     seed = args.seed if args.seed is not None else cfg.master_seed
-    sigma = args.sigma if args.sigma is not None else cfg.sigmas[0]
-    row = _study_row(cfg, _job_dataset(cfg, sigma, 0), args.method,
-                     args.group, seed)
-    cells = [f"method={args.method}", f"group={args.group}"]
-    if cfg.study != "tabular-risk":
-        shown = sigma if cfg.study == "multivariate" else None
-        cells.insert(1, f"sigma={shown}")
+    study = STUDY_TABLE[cfg.study]
+    dataset, sigma = _config_data(cfg, args.sigma)
+    row = study.row(dataset, args.group, args.method, _method_settings(cfg),
+                    seed)
+    shown = {"method": args.method, "sigma": sigma, "group": args.group}
+    cells = [f"{k}={shown[k]}" for k in study.keys[:-1]]
     cells += [f"{k}={v:.3f}" if isinstance(v, float) else f"{k}={v}"
               for k, v in row.items()]
     print(" ".join(cells))
@@ -529,21 +538,23 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    reports = []
+    rows = []
     for path in args.inputs:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             try:
                 for row in reader:
-                    reports.append(types.SimpleNamespace(
-                        method=row["method"],
-                        sigma=float(row["sigma"]) if row.get("sigma") else None,
-                        group=int(row["group"]), a1=float(row["A1"]),
-                        a2=float(row["A2"])))
+                    sigma = float(row["sigma"]) if row.get("sigma") else None
+                    a1, a2 = float(row["A1"]), float(row["A2"])
+                    if not np.isfinite([sigma or 0.0, a1, a2]).all():
+                        raise ValueError("non-finite number")
+                    rows.append({"method": row["method"], "sigma": sigma,
+                                 "group": int(row["group"]), "A1": a1,
+                                 "A2": a2})
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}, line {reader.line_num}: missing "
                                   f"or malformed cell ({exc})") from None
-    _write_summary(args.out, reports)
+    _write_summary(args.out, STUDY_TABLE["multivariate"], rows)
     print(args.out)
     return 0
 

@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import ConfigError
 
+NOISE_STD = 0.005  # per-coordinate expression noise of the multivariate study
+CHOL_JITTER = 1e-9  # diagonal added to the random-field grid kernel
+
 
 @dataclass
 class PairedDataset:
@@ -86,8 +89,6 @@ class SimConfig:
     sigma: float = 0.05
     samples_per_group: int = 200
     groups: int = 5
-    noise_std: float = 0.005
-    shared_noise: bool = False  # one epsilon per sample instead of per coordinate
     seed: int = 0
 
     def __post_init__(self):
@@ -108,7 +109,6 @@ class GpSimConfig:
     categories: int = 5
     char_dim: int = 64
     seed: int = 0
-    chol_jitter: float = 1e-9
 
     def __post_init__(self):
         if self.grid < 2:
@@ -149,11 +149,7 @@ def gen_multivariate_dataset(cfg: SimConfig) -> PairedDataset:
     for i in range(1, cfg.groups + 1):
         mu = 0.2 * i
         x = rng.normal(mu, cfg.sigma, size=(cfg.samples_per_group, 2))
-        if cfg.shared_noise:
-            eps = np.repeat(rng.normal(0.0, cfg.noise_std,
-                                       size=(cfg.samples_per_group, 1)), 6, axis=1)
-        else:
-            eps = rng.normal(0.0, cfg.noise_std, size=(cfg.samples_per_group, 6))
+        eps = rng.normal(0.0, NOISE_STD, size=(cfg.samples_per_group, 6))
         y = np.stack([expression_transform(x[j, 0], x[j, 1], eps[j])
                       for j in range(cfg.samples_per_group)])
         xs.append(x)
@@ -166,12 +162,12 @@ def gen_multivariate_dataset(cfg: SimConfig) -> PairedDataset:
 _chol_cache: dict = {}
 
 
-def _rbf_chol(size: int, length_scale: float, jitter: float) -> np.ndarray:
-    key = (size, float(length_scale), float(jitter))
+def _rbf_chol(size: int, length_scale: float) -> np.ndarray:
+    key = (size, float(length_scale))
     if key not in _chol_cache:
         idx = np.arange(size, dtype=np.float64)
         k = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * length_scale))
-        k[np.diag_indices_from(k)] += jitter
+        k[np.diag_indices_from(k)] += CHOL_JITTER
         try:
             _chol_cache[key] = np.linalg.cholesky(k)
         except np.linalg.LinAlgError as exc:
@@ -189,7 +185,7 @@ def gp_sample(cfg: GpSimConfig, category: int, rng: np.random.Generator) -> np.n
     two one-dimensional Cholesky factors to a standard-normal matrix.
     """
     l = cfg.length_scale(category)
-    lh = _rbf_chol(cfg.grid, l, cfg.chol_jitter)
+    lh = _rbf_chol(cfg.grid, l)
     z = rng.standard_normal((cfg.grid, cfg.grid))
     return lh @ z @ lh.T
 

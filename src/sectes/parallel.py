@@ -76,10 +76,3 @@ def task_pool(tasks: int, workers: int | None = None):
         yield pool
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-
-
-@contextmanager
-def task_map(tasks: int, workers: int | None = None):
-    """Yield ``map(fn, *iterables) -> list`` over a :func:`task_pool`."""
-    with task_pool(tasks, workers) as pool:
-        yield lambda fn, *iterables: list(pool.map(fn, *iterables))

@@ -56,9 +56,6 @@ class ValidationReport:
     a1: float
     a2: float
     method: str
-    sigma: float | None = None
-    trial: int | None = None
-    replicates: int = 1
 
 
 @dataclass
@@ -68,19 +65,6 @@ class RiskEvalReport:
     std: float
     method: str
     n: int
-
-
-@dataclass
-class TrialSummary:
-    method: str
-    sigma: float | None
-    group: int
-    a1_mean: float
-    a1_std: float
-    a2_mean: float
-    a2_std: float
-    n_trials: int
-    single_trial: bool
 
 
 @dataclass
@@ -192,17 +176,9 @@ def fit_and_synthesize(method, settings: MethodSettings,
 
 def identify_group_experiment(dataset: PairedDataset, group: int, method,
                               settings: MethodSettings | None = None,
-                              seed: int = 0, replicates: int = 1,
-                              subsample_merged: bool = True,
-                              sigma: float | None = None,
-                              trial: int | None = None) -> ValidationReport:
+                              seed: int = 0) -> ValidationReport:
     """Full identify-group run: fit on the other groups, synthesize the
-    identified group, and measure A1/A2 through the validation classifier.
-
-    ``replicates`` refits the synthesizer that many times and merges the
-    batches; by default the merged pool is subsampled back to one row per
-    target characteristic so classifier training stays balanced.
-    """
+    identified group, and measure A1/A2 through the validation classifier."""
     settings = settings or MethodSettings()
     if dataset.n_groups < 2:
         raise ValueError("need at least 2 groups")
@@ -213,25 +189,16 @@ def identify_group_experiment(dataset: PairedDataset, group: int, method,
     x_i = dataset.x[mask]
     y_i = dataset.y[mask]
 
-    root = np.random.SeedSequence(seed)
-    fit_seqs = root.spawn(replicates)
-    split_seq, clf_seq, sub_seq = root.spawn(3)
-
-    batches = [fit_and_synthesize(method, settings, train_ds, x_i,
-                                  int(fs.generate_state(1)[0]))
-               for fs in fit_seqs]
-    merged = np.vstack(batches)
-    if subsample_merged and merged.shape[0] > x_i.shape[0]:
-        pick = np.random.default_rng(sub_seq).choice(
-            merged.shape[0], size=x_i.shape[0], replace=False)
-        merged = merged[np.sort(pick)]
+    fit_seq, split_seq, clf_seq = np.random.SeedSequence(seed).spawn(3)
+    yhat = fit_and_synthesize(method, settings, train_ds, x_i,
+                              int(fit_seq.generate_state(1)[0]))
 
     train_idx, test_idx = split_train_test(
         train_ds, int(split_seq.generate_state(1)[0]))
     other_groups = sorted(train_idx)
-    clf_x = np.vstack([merged] + [train_ds.y[train_idx[g]] for g in other_groups])
+    clf_x = np.vstack([yhat] + [train_ds.y[train_idx[g]] for g in other_groups])
     clf_y = np.concatenate(
-        [np.full(merged.shape[0], group, dtype=np.int64)]
+        [np.full(yhat.shape[0], group, dtype=np.int64)]
         + [np.full(len(train_idx[g]), g, dtype=np.int64) for g in other_groups])
     test_x = np.vstack([y_i] + [train_ds.y[test_idx[g]] for g in other_groups])
     n_identified = y_i.shape[0]
@@ -255,8 +222,7 @@ def identify_group_experiment(dataset: PairedDataset, group: int, method,
         tn=int((~hit[n_identified:]).sum()))
     a1, a2 = compute_a_metrics(confusion)
     return ValidationReport(group=group, confusion=confusion, a1=a1, a2=a2,
-                            method=_method_name(method), sigma=sigma,
-                            trial=trial, replicates=replicates)
+                            method=_method_name(method))
 
 
 def risk_difference_eval(dataset: PairedDataset, group: int, method,
@@ -302,28 +268,29 @@ def risk_difference_eval(dataset: PairedDataset, group: int, method,
                           n=int(diff.size))
 
 
-def aggregate_trials(reports: list) -> list[TrialSummary]:
-    """Mean and sample standard deviation of A1/A2 per
-    (method, sigma, group); single-report cells are flagged with std 0."""
-    if not reports:
+def aggregate_trials(rows: list[dict], keys, stds: dict) -> list[dict]:
+    """One summary row per distinct ``keys`` cell of the trial rows.
+
+    Each column ``c`` in ``stds`` gets its mean over the cell's trials and,
+    under the name ``stds[c]``, its sample standard deviation (0 for a
+    single trial); ``n_trials`` counts the cell's rows. Rows are sorted by
+    key, a None key value (the sigma of a study without one) as -1.
+    """
+    if not rows:
         raise ValueError("no reports to aggregate")
     cells: dict = {}
-    for r in reports:
-        cells.setdefault((r.method, r.sigma, r.group), []).append(r)
+    for r in rows:
+        cells.setdefault(tuple(r[k] for k in keys), []).append(r)
     out = []
-    for (method, sigma, group) in sorted(
-            cells, key=lambda k: (k[0], k[1] if k[1] is not None else -1.0, k[2])):
-        rs = cells[(method, sigma, group)]
-        a1 = np.array([r.a1 for r in rs])
-        a2 = np.array([r.a2 for r in rs])
-        single = len(rs) == 1
-        out.append(TrialSummary(
-            method=method, sigma=sigma, group=group,
-            a1_mean=float(a1.mean()),
-            a1_std=0.0 if single else float(a1.std(ddof=1)),
-            a2_mean=float(a2.mean()),
-            a2_std=0.0 if single else float(a2.std(ddof=1)),
-            n_trials=len(rs), single_trial=single))
+    for key in sorted(cells, key=lambda k: tuple(
+            -1.0 if v is None else v for v in k)):
+        rs = cells[key]
+        row = dict(zip(keys, key), n_trials=len(rs))
+        for col, std in stds.items():
+            vals = np.array([r[col] for r in rs])
+            row[col] = float(vals.mean())
+            row[std] = float(vals.std(ddof=1)) if len(rs) > 1 else 0.0
+        out.append(row)
     return out
 
 

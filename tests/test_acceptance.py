@@ -43,8 +43,7 @@ def se_trial(sigma, group, trial):
         sigma=sigma, seed=stable_seed(MASTER, "data", sigma, trial)))
     return identify_group_experiment(
         ds, group, "se-ctes", seed=stable_seed(MASTER, "se-ctes", sigma,
-                                               group, trial),
-        sigma=sigma, trial=trial)
+                                               group, trial))
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -304,6 +305,47 @@ def test_tabular_risk_bench_and_validate(tmp_path, capsys):
                         r"std=\d\.\d{3} n=20\n", capsys.readouterr().out)
 
 
+PINNED_GRIDS = {
+    "multivariate": (
+        {"methods": ["pls", "grnn", "cgan", "gan-cls", "ctes", "se-ctes"],
+         "beta_grid": [0.7], "sigmas": [0.05], "groups": [2, 4],
+         "samples_per_group": 40, "trials": 1, "train": {"iterations": 30},
+         "forest": {"n_trees": 10}, "master_seed": 3},
+        "700ddad32bf700527cc5efdffd8d9393c7e1d5fc879c0c5f7cbfca8165c3084c",
+        "75f5d3cf5d6ad57e8e14173d04bf462fcfcd3a9551489e7ed40d6b64bbe87421"),
+    "scalar-to-matrix": (
+        {"study": "scalar-to-matrix", "gp": {"grid": 8,
+                                             "images_per_category": 4},
+         "methods": ["pls", "ctes"], "trials": 2, "groups": [2, 4],
+         "train": {"iterations": 3}, "master_seed": 3},
+        "eebedfe99e0e9acba565f71ee5442ed35b93c8386604d1ca0ec635c4f766ece8",
+        "ad65560be4ac32ddf179b68ba7c4a75836d4ce699eddd48ee22019573d07ea8e"),
+    "tabular-risk": (
+        {"study": "tabular-risk", "trials": 2,
+         "methods": ["pls", "grnn", "ctes"], "groups": [1, 3],
+         "train": {"iterations": 5, "batch_size": 10},
+         "forest": {"n_trees": 5}, "master_seed": 4},
+        "0cf093e7d635f403f2a4c396e0e8f57a0ae56852d944c99204af6aaaf457c6d6",
+        "f2a15ead6dfcada06e8a404d72633952d20f3c22dbc864b3885482044ed22c41"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:beta=:UserWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("study", sorted(PINNED_GRIDS))
+def test_report_csvs_match_pinned_digests(tmp_path, study, workers):
+    raw, trials_sha, summary_sha = PINNED_GRIDS[study]
+    if study == "tabular-risk":
+        tabular_csv(tmp_path / "risk.csv")
+        raw = {**raw, "data_csv": str(tmp_path / "risk.csv")}
+    out = tmp_path / "out"
+    cfg = build_config({**raw, "workers": workers, "out_dir": str(out)})
+    assert run_suite(cfg)["n_failed"] == 0
+    digests = [hashlib.sha256((out / f"{study}_{kind}.csv").read_bytes())
+               .hexdigest() for kind in ("trials", "summary")]
+    assert digests == [trials_sha, summary_sha]
+
+
 def test_simulate_and_report_subcommands(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -383,7 +425,7 @@ MALFORMED_CONFIGS = [
     ({"train": {"jitter": 10 ** 400}}, "train.jitter: expected finite float"),
     ({"train": {"conv_channels": [8, 16.5]}},
      "train.conv_channels[1]: expected int, got 16.5"),
-    ({"fresh_data_per_trial": 1}, "fresh_data_per_trial: expected bool, got 1"),
+    ({"fresh_data_per_trial": 1}, "fresh_data_per_trial: unknown field"),
     ({"data_csv": 5}, "data_csv: expected str, got 5"),
     ({"ensemble": {"k": 4, "h": 2}}, "ensemble: k must exceed 2*h"),
     ({"gp": {"grid": 1}}, "gp: grid side must be >= 2"),
@@ -617,3 +659,59 @@ def test_report_rejects_missing_column(tmp_path, capsys):
     assert main(["report", "--inputs", str(trials),
                  "--out", str(tmp_path / "s.csv")]) == 2
     _single_error_line(capsys, str(trials), "'A1'")
+
+
+@pytest.mark.parametrize("a1,a2", [("nan", "1.0"), ("0.5", "inf"),
+                                   ("-inf", "1.0")])
+def test_report_rejects_non_finite_cell(tmp_path, capsys, a1, a2):
+    trials = tmp_path / "t.csv"
+    trials.write_text("method,sigma,group,trial,A1,A2\n"
+                      "pls,0.05,3,0,0.5,1.0\n"
+                      f"pls,0.05,3,1,{a1},{a2}\n")
+    out = tmp_path / "s.csv"
+    assert main(["report", "--inputs", str(trials), "--out", str(out)]) == 2
+    _single_error_line(capsys, f"{trials}, line 3: missing or malformed cell")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--method", "pls", "--group", "3"],
+    ["train", "--method", "pls", "--out", "model.json"],
+])
+def test_empty_sigmas_needs_a_sigma(tmp_path, capsys, argv):
+    argv = [str(tmp_path / a) if a == "model.json" else a for a in argv]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sigmas": [], "samples_per_group": 10}))
+    assert main([*argv, "--config", str(cfg_path)]) == 2
+    _single_error_line(capsys, "error: sigmas: ", "--sigma")
+    capsys.readouterr()
+    assert main([*argv, "--config", str(cfg_path), "--sigma", "0.05"]) == 0
+
+
+def test_studies_without_sigma_ignore_empty_sigmas(tmp_path, capsys):
+    tabular_csv(tmp_path / "risk.csv")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "study": "tabular-risk", "data_csv": str(tmp_path / "risk.csv"),
+        "sigmas": [], "forest": {"n_trees": 3}}))
+    assert main(["validate", "--config", str(cfg_path), "--method", "pls",
+                 "--group", "1"]) == 0
+    assert capsys.readouterr().out.startswith("method=pls group=1 ")
+    cfg_path.write_text(json.dumps({
+        "study": "scalar-to-matrix", "sigmas": [],
+        "gp": {"grid": 4, "images_per_category": 4}}))
+    assert main(["validate", "--config", str(cfg_path), "--method", "pls",
+                 "--group", "2"]) == 0
+    assert capsys.readouterr().out.startswith("method=pls sigma=None group=2 ")
+    assert main(["train", "--config", str(cfg_path), "--method", "pls",
+                 "--out", str(tmp_path / "m.json")]) == 0
+
+
+def test_tabular_risk_without_data_csv_fails_before_any_job(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"study": "tabular-risk",
+                                    "methods": ["pls"], "trials": 1}))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 2
+    _single_error_line(capsys, "error: data_csv: ")
+    assert not out.exists()

@@ -50,7 +50,7 @@ experiment_configs = st.builds(
     study=st.sampled_from(STUDIES),
     sigmas=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
                               exclude_max=True), max_size=5),
-    trials=small_int, replicates=small_int,
+    trials=small_int,
     methods=st.lists(st.sampled_from(KNOWN_METHODS), max_size=6),
     groups=st.lists(st.integers(1, 5), max_size=4),
     samples_per_group=small_int, train=train_configs,
@@ -59,7 +59,6 @@ experiment_configs = st.builds(
                             h=st.just(h))),
     forest=forest_configs,
     beta_grid=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
-    fresh_data_per_trial=st.booleans(), subsample_merged=st.booleans(),
     gp=st.builds(GpSize, grid=st.integers(2, 64), images_per_category=small_int),
     data_csv=st.none() | st.text(max_size=20), out_dir=st.text(max_size=20),
     master_seed=seeds, workers=st.integers(1, 8))

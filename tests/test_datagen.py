@@ -75,14 +75,6 @@ def test_multivariate_deterministic():
     assert not np.array_equal(a.x, c.x)
 
 
-def test_shared_noise_switch():
-    cfg = SimConfig(sigma=0.05, samples_per_group=5, groups=1,
-                    noise_std=0.5, shared_noise=True, seed=2)
-    ds = gen_multivariate_dataset(cfg)
-    # with one shared epsilon per sample, y4*y5 == y6^2 still holds
-    assert np.allclose(ds.y[:, 3] * ds.y[:, 4], ds.y[:, 5] ** 2, rtol=1e-12)
-
-
 def test_sim_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(sigma=0.0)

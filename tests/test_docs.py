@@ -10,11 +10,12 @@ import ast
 import importlib
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from sectes.cli import build_config
+from sectes.cli import ExperimentConfig, build_config
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = sorted(ROOT.glob("demos/*.py")) + [ROOT / "README.md"]
@@ -64,3 +65,11 @@ def test_readme_json_blocks_are_valid_configs():
     assert blocks
     for block in blocks:
         build_config(json.loads(block))
+
+
+def test_every_config_field_is_documented():
+    # a config field nobody can find in the README is a knob nobody sets
+    readme = (ROOT / "README.md").read_text()
+    missing = [f.name for f in fields(ExperimentConfig)
+               if f'"{f.name}"' not in readme and f"`{f.name}`" not in readme]
+    assert not missing, f"README.md does not document {missing}"

@@ -381,29 +381,32 @@ def worker_pid(_):
     return os.getpid()
 
 
-def nested_map_stays_in_its_worker(_):
-    with parallel.task_map(2) as map_fn:
-        return map_fn(worker_pid, range(2)) == [os.getpid()] * 2
+def pool_pids(tasks, n):
+    with parallel.task_pool(tasks) as pool:
+        return list(pool.map(worker_pid, range(n)))
 
 
-def test_task_map_uses_worker_processes_that_do_not_nest(monkeypatch,
-                                                        one_blas_thread):
+def nested_pool_stays_in_its_worker(_):
+    return pool_pids(2, 2) == [os.getpid()] * 2
+
+
+def test_task_pool_uses_worker_processes_that_do_not_nest(monkeypatch,
+                                                         one_blas_thread):
     if parallel.usable_cpus() < 2:
         pytest.skip("needs two usable CPUs")
-    with parallel.task_map(4) as map_fn:
-        assert os.getpid() not in map_fn(worker_pid, range(4))
-        assert map_fn(nested_map_stays_in_its_worker, range(2)) == [True] * 2
+    with parallel.task_pool(4) as pool:
+        assert os.getpid() not in list(pool.map(worker_pid, range(4)))
+        assert list(pool.map(nested_pool_stays_in_its_worker, range(2))) \
+            == [True] * 2
     # a BLAS running one thread per CPU already fills the CPUs
     for key in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(key, raising=False)
     assert parallel.blas_threads() == parallel.usable_cpus()
-    with parallel.task_map(4) as map_fn:
-        assert map_fn(worker_pid, range(2)) == [os.getpid()] * 2
+    assert pool_pids(4, 2) == [os.getpid()] * 2
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
-    with parallel.task_map(4) as map_fn:
-        assert map_fn(worker_pid, range(2)) == [os.getpid()] * 2
+    assert pool_pids(4, 2) == [os.getpid()] * 2
 
 
 def test_train_se_ctes_leaves_no_child_processes(monkeypatch,

@@ -9,9 +9,9 @@ from sectes.ensemble import EnsembleConfig, EnsembleModel
 from sectes.errors import ConfigError
 from sectes.forest import ForestConfig
 from sectes.validation import (KNOWN_METHODS, ConfusionCounts, MethodSettings,
-                               ValidationReport, aggregate_trials,
-                               compute_a_metrics, fit_conv_classifier,
-                               fit_method, identify_group_experiment,
+                               aggregate_trials, compute_a_metrics,
+                               fit_conv_classifier, fit_method,
+                               identify_group_experiment,
                                predict_conv_classifier, risk_difference_eval,
                                split_train_test)
 
@@ -157,7 +157,7 @@ def test_experiment_metrics_within_bounds_and_complete():
     assert rep.confusion.total == 40 + 4 * 20
 
 
-def test_experiment_replicates_merge_and_subsample():
+def test_experiment_synthesizes_the_identified_group_once():
     ds = gen_multivariate_dataset(SimConfig(sigma=0.05, samples_per_group=30,
                                             seed=6))
     sizes = []
@@ -167,11 +167,9 @@ def test_experiment_replicates_merge_and_subsample():
         return np.tile(train_ds.y.mean(axis=0), (len(x_target), 1))
     counting.__name__ = "counting"
 
-    rep = identify_group_experiment(ds, group=2, method=counting, seed=0,
-                                    replicates=3)
-    assert sizes == [30, 30, 30]  # one synthesis pass per replicate
-    assert rep.replicates == 3
-    # merged pool subsampled back: still 30 identified-vs-rest test rows
+    rep = identify_group_experiment(ds, group=2, method=counting, seed=0)
+    assert sizes == [30]  # one synthesized row per identified row
+    assert rep.method == "counting"
     assert rep.confusion.tp + rep.confusion.fp == 30
 
 
@@ -270,42 +268,55 @@ def test_risk_eval_requires_outcome():
         risk_difference_eval(ds, group=1, method="pls", seed=0)
 
 
-def make_report(method, sigma, group, a1, a2, trial=0):
-    return ValidationReport(group=group,
-                            confusion=ConfusionCounts(1, 1, 1, 1),
-                            a1=a1, a2=a2, method=method, sigma=sigma,
-                            trial=trial)
+KEYS = ("method", "sigma", "group")
+STDS = {"A1": "A1_std", "A2": "A2_std"}
+
+
+def make_row(method, sigma, group, a1, a2, trial=0):
+    return {"method": method, "sigma": sigma, "group": group, "trial": trial,
+            "A1": a1, "A2": a2}
 
 
 def test_aggregate_reference_values():
-    reports = [make_report("pls", 0.01, 4, a1, 1.0, t)
-               for t, a1 in enumerate([0.9, 1.0, 0.8])]
-    summary = aggregate_trials(reports)
+    rows = [make_row("pls", 0.01, 4, a1, 1.0, t)
+            for t, a1 in enumerate([0.9, 1.0, 0.8])]
+    summary = aggregate_trials(rows, KEYS, STDS)
     assert len(summary) == 1
     row = summary[0]
-    assert row.a1_mean == pytest.approx(0.9)
-    assert row.a1_std == pytest.approx(0.1)
-    assert row.a2_std == 0.0
-    assert row.n_trials == 3 and not row.single_trial
+    assert row["A1"] == pytest.approx(0.9)
+    assert row["A1_std"] == pytest.approx(0.1)
+    assert row["A2_std"] == 0.0
+    assert row["n_trials"] == 3
 
 
 def test_aggregate_single_report_flagged():
-    summary = aggregate_trials([make_report("grnn", 0.05, 2, 0.7, 0.99)])
-    assert summary[0].single_trial
-    assert summary[0].a1_std == 0.0
+    summary = aggregate_trials([make_row("grnn", 0.05, 2, 0.7, 0.99)],
+                               KEYS, STDS)
+    assert summary[0]["n_trials"] == 1
+    assert summary[0]["A1_std"] == summary[0]["A2_std"] == 0.0
 
 
 def test_aggregate_groups_cells_and_orders_rows():
-    reports = [make_report("pls", 0.05, 4, 0.8, 1.0, 0),
-               make_report("pls", 0.05, 4, 0.9, 1.0, 1),
-               make_report("pls", 0.01, 2, 0.5, 1.0, 0),
-               make_report("grnn", 0.01, 2, 0.4, 1.0, 0)]
-    summary = aggregate_trials(reports)
-    keys = [(s.method, s.sigma, s.group) for s in summary]
-    assert keys == [("grnn", 0.01, 2), ("pls", 0.01, 2), ("pls", 0.05, 4)]
-    assert summary[2].n_trials == 2
+    rows = [make_row("pls", 0.05, 4, 0.8, 1.0, 0),
+            make_row("pls", 0.05, 4, 0.9, 1.0, 1),
+            make_row("pls", 0.01, 2, 0.5, 1.0, 0),
+            make_row("grnn", 0.01, 2, 0.4, 1.0, 0),
+            make_row("pls", None, 2, 0.6, 1.0, 0)]
+    summary = aggregate_trials(rows, KEYS, STDS)
+    keys = [tuple(s[k] for k in KEYS) for s in summary]
+    assert keys == [("grnn", 0.01, 2), ("pls", None, 2), ("pls", 0.01, 2),
+                    ("pls", 0.05, 4)]
+    assert summary[3]["n_trials"] == 2
+    # a study without sigma keys its cells by method and group alone
+    risk = [{"method": "pls", "group": g, "mean_abs_diff": d}
+            for g, d in ((3, 0.1), (1, 0.2), (3, 0.3))]
+    summary = aggregate_trials(risk, ("method", "group"),
+                               {"mean_abs_diff": "std"})
+    assert [(s["group"], s["n_trials"]) for s in summary] == [(1, 1), (3, 2)]
+    assert summary[1]["mean_abs_diff"] == pytest.approx(0.2)
+    assert summary[1]["std"] == pytest.approx(0.02 ** 0.5)
 
 
 def test_aggregate_rejects_empty():
     with pytest.raises(ValueError):
-        aggregate_trials([])
+        aggregate_trials([], KEYS, STDS)
