@@ -538,23 +538,35 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = []
+    study, rows = None, []
     for path in args.inputs:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
+            header = tuple(reader.fieldnames or ())
+            layout = next((s for s in STUDY_TABLE.values()
+                           if header[:len(s.keys)] == s.keys), None)
+            if layout is None:
+                raise ConfigError(f"{path}: unknown trials CSV header "
+                                  f"{','.join(header)!r}")
+            if study is not None and layout.keys != study.keys:
+                raise ConfigError(f"{path}: trials CSV layout differs from "
+                                  f"that of {args.inputs[0]}")
+            study = layout
             try:
                 for row in reader:
-                    sigma = float(row["sigma"]) if row.get("sigma") else None
-                    a1, a2 = float(row["A1"]), float(row["A2"])
-                    if not np.isfinite([sigma or 0.0, a1, a2]).all():
+                    cells = {c: float(row[c]) for c in study.stds}
+                    cells.update(method=row["method"], group=int(row["group"]))
+                    if "sigma" in study.keys:  # empty in a study without one
+                        sigma = row["sigma"]
+                        cells["sigma"] = float(sigma) if sigma else None
+                    if not np.isfinite([v for v in cells.values()
+                                        if type(v) is float]).all():
                         raise ValueError("non-finite number")
-                    rows.append({"method": row["method"], "sigma": sigma,
-                                 "group": int(row["group"]), "A1": a1,
-                                 "A2": a2})
+                    rows.append(cells)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}, line {reader.line_num}: missing "
                                   f"or malformed cell ({exc})") from None
-    _write_summary(args.out, STUDY_TABLE["multivariate"], rows)
+    _write_summary(args.out, study, rows)
     print(args.out)
     return 0
 

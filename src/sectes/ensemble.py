@@ -9,11 +9,7 @@ Members that diverge during training score 0 and fall out naturally.
 
 from __future__ import annotations
 
-import itertools
-import mmap
-import multiprocessing
 from concurrent.futures import FIRST_COMPLETED, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,7 +18,7 @@ from .ctes import (CtesModel, TrainConfig, _as_rng, synthesize_each,
                    train_ctes)
 from .datagen import PairedDataset
 from .errors import ConfigError, EnsembleError, TrainingDiverged
-from .forest import ForestConfig, fit_forest, predict_forest
+from .forest import Forest, ForestConfig, fit_forest, predict_forest
 from .parallel import task_pool
 
 
@@ -87,61 +83,25 @@ def inverse_validation_scores(fake_batches: list, real: np.ndarray,
 
 
 def _member_score(peers: list, real: np.ndarray, cfg: ForestConfig,
-                  batch: np.ndarray | int) -> float | None:
+                  batch: np.ndarray | None) -> float | Forest:
     """A member's inverse-validation score: the share of its batch that a
     forest fitted to its peers' batches (category 0) against the real
     rows (category 1) puts in category 0.
 
-    For a member still training, ``batch`` is instead the key of its
-    late-batch slot, read once the forest is fitted; a member that
-    diverged there gives None.
+    For a member still training ``batch`` is None, and the fitted forest
+    is returned for the caller to score once the member's batch exists.
     """
     peers = np.vstack(peers)
     peers = peers[np.lexsort(peers.T[::-1])]
     X = np.vstack([peers, real])
     y = np.repeat([0, 1], [peers.shape[0], real.shape[0]])
     clf = fit_forest(X, y, cfg)
-    if isinstance(batch, int):
-        ready, batch = _late_batches[batch]
-        if not ready.recv():
-            return None
-    return float(np.mean(predict_forest(clf, batch) == 0))
+    return clf if batch is None else _peer_share(clf, batch)
 
 
-# A forest started before its own member is done waits, in its worker,
-# for that member's batch. The batch is copied to memory shared with the
-# pool's workers, and a flag sent down a pipe says whether it is there.
-# The workers inherit both: the pool forks them at its first task, after
-# the slot is made. A flag never fills the pipe, so sending it never
-# waits for the worker. Slots are kept by call, so concurrent calls stay
-# apart.
-_late_batches: dict = {}
-_calls = itertools.count()
-
-
-@contextmanager
-def _late_batch_slot(shape: tuple):
-    """Yield (key, post) of a new slot for a batch of ``shape``.
-    ``post(batch)`` hands the batch to a forest waiting on ``key``;
-    ``post(None)``, or leaving the block, tells it no batch will come."""
-    key = next(_calls)
-    ready, sender = multiprocessing.Pipe(duplex=False)
-    nbytes = 8 * int(np.prod(shape))
-    shared = np.ndarray(shape, buffer=mmap.mmap(-1, max(nbytes, 1)))
-    _late_batches[key] = ready, shared
-
-    def post(batch):
-        if batch is not None:
-            shared[...] = batch
-        sender.send(batch is not None)
-
-    try:
-        yield key, post
-    finally:
-        sender.send(False)
-        del _late_batches[key]
-        ready.close()
-        sender.close()
+def _peer_share(forest: Forest, batch: np.ndarray) -> float:
+    """The share of ``batch`` that ``forest`` puts in category 0."""
+    return float(np.mean(predict_forest(forest, batch) == 0))
 
 
 def select_top_h(scores, h: int) -> list[int]:
@@ -172,9 +132,10 @@ def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleMod
     fitted on the other members' batches only, so it starts as soon as
     every other member has finished or diverged, while member i may still
     be training. Each member's batch is synthesized here as the member
-    arrives; a forest that started early gets its member's batch through
-    shared memory and scores it in its worker. A diverged member gets no
-    score. Every task has its own seed, so the result does not depend on the
+    arrives. A forest that started before its member was done comes back
+    fitted and is scored here once the member arrives; if the member
+    diverged, the forest is dropped. A diverged member gets no score.
+    Every task has its own seed, so the result does not depend on the
     number of workers or on the order in which tasks finish. Once more
     than k - h members have diverged, the queued tasks are cancelled and
     :class:`EnsembleError` is raised.
@@ -192,40 +153,39 @@ def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleMod
     models: list = [None] * k
     diagnostics: list = [None] * k
     batches: dict = {}  # finished member -> its synthesized batch
+    early: dict = {}  # member still training -> its fitted forest
     scores = np.zeros(k)
-    with (task_pool(k) as pool,
-          _late_batch_slot(dataset.y.shape) as (key, post_late_batch)):
+    with task_pool(k) as pool:
         pending = {pool.submit(_train_member, dataset, cfg): ("member", i)
                    for i, cfg in enumerate(member_cfgs)}
         training = set(range(k))
         forest_due = set(range(k))
-        # the member whose forest started before it was done; never set
-        # when tasks run inline, as every member is then done at the
-        # first wait
-        early = None
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in sorted(done, key=pending.get):
                 kind, i = pending.pop(future)
                 out = future.result()
                 if kind == "score":
-                    if out is not None:
-                        scores[i] = out
-                    continue
-                training.discard(i)
-                if isinstance(out, TrainingDiverged):
-                    diagnostics[i] = f"member {i} diverged: {out}"
+                    scores[i] = out
+                elif kind == "forest":
+                    early[i] = out
                 else:
-                    models[i] = out
-                    batches[i] = synthesize_each(
-                        out, dataset.x, jitter=0.0,
-                        rng=np.random.default_rng(member_children[i][1]))
-                if i == early:
-                    post_late_batch(batches.get(i))
+                    training.discard(i)
+                    if isinstance(out, TrainingDiverged):
+                        diagnostics[i] = f"member {i} diverged: {out}"
+                    else:
+                        models[i] = out
+                        batches[i] = synthesize_each(
+                            out, dataset.x, jitter=0.0,
+                            rng=np.random.default_rng(member_children[i][1]))
                 diverged = k - len(training) - len(batches)
                 if k - diverged < h:
                     raise EnsembleError(f"{diverged} of {k} members diverged; "
                                         f"need at least h={h} to finish")
+                if i in early and i not in training:  # its member is done
+                    forest = early.pop(i)
+                    if i in batches:  # else the member diverged
+                        scores[i] = _peer_share(forest, batches[i])
             # forest j waits for every member but j; a diverged member, or
             # one without a finished peer, gets none
             for j in sorted(forest_due):
@@ -234,11 +194,9 @@ def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleMod
                 forest_due.discard(j)
                 peers = [batches[p] for p in sorted(batches) if p != j]
                 if peers and (j in batches or j in training):
-                    if j in training:
-                        early = j
-                    batch = batches[j] if j in batches else key
+                    kind = "score" if j in batches else "forest"
                     pending[pool.submit(_member_score, peers, dataset.y,
-                                        clf_cfg, batch)] = ("score", j)
+                                        clf_cfg, batches.get(j))] = (kind, j)
 
     if len(batches) == 1:  # a single finished member is selected by default
         scores[next(iter(batches))] = 1.0

@@ -305,6 +305,34 @@ def test_tabular_risk_bench_and_validate(tmp_path, capsys):
                         r"std=\d\.\d{3} n=20\n", capsys.readouterr().out)
 
 
+def test_report_summarizes_a_tabular_risk_bench(tmp_path, capsys):
+    tabular_csv(tmp_path / "risk.csv")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "study": "tabular-risk", "data_csv": str(tmp_path / "risk.csv"),
+        "trials": 2, "methods": ["pls"], "groups": [1, 3], "master_seed": 4}))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 0
+    trials, summary = out / "tabular-risk_trials.csv", tmp_path / "s.csv"
+    assert main(["report", "--inputs", str(trials), "--out", str(summary)]) == 0
+    assert summary.read_bytes() == \
+        (out / "tabular-risk_summary.csv").read_bytes()
+
+    identify = tmp_path / "identify.csv"
+    identify.write_text("method,sigma,group,trial,A1,A2\n"
+                        "pls,0.05,3,0,0.5,1.0\n")
+    capsys.readouterr()
+    assert main(["report", "--inputs", str(trials), str(identify),
+                 "--out", str(summary)]) == 2
+    _single_error_line(capsys, str(identify), "layout differs from",
+                       str(trials))
+    unknown = tmp_path / "unknown.csv"
+    unknown.write_text("group,method,trial,A1\n3,pls,0,0.5\n")
+    assert main(["report", "--inputs", str(unknown), "--out", str(summary)]) \
+        == 2
+    _single_error_line(capsys, str(unknown), "unknown trials CSV header")
+
+
 PINNED_GRIDS = {
     "multivariate": (
         {"methods": ["pls", "grnn", "cgan", "gan-cls", "ctes", "se-ctes"],

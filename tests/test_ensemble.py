@@ -4,10 +4,12 @@ import pickle
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectes import ensemble as ensemble_mod
 from sectes import parallel
@@ -287,6 +289,9 @@ def slow_member(monkeypatch, cfg, member, seconds):
 
 def test_train_se_ctes_pooled_with_batches_larger_than_a_pipe(
         monkeypatch, one_blas_thread):
+    """Member 2's forest is fitted in a worker while member 2 trains and
+    comes back to the caller, which scores member 2's large batch: the
+    pooled early path gives the one-process result."""
     ds = wide_dataset()
     assert ds.y.nbytes > 64 * 1024
     cfg = tiny_ensemble_config(k=3, h=1, seed=8)
@@ -300,8 +305,8 @@ def test_train_se_ctes_pooled_with_batches_larger_than_a_pipe(
 def test_train_se_ctes_raises_when_an_early_forest_fails(monkeypatch,
                                                         one_blas_thread):
     """Member 2's forest starts while member 2 trains and fails after
-    member 2 is done. Its error reaches the caller: handing member 2's
-    large batch over must not wait for the failed forest to take it."""
+    member 2 is done. Its error reaches the caller, and the pool leaves
+    no worker behind."""
     ds = wide_dataset()
     cfg = tiny_ensemble_config(k=3, h=1, seed=8)
     slow_member(monkeypatch, cfg, 2, 0.5)
@@ -314,6 +319,50 @@ def test_train_se_ctes_raises_when_an_early_forest_fails(monkeypatch,
     with pytest.raises(RuntimeError, match="forest failed"):
         train_se_ctes(ds, cfg)
     assert multiprocessing.active_children() == []
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_train_se_ctes_result_does_not_depend_on_completion_order(data):
+    """Tasks are computed as they are submitted, but the scheduler learns
+    of each one only when a drawn ``wait`` releases it, so any order of
+    finishing can be drawn, early forests included."""
+    k = data.draw(st.integers(3, 7), label="k")
+    h = data.draw(st.integers(1, (k - 1) // 2), label="h")
+    doomed = data.draw(st.sets(st.integers(0, k - 1)), label="diverging")
+    cfg = EnsembleConfig(k=k, h=h, train=TrainConfig(iterations=3,
+                                                     batch_size=10),
+                         clf=ForestConfig(n_trees=5), seed=k)
+    submitted = []
+
+    class HeldExecutor(parallel.InlineExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(super().submit(fn, *args, **kwargs))
+            return submitted[-1]
+
+    def release_one(fs, return_when):
+        held = [f for f in submitted if f in fs]
+        one = held[data.draw(st.integers(0, len(held) - 1), label="next")]
+        return {one}, set(fs) - {one}
+
+    def run():
+        try:
+            return train_se_ctes(small_dataset(), cfg)
+        except EnsembleError:
+            return None
+
+    with pytest.MonkeyPatch.context() as mp:
+        force_divergence(mp, cfg, doomed)
+        mp.setattr(ensemble_mod, "task_pool",
+                   lambda tasks: nullcontext(parallel.InlineExecutor()))
+        want = run()
+        mp.setattr(ensemble_mod, "task_pool",
+                   lambda tasks: nullcontext(HeldExecutor()))
+        mp.setattr(ensemble_mod, "wait", release_one)
+        got = run()
+    assert (want is None) == (got is None) == (len(doomed) > k - h)
+    if want is not None:
+        assert_same_ensemble(got, want)
 
 
 def test_train_se_ctes_too_many_failures(monkeypatch):
