@@ -442,3 +442,34 @@ def test_training_run_matches_pinned_digest(case, digest):
         model = train_ctes(matrix_toy_dataset(), TrainConfig(
             iterations=20, batch_size=8, seed=21, conv_channels=(4, 8)))
     assert training_digest(model) == digest
+
+
+# Digests of the dense trainer on the paths the two pins above miss,
+# taken from the trainer with one Adam state per network, hstack/vstack
+# pair batches and a convergence window rebuilt from list slices every
+# iteration. The same numpy-build caveat applies.
+@pytest.mark.parametrize("n, overrides, iterations_run, digest", [
+    pytest.param(80, {"beta": 1.0}, 40, "da254f12b6f357ea91ff85de92895a92"
+                 "841cfe8fc7c3ffb00f9e4340661bb688", id="cgan"),
+    pytest.param(80, {"beta": 0.5}, 40, "bddebd7980cf6f2495a9316a140d8349"
+                 "868684bc1e071c752711f8d72bda201b", id="gan-cls"),
+    pytest.param(12, {}, 40, "f1a200ff182203c052f008a5e52639e7"
+                 "3ed62993d814d1e301e7c454c12e8e08", id="batch-over-rows"),
+    pytest.param(80, {"hidden": 32}, 40, "250600555648c55b9ca8887423216fa8"
+                 "e251bd3cfe1cf96fba951833c4ea085e", id="hidden-32"),
+    pytest.param(80, {"iterations": 400, "convergence_window": 30,
+                      "convergence_tol": 0.016}, 241,
+                 "001471fe8821c3d5e067e0140ed23e76"
+                 "6808f1d5b3f6abe048fd2d4727a5205f", id="converged"),
+])
+def test_dense_training_paths_match_pinned_digests(n, overrides,
+                                                   iterations_run, digest):
+    settings = {"iterations": 40, "batch_size": 16, "seed": 21, **overrides}
+    if settings.get("beta", 0.9) <= 0.5:
+        with pytest.warns(UserWarning, match="beta=0.5"):
+            cfg = TrainConfig(**settings)
+    else:
+        cfg = TrainConfig(**settings)
+    model = train_ctes(toy_dataset(n=n), cfg)
+    assert model.iterations_run == iterations_run
+    assert training_digest(model) == digest

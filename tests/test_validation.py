@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,24 @@ def test_conv_classifier_separates_easy_classes():
     clf = fit_conv_classifier(Y, labels, (4, 4), seed=0, epochs=30)
     pred = predict_conv_classifier(clf, Y)
     assert np.mean(pred == labels) >= 0.95
+
+
+def test_conv_classifier_matches_pinned_digest():
+    # taken from the classifier with one Adam state per network; it pins
+    # this numpy build's float64 results, like the trainer digests
+    rng = np.random.default_rng(8)
+    Y = np.vstack([rng.normal(0.0, 0.2, size=(40, 16)),
+                   rng.normal(3.0, 0.2, size=(40, 16))])
+    labels = np.array([0] * 40 + [1] * 40)
+    clf = fit_conv_classifier(Y, labels, (4, 4), seed=0, epochs=5, batch=16,
+                              channels=(4, 8))
+    h = hashlib.sha256()
+    for net in (clf.encoder, clf.head):
+        for lay in net.layers:
+            h.update(lay["W"].tobytes())
+            h.update(lay["b"].tobytes())
+    assert h.hexdigest() == ("5dca448014be6893fcc27f07da882f62"
+                             "9c980d46657aeceb9331d5e244be1f76")
 
 
 def test_conv_encoders_share_the_channel_check():
