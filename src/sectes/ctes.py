@@ -51,6 +51,8 @@ class TrainConfig:
                               "needs two distinct characteristics)")
         if self.iterations < 0 or self.z_dim < 1:
             raise ConfigError("iterations must be >= 0 and z_dim >= 1")
+        if self.convergence_window < 0:
+            raise ConfigError("convergence_window must be >= 0")
         if self.jitter < 0:
             raise ConfigError("jitter must be >= 0")
         if not self.learning_rate > 0:
@@ -203,44 +205,54 @@ def _as_seed_seq(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _gen_forward_traced(gen: GeneratorModel, z: np.ndarray, xn: np.ndarray):
-    """Normalized-space generator pass; returns (yhat_n, mixer/decoder traces)."""
-    mix_tr = ndnet.forward(gen.mixer, np.hstack([z, xn]))
+def _gen_forward_traced(gen: GeneratorModel, mix_in: np.ndarray,
+                        out: np.ndarray):
+    """Normalized-space generator pass over mixer input rows [z | xn]; the
+    decoder writes the expression rows into ``out``, a contiguous (B, n)
+    array. Returns the mixer and decoder traces."""
+    mix_tr = ndnet.forward(gen.mixer, mix_in)
     dec_in = mix_tr.output
     if gen.expr_shape is not None:
         dec_in = dec_in.reshape(dec_in.shape[0], -1, 1, 1)
-    dec_tr = ndnet.forward(gen.decoder, dec_in)
-    yhat_n = dec_tr.output.reshape(z.shape[0], -1)
-    return yhat_n, mix_tr, dec_tr
+        out = out.reshape(out.shape[0], 1, *gen.expr_shape)
+    dec_tr = ndnet.forward(gen.decoder, dec_in, out)
+    return mix_tr, dec_tr
 
 
-def _disc_scores_traced(disc: DiscriminatorModel, xn: np.ndarray, yn: np.ndarray):
-    """Normalized-space discriminator pass; returns (scores, traces)."""
-    enc_in = yn
+def _disc_scores_traced(disc: DiscriminatorModel, m: int, yn: np.ndarray,
+                        head_in: np.ndarray):
+    """Normalized-space discriminator pass over expression rows ``yn``.
+    The first m columns of ``head_in`` hold the matching normalized
+    characteristic rows, and the encoder writes its encodings into the
+    rest. Returns (scores, encoder/head traces)."""
+    enc_in, enc_out = yn, head_in[:, m:]
     if disc.expr_shape is not None:
-        h, w = disc.expr_shape
-        enc_in = yn.reshape(yn.shape[0], 1, h, w)
-    enc_tr = ndnet.forward(disc.encoder, enc_in)
-    enc_out = enc_tr.output.reshape(yn.shape[0], -1)
-    head_tr = ndnet.forward(disc.head, np.hstack([xn, enc_out]))
+        enc_in = yn.reshape(yn.shape[0], 1, *disc.expr_shape)
+        enc_out = enc_out[:, :, None, None]
+    enc_tr = ndnet.forward(disc.encoder, enc_in, enc_out)
+    head_tr = ndnet.forward(disc.head, head_in)
     return head_tr.output[:, 0], enc_tr, head_tr
 
 
 def _disc_backward(disc: DiscriminatorModel, m: int, enc_tr, head_tr,
-                   score_grad: np.ndarray, y_grad: bool = True):
-    """Backprop a per-row score gradient through head and encoder; the
-    parameter gradients are summed over every traced row, so one call
-    serves a stacked batch of pair types. Returns (head grads, encoder
-    grads, gradient w.r.t. the normalized expression rows, or None when
-    ``y_grad`` is false)."""
-    head_grads, head_in_grad = ndnet.backprop(disc.head, head_tr,
-                                              score_grad[:, None])
+                   score_grad: np.ndarray, grads: tuple | None = None):
+    """Backprop a per-row score gradient through head and encoder.
+
+    With ``grads``, the (head, encoder) gradients of an
+    :class:`ndnet.OptState`, only the parameter gradients are computed,
+    summed over every traced row so that one call serves a stacked batch
+    of pair types, and written there; None is returned. Without, only
+    the gradient w.r.t. the normalized expression rows is computed and
+    returned."""
+    head_out, enc_out = (None, None) if grads is None else grads
+    _, head_in_grad = ndnet.backprop(disc.head, head_tr, score_grad[:, None],
+                                     param_grads=grads is not None,
+                                     out=head_out)
     enc_grad = head_in_grad[:, m:].reshape(enc_tr.output.shape)
-    enc_grads, g = ndnet.backprop(disc.encoder, enc_tr, enc_grad,
-                                  input_grad=y_grad)
-    if g is not None:
-        g = g.reshape(score_grad.shape[0], -1)
-    return head_grads, enc_grads, g
+    _, g = ndnet.backprop(disc.encoder, enc_tr, enc_grad,
+                          input_grad=grads is None,
+                          param_grads=grads is not None, out=enc_out)
+    return None if g is None else g.reshape(score_grad.shape[0], -1)
 
 
 def discriminator_forward(disc: DiscriminatorModel, x: np.ndarray,
@@ -250,14 +262,16 @@ def discriminator_forward(disc: DiscriminatorModel, x: np.ndarray,
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.size != disc.norm.x_mean.size or y.size != disc.norm.y_mean.size:
         raise ValueError("dimension mismatch")
-    xn = disc.norm.norm_x(x)[None, :]
-    yn = disc.norm.norm_y(y)[None, :]
-    scores, _, _ = _disc_scores_traced(disc, xn, yn)
+    head_in = np.empty((1, disc.head.spec[0].in_size))
+    head_in[0, :x.size] = disc.norm.norm_x(x)
+    scores, _, _ = _disc_scores_traced(disc, x.size,
+                                       disc.norm.norm_y(y)[None, :], head_in)
     return float(scores[0])
 
 
 def _clamp(scores: np.ndarray) -> np.ndarray:
-    return np.clip(scores, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    # np.clip's semantics, without its Python-level dispatch
+    return np.minimum(np.maximum(scores, PROB_CLAMP), 1.0 - PROB_CLAMP)
 
 
 def discriminator_loss(d_real, d_fake_y, d_fake_x, beta: float):
@@ -316,24 +330,25 @@ def sample_mismatch(batch_indices, table: MismatchTable,
     return table.order[r + count * (r >= table.start[batch_indices])]
 
 
-def _disc_step_grads(disc: DiscriminatorModel, m: int, xn, yn, yhat_n,
-                     xn_mis, beta: float):
+def _disc_step_grads(disc: DiscriminatorModel, m: int, enc_in, head_in,
+                     beta: float, grads: tuple):
     """Score the real (x, y), generated (x, yhat) and mismatched (x', y)
-    pairs as one stacked 3s-row batch and backprop the negated three-pair
-    objective once. Returns (L_D, the 3s scores in that pair order, head
-    grads, encoder grads)."""
-    s = xn.shape[0]
-    scores, enc_tr, head_tr = _disc_scores_traced(
-        disc, np.vstack([xn, xn, xn_mis]), np.vstack([yn, yhat_n, yn]))
+    pairs as one stacked 3s-row batch: expression rows ``enc_in`` are y,
+    yhat, y, and the first m columns of ``head_in`` hold x, x, x'.
+    Backprop the negated three-pair objective once, into ``grads``, the
+    (head, encoder) gradients of an :class:`ndnet.OptState`. Returns
+    (L_D, the 3s scores in that pair order)."""
+    s = enc_in.shape[0] // 3
+    scores, enc_tr, head_tr = _disc_scores_traced(disc, m, enc_in, head_in)
     d_real, d_fy, d_fx = scores[:s], scores[s:2 * s], scores[2 * s:]
     loss_d = float(np.mean(discriminator_loss(d_real, d_fy, d_fx, beta)))
-    # minimizing -L_D: d/dd of -log terms, scores clamped like the loss
-    score_grad = np.concatenate([-1.0 / (s * _clamp(d_real)),
-                                 beta / (s * _clamp(1.0 - d_fy)),
-                                 (1.0 - beta) / (s * _clamp(1.0 - d_fx))])
-    head_grads, enc_grads, _ = _disc_backward(disc, m, enc_tr, head_tr,
-                                              score_grad, y_grad=False)
-    return loss_d, scores, head_grads, enc_grads
+    # minimizing -L_D: d/dd of the -log terms, weighted -1, beta and
+    # 1 - beta, at d_real, 1 - d_fy and 1 - d_fx clamped like the loss
+    at = scores.copy()
+    np.subtract(1.0, scores[s:], out=at[s:])
+    score_grad = np.repeat([-1.0, beta, 1.0 - beta], s) / (s * _clamp(at))
+    _disc_backward(disc, m, enc_tr, head_tr, score_grad, grads)
+    return loss_d, scores
 
 
 def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
@@ -362,37 +377,52 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
     gen.norm = disc.norm = norm
     rng = np.random.default_rng(seeds[2])
 
-    opt = {net: ndnet.init_opt_state(params, config.learning_rate)
-           for net, params in (("mixer", gen.mixer), ("decoder", gen.decoder),
-                               ("encoder", disc.encoder), ("head", disc.head))}
+    # one Adam state per player; backprop writes into their gradients
+    d_nets, g_nets = (disc.head, disc.encoder), (gen.decoder, gen.mixer)
+    opt_d = ndnet.init_opt_state(d_nets, config.learning_rate)
+    opt_g = ndnet.init_opt_state(g_nets, config.learning_rate)
+    dec_grads, mix_grads = opt_g.grads
 
-    s = config.batch_size
+    s, zd = config.batch_size, config.z_dim
     N = dataset.n_samples
     beta = config.beta
-    loss_d_trace, loss_g_trace = [], []
+    # pair batches, filled in place: the mixer reads [z | x], the encoder
+    # y, yhat (which the decoder writes) and y, and the head [x | encoding]
+    # of the three pair types; the G step reuses the yhat third
+    mix_in = np.empty((s, zd + m))
+    enc_in = np.empty((3 * s, n))
+    head_in = np.empty((3 * s, disc.head.spec[0].in_size))
+    fake = slice(s, 2 * s)
+    # L_D and L_G, and their absolute change from the previous iteration
+    losses = np.empty((2, config.iterations))
+    changes = np.empty((2, config.iterations))
+    w, tol = config.convergence_window, config.convergence_tol
+    iterations_run = config.iterations
     score_min, score_max = np.inf, -np.inf
 
     for it in range(config.iterations):
         idx = rng.choice(N, size=s, replace=N < s)
         mis = sample_mismatch(idx, mismatch, rng)
-        z = rng.standard_normal((s, config.z_dim))
-        xb = xn_all[idx]
+        mix_in[:, :zd] = rng.standard_normal((s, zd))
+        mix_in[:, zd:] = head_in[:s, :m] = head_in[fake, :m] = xn_all[idx]
+        head_in[2 * s:, :m] = xn_all[mis]
+        enc_in[:s] = enc_in[2 * s:] = yn_all[idx]
 
         # --- discriminator ascent on the three-pair objective
-        yhat_n, mix_tr, dec_tr = _gen_forward_traced(gen, z, xb)
-        loss_d, scores, head_grads, enc_grads = _disc_step_grads(
-            disc, m, xb, yn_all[idx], yhat_n, xn_all[mis], beta)
+        mix_tr, dec_tr = _gen_forward_traced(gen, mix_in, enc_in[fake])
+        loss_d, scores = _disc_step_grads(disc, m, enc_in, head_in, beta,
+                                          opt_d.grads)
         if not np.isfinite(loss_d):
             raise TrainingDiverged(f"discriminator loss became {loss_d} at "
                                    f"iteration {it}", iteration=it)
         score_min = min(score_min, float(scores.min()))
         score_max = max(score_max, float(scores.max()))
-        ndnet.optimizer_step(disc.head, head_grads, opt["head"])
-        ndnet.optimizer_step(disc.encoder, enc_grads, opt["encoder"])
+        ndnet.optimizer_step(d_nets, opt_d)
 
         # --- generator ascent on log D(x, yhat) against the updated D; the
         # D step left the generator unchanged, so its traces still hold
-        d_fy2, enc_tr, head_tr = _disc_scores_traced(disc, xb, yhat_n)
+        d_fy2, enc_tr, head_tr = _disc_scores_traced(disc, m, enc_in[fake],
+                                                     head_in[fake])
         loss_g = float(np.mean(generator_loss(d_fy2)))
         if not np.isfinite(loss_g):
             raise TrainingDiverged(f"generator loss became {loss_g} at "
@@ -400,34 +430,33 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
         score_min = min(score_min, float(d_fy2.min()))
         score_max = max(score_max, float(d_fy2.max()))
         g_score = -1.0 / (s * _clamp(d_fy2))
-        _, _, yhat_grad = _disc_backward(disc, m, enc_tr, head_tr, g_score)
-        dec_out_grad = yhat_grad.reshape(dec_tr.output.shape)
-        dec_grads, dec_in_grad = ndnet.backprop(gen.decoder, dec_tr, dec_out_grad)
-        mix_grads, _ = ndnet.backprop(gen.mixer, mix_tr,
-                                      dec_in_grad.reshape(mix_tr.output.shape),
-                                      input_grad=False)
-        ndnet.optimizer_step(gen.decoder, dec_grads, opt["decoder"])
-        ndnet.optimizer_step(gen.mixer, mix_grads, opt["mixer"])
+        yhat_grad = _disc_backward(disc, m, enc_tr, head_tr, g_score)
+        _, dec_in_grad = ndnet.backprop(
+            gen.decoder, dec_tr, yhat_grad.reshape(dec_tr.output.shape),
+            out=dec_grads)
+        ndnet.backprop(gen.mixer, mix_tr,
+                       dec_in_grad.reshape(mix_tr.output.shape),
+                       input_grad=False, out=mix_grads)
+        ndnet.optimizer_step(g_nets, opt_g)
 
-        loss_d_trace.append(loss_d)
-        loss_g_trace.append(loss_g)
-        w = config.convergence_window
-        if len(loss_d_trace) > w:
-            dd = np.abs(np.diff(loss_d_trace[-(w + 1):])).mean()
-            dg = np.abs(np.diff(loss_g_trace[-(w + 1):])).mean()
-            if dd < config.convergence_tol and dg < config.convergence_tol:
-                break
+        losses[:, it] = loss_d, loss_g
+        if it:
+            np.abs(losses[:, it] - losses[:, it - 1], out=changes[:, it])
+        if (it >= w and changes[0, it - w + 1:it + 1].mean() < tol
+                and changes[1, it - w + 1:it + 1].mean() < tol):
+            iterations_run = it + 1
+            break
 
     # the model keeps copies of the parameters, so that the optimizer
     # buffers holding them and their Adam moments are freed
-    for params in (gen.mixer, gen.decoder, disc.encoder, disc.head):
+    for params in (*g_nets, *d_nets):
         for lay in params.layers:
             for key in lay:
                 lay[key] = lay[key].copy()
     return CtesModel(generator=gen, discriminator=disc, config=config,
-                     loss_d=np.array(loss_d_trace),
-                     loss_g=np.array(loss_g_trace),
-                     iterations_run=len(loss_d_trace),
+                     loss_d=losses[0, :iterations_run].copy(),
+                     loss_g=losses[1, :iterations_run].copy(),
+                     iterations_run=iterations_run,
                      diagnostics={"score_min": score_min,
                                   "score_max": score_max})
 
@@ -454,7 +483,8 @@ def synthesize_each(model: CtesModel, X: np.ndarray,
     if jitter > 0:
         X = X + rng.normal(0.0, jitter, size=X.shape)
     z = rng.standard_normal((X.shape[0], gen.z_dim))
-    yhat_n, _, _ = _gen_forward_traced(gen, z, gen.norm.norm_x(X))
+    yhat_n = np.empty((X.shape[0], gen.norm.y_mean.size))
+    _gen_forward_traced(gen, np.hstack([z, gen.norm.norm_x(X)]), yhat_n)
     return gen.norm.denorm_y(yhat_n)
 
 

@@ -148,20 +148,27 @@ def init_params(spec: list[LayerSpec], seed: int) -> NetParams:
     return NetParams(spec=list(spec), layers=layers)
 
 
-def _apply_activation(z: np.ndarray, act: str) -> np.ndarray:
+def _apply_activation(z: np.ndarray, act: str,
+                      out: np.ndarray | None = None) -> np.ndarray:
     if act == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if act == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -SIGMOID_CLAMP, SIGMOID_CLAMP)))
-    return z
+        # np.clip's result, without its Python-level dispatch
+        clamped = np.minimum(np.maximum(z, -SIGMOID_CLAMP), SIGMOID_CLAMP)
+        return np.divide(1.0, 1.0 + np.exp(-clamped), out=out)
+    if out is None:
+        return z
+    out[...] = z
+    return out
 
 
 def _activation_backward(g: np.ndarray, z: np.ndarray, post: np.ndarray,
-                         act: str) -> np.ndarray:
+                         act: str, in_place: bool) -> np.ndarray:
     """Gradient at the pre-activation z from the gradient g at its
-    activation ``post``."""
+    activation ``post``; the relu mask is applied to g itself when
+    ``in_place``."""
     if act == "relu":
-        return g * (z > 0.0).astype(z.dtype)
+        return np.multiply(g, z > 0.0, out=g if in_place else None)
     if act == "sigmoid":
         return g * (post * (1.0 - post))
     return g
@@ -252,22 +259,26 @@ def _conv_weight_grad(g, xp, lay: LayerSpec):
     return dW.transpose(3, 0, 1, 2)
 
 
-def forward(params: NetParams, x: np.ndarray) -> Trace:
+def forward(params: NetParams, x: np.ndarray,
+            out: np.ndarray | None = None) -> Trace:
     """Run the network, recording every intermediate activation.
 
     Pure function of (params, x); returns a :class:`Trace` whose final
-    entry is the network output.
+    entry is the network output. With ``out``, an array of the output's
+    shape, the last layer writes its activation there.
     """
     x, _ = _promote(params, x)
     pre, post = [], []
     a = x
-    for lay, weights in zip(params.spec, params.layers):
+    last = len(params.spec) - 1
+    for i, (lay, weights) in enumerate(zip(params.spec, params.layers)):
         W, b = weights["W"], weights["b"]
         if lay.kind == "dense":
             if a.shape[1] != lay.in_size:
                 raise ValueError(f"input width {a.shape[1]} != layer "
                                  f"in_size {lay.in_size}")
-            z = a @ W + b
+            z = a @ W
+            z += b
         else:
             if a.shape[1] != lay.in_channels:
                 raise ValueError("channel mismatch")
@@ -278,22 +289,31 @@ def forward(params: NetParams, x: np.ndarray) -> Trace:
             else:
                 full = _conv_scatter(a, W, lay, ho + 2 * p, wo + 2 * p)
                 z = full[:, :, p:p + ho, p:p + wo]
-            z = z + b[None, :, None, None]
-        a = _apply_activation(z, lay.activation)
+            z += b[None, :, None, None]
+        a = _apply_activation(z, lay.activation, out if i == last else None)
         pre.append(z)
         post.append(a)
     return Trace(x=x, pre=pre, post=post)
 
 
+_NO_OUT = {"W": None, "b": None}
+
+
 def backprop(params: NetParams, trace: Trace, out_grad: np.ndarray,
-             input_grad: bool = True) -> tuple[list[dict], np.ndarray | None]:
+             input_grad: bool = True, param_grads: bool = True,
+             out: list[dict] | None = None
+             ) -> tuple[list[dict] | None, np.ndarray | None]:
     """Exact reverse-mode gradients of the forward map.
 
     ``out_grad`` is the loss gradient with respect to the network output
     (post-activation). Returns (per-layer {"W","b"} gradients, gradient
     with respect to the network input). With ``input_grad=False`` the
     first layer's input gradient is not computed and None takes its
-    place; the parameter gradients are the same.
+    place; the parameter gradients are the same. With
+    ``param_grads=False`` only the input gradient is computed, and None
+    takes the parameter gradients' place. ``out`` gives per-layer
+    {"W","b"} arrays that the parameter gradients are written into and
+    returned as (such as :attr:`OptState.grads`).
     """
     if len(trace.pre) != len(params.spec):
         raise ValueError("trace does not match network depth")
@@ -303,33 +323,45 @@ def backprop(params: NetParams, trace: Trace, out_grad: np.ndarray,
     if g.shape != trace.output.shape:
         raise ValueError(f"out_grad shape {g.shape} != output shape "
                          f"{trace.output.shape}")
-    grads: list[dict] = [None] * len(params.spec)
+    grads: list[dict] | None = [None] * len(params.spec) if param_grads else None
+    # masks are applied in place only on contiguous gradients made here:
+    # out_grad is the caller's, and on a strided view the new layout
+    # would reorder the bias gradient's sum
+    owned = False
     for i in range(len(params.spec) - 1, -1, -1):
         lay = params.spec[i]
         W = params.layers[i]["W"]
         a_prev = trace.post[i - 1] if i > 0 else trace.x
         g = _activation_backward(g, trace.pre[i], trace.post[i],
-                                 lay.activation)
+                                 lay.activation,
+                                 owned and g.flags.c_contiguous)
         need_in = i > 0 or input_grad
+        dst = _NO_OUT if out is None else out[i]
+        p, g_in = lay.padding, None
         if lay.kind == "dense":
-            grads[i] = {"W": a_prev.T @ g, "b": g.sum(axis=0)}
-            g = g @ W.T if need_in else None
-            continue
-        p, (h, w) = lay.padding, a_prev.shape[2:]
-        g_in = None
-        if lay.kind == "conv2d":
-            xp = _pad(a_prev, p)
-            dW = _conv_weight_grad(g, xp, lay)
+            dW = np.matmul(a_prev.T, g, out=dst["W"]) if param_grads else None
+            if need_in:
+                # one output column: its K = 1 product is a broadcast
+                g_in = g * W[:, 0] if lay.out_size == 1 else g @ W.T
+        elif lay.kind == "conv2d":
+            xp, (h, w) = _pad(a_prev, p), a_prev.shape[2:]
+            dW = _conv_weight_grad(g, xp, lay) if param_grads else None
             if need_in:
                 dxp = _conv_scatter(g, W, lay, *xp.shape[2:])
                 g_in = dxp[:, :, p:p + h, p:p + w]
         else:
             gp = _pad(g, p)
-            dW = _conv_weight_grad(a_prev, gp, lay)
+            dW = _conv_weight_grad(a_prev, gp, lay) if param_grads else None
             if need_in:
                 g_in = _conv_contract(gp, W, lay)
-        grads[i] = {"W": dW, "b": g.sum(axis=(0, 2, 3))}
-        g = g_in
+        if param_grads:
+            if dst["W"] is not None and dW is not dst["W"]:
+                dst["W"][...] = dW
+                dW = dst["W"]
+            axes = 0 if lay.kind == "dense" else (0, 2, 3)
+            grads[i] = {"W": dW,
+                        "b": np.add.reduce(g, axis=axes, out=dst["b"])}
+        g, owned = g_in, True
     return grads, g
 
 
@@ -340,72 +372,79 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptState:
-    """Adam state of one network: a contiguous (3, n) float64 buffer whose
-    rows hold the network's n parameters and their first and second
-    moment estimates. The network's layer arrays are ``views`` into the
-    first row."""
+    """Adam state of the networks that one player steps together: a
+    contiguous (6, n) float64 buffer whose rows hold the networks' n
+    parameters, their gradients, the first and second moment estimates
+    and two rows of scratch space for the update. The networks' layer
+    arrays are ``views`` into the first row; ``grads`` holds, per
+    network, {"W","b"} views into the second row in the layout that
+    :func:`backprop` returns and can write into."""
 
     lr: float
     buffer: np.ndarray
     views: tuple
+    grads: tuple
     step: int = 0
 
 
-def init_opt_state(params: NetParams, lr: float = 1e-3) -> OptState:
-    """Adam state for ``params``. Every layer array is rebound, with the
-    same values, to a view of the state's buffer, so that one update
-    covers the whole network."""
-    buffer = np.zeros((3, sum(a.size for lay in params.layers
+def init_opt_state(nets: tuple[NetParams, ...],
+                   lr: float = 1e-3) -> OptState:
+    """Adam state for the networks ``nets``, stepped together. Every layer
+    array is rebound, with the same values, to a view of the state's
+    buffer, so that one update covers all of them."""
+    buffer = np.zeros((6, sum(a.size for net in nets for lay in net.layers
                               for a in lay.values())))
-    views, offset = [], 0
-    for lay in params.layers:
-        for key, a in lay.items():
-            view = buffer[0, offset:offset + a.size].reshape(a.shape)
-            view[...] = a
-            lay[key] = view
-            views.append(view)
-            offset += a.size
-    return OptState(lr=lr, buffer=buffer, views=tuple(views))
+    views, grads, offset = [], [], 0
+    for net in nets:
+        grads.append([])
+        for lay in net.layers:
+            grads[-1].append({})
+            for key, a in lay.items():
+                view, grad = buffer[:2, offset:offset + a.size].reshape(
+                    (2,) + a.shape)
+                view[...] = a
+                lay[key] = view
+                views.append(view)
+                grads[-1][-1][key] = grad
+                offset += a.size
+    return OptState(lr=lr, buffer=buffer, views=tuple(views),
+                    grads=tuple(grads))
 
 
-def optimizer_step(params: NetParams, grads: list[dict],
-                   state: OptState) -> tuple[NetParams, OptState]:
-    """Apply one Adam update in place, on the flat rows of ``state``'s
-    buffer.
+def optimizer_step(nets: tuple[NetParams, ...], state: OptState) -> None:
+    """Apply one Adam update to ``nets`` in place, on the flat rows of
+    ``state``'s buffer, from the gradients in its ``grads`` (which
+    :func:`backprop` writes when given them as ``out``).
 
     Raises :class:`TrainingDiverged` on any non-finite gradient so callers
     can attribute the fault to a training iteration, and ValueError if a
-    layer array of ``params`` is no longer the view that
+    layer array of ``nets`` is no longer the view that
     :func:`init_opt_state` made (the update would miss it).
     """
-    arrays = [lay[key] for lay in params.layers for key in lay]
+    arrays = [lay[key] for net in nets for lay in net.layers for key in lay]
     if len(arrays) != len(state.views) or any(
             a is not b for a, b in zip(arrays, state.views)):
         raise ValueError("network parameters are not views of the optimizer "
                          "state's buffer; call init_opt_state again")
-    g = np.concatenate([glay[key].ravel()
-                        for lay, glay in zip(params.layers, grads)
-                        for key in lay])
+    params_flat, g, m, v, tmp, step = state.buffer
     if not np.isfinite(g).all():
         raise TrainingDiverged("non-finite gradient")
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
-    params_flat, m, v = state.buffer
     # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g, in place
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(1.0 - b1, g, out=tmp)
     v *= b2
-    tmp = (1.0 - b2) * g
+    np.multiply(1.0 - b2, g, out=tmp)
     tmp *= g
     v += tmp
     # step = lr * (m / bias1) / (sqrt(v / bias2) + eps)
     np.divide(v, bias2, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPS
-    step = m / bias1
+    np.divide(m, bias1, out=step)
     step *= state.lr
     step /= tmp
     params_flat -= step
-    return params, state

@@ -335,8 +335,9 @@ def fit_conv_classifier(Y: np.ndarray, labels: np.ndarray, expr_shape: tuple,
     imgs = ((Y - mean) / std).reshape(-1, 1, h, w)
     onehot = np.eye(len(classes))[codes]
 
-    opt_e = ndnet.init_opt_state(encoder, lr)
-    opt_h = ndnet.init_opt_state(head, lr)
+    nets = (head, encoder)
+    opt = ndnet.init_opt_state(nets, lr)
+    head_grads, enc_grads = opt.grads
     n = imgs.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -347,12 +348,12 @@ def fit_conv_classifier(Y: np.ndarray, labels: np.ndarray, expr_shape: tuple,
             head_tr = ndnet.forward(head, flat)
             probs = _softmax(head_tr.output)
             out_grad = (probs - onehot[sel]) / len(sel)
-            hg, flat_grad = ndnet.backprop(head, head_tr, out_grad)
-            eg, _ = ndnet.backprop(encoder, enc_tr,
-                                   flat_grad.reshape(enc_tr.output.shape),
-                                   input_grad=False)
-            ndnet.optimizer_step(head, hg, opt_h)
-            ndnet.optimizer_step(encoder, eg, opt_e)
+            _, flat_grad = ndnet.backprop(head, head_tr, out_grad,
+                                          out=head_grads)
+            ndnet.backprop(encoder, enc_tr,
+                           flat_grad.reshape(enc_tr.output.shape),
+                           input_grad=False, out=enc_grads)
+            ndnet.optimizer_step(nets, opt)
     return ConvClassifier(encoder=encoder, head=head, classes=classes,
                           expr_shape=expr_shape, mean=mean, std=std)
 

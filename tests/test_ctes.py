@@ -41,6 +41,8 @@ def test_config_validation_and_low_beta_warning():
         TrainConfig(batch_size=1)
     with pytest.raises(ConfigError):
         TrainConfig(jitter=-0.1)
+    with pytest.raises(ConfigError, match="convergence_window"):
+        TrainConfig(convergence_window=-1)
     with pytest.warns(UserWarning):
         TrainConfig(beta=0.5)
     with pytest.warns(UserWarning):
@@ -237,8 +239,12 @@ def test_stacked_disc_step_matches_three_pair_passes(expr_shape):
     rng = np.random.default_rng(4)
     xn, xn_mis = rng.standard_normal((2, s, m))
     yn, yhat_n = rng.standard_normal((2, s, n))
-    loss, scores, head_g, enc_g = _disc_step_grads(disc, m, xn, yn, yhat_n,
-                                                   xn_mis, beta)
+    head_in = np.empty((3 * s, disc.head.spec[0].in_size))
+    head_in[:, :m] = np.vstack([xn, xn, xn_mis])
+    opt = ndnet.init_opt_state((disc.head, disc.encoder))
+    loss, scores = _disc_step_grads(disc, m, np.vstack([yn, yhat_n, yn]),
+                                    head_in, beta, opt.grads)
+    head_g, enc_g = opt.grads
     ref_loss, ref_scores, ref_head, ref_enc = three_pass_disc_grads(
         disc, m, xn, yn, yhat_n, xn_mis, beta)
     assert _rel_err(loss, ref_loss) < 1e-12
@@ -267,17 +273,20 @@ def test_training_is_deterministic():
 def test_trained_model_does_not_hold_optimizer_buffers(monkeypatch):
     states, real_init = [], ndnet.init_opt_state
 
-    def recording_init(params, lr):
-        states.append(real_init(params, lr))
+    def recording_init(nets, lr):
+        states.append(real_init(nets, lr))
         return states[-1]
 
     monkeypatch.setattr(ndnet, "init_opt_state", recording_init)
     model = train_ctes(toy_dataset(n=40),
                        TrainConfig(iterations=5, batch_size=8, seed=2))
     monkeypatch.undo()
-    assert len(states) == 4 and all(s.step == 5 for s in states)
+    # one state per player, together covering every parameter once
+    assert len(states) == 2 and all(s.step == 5 for s in states)
     nets = (model.generator.mixer, model.generator.decoder,
             model.discriminator.encoder, model.discriminator.head)
+    assert sum(s.buffer.shape[1] for s in states) == sum(
+        a.size for net in nets for lay in net.layers for a in lay.values())
     for net in nets:
         for lay in net.layers:
             for a in lay.values():

@@ -342,14 +342,25 @@ def test_deconv_mirrors_conv_geometry():
     assert decoded.shape == (1, 1, 16, 16)
 
 
+def step_with(nets, grads, state):
+    """One optimizer step of ``nets`` on ``grads`` (a per-layer list per
+    network), copied into the state's gradient row."""
+    for net_grads, dest in zip(grads, state.grads, strict=True):
+        for glay, dlay in zip(net_grads, dest, strict=True):
+            for key in dlay:
+                dlay[key][...] = glay[key]
+    ndnet.optimizer_step(nets, state)
+
+
 def test_shapes_preserved_by_forward_backprop_and_optimizer():
     spec = [ndnet.dense(3, 4, "relu"), ndnet.dense(4, 2, "sigmoid")]
     params = ndnet.init_params(spec, 0)
     shapes = [{k: v.shape for k, v in lay.items()} for lay in params.layers]
     trace = ndnet.forward(params, np.ones((2, 3)))
-    grads, _ = ndnet.backprop(params, trace, np.ones((2, 2)))
-    state = ndnet.init_opt_state(params)
-    ndnet.optimizer_step(params, grads, state)
+    state = ndnet.init_opt_state((params,))
+    grads, _ = ndnet.backprop(params, trace, np.ones((2, 2)),
+                              out=state.grads[0])
+    ndnet.optimizer_step((params,), state)
     for lay, glay, want in zip(params.layers, grads, shapes):
         for key in lay:
             assert lay[key].shape == want[key]
@@ -362,9 +373,9 @@ def test_shapes_preserved_by_forward_backprop_and_optimizer():
 def test_zero_gradient_leaves_params_unchanged():
     params = ndnet.init_params([ndnet.dense(2, 2)], 3)
     before = params.layers[0]["W"].copy()
-    state = ndnet.init_opt_state(params)
-    zero = [{"W": np.zeros((2, 2)), "b": np.zeros(2)}]
-    ndnet.optimizer_step(params, zero, state)
+    state = ndnet.init_opt_state((params,))
+    step_with((params,), [[{"W": np.zeros((2, 2)), "b": np.zeros(2)}]],
+              state)
     assert np.array_equal(params.layers[0]["W"], before)
 
 
@@ -373,9 +384,8 @@ def test_adam_first_step_magnitude():
     lr = 1e-3
     params = ndnet.init_params([ndnet.dense(2, 2)], 3)
     before = params.layers[0]["W"].copy()
-    state = ndnet.init_opt_state(params, lr)
-    ones = [{"W": np.ones((2, 2)), "b": np.ones(2)}]
-    ndnet.optimizer_step(params, ones, state)
+    state = ndnet.init_opt_state((params,), lr)
+    step_with((params,), [[{"W": np.ones((2, 2)), "b": np.ones(2)}]], state)
     delta = before - params.layers[0]["W"]
     expected = lr / (1.0 + 1e-8)
     assert np.allclose(delta, expected, rtol=1e-9)
@@ -383,10 +393,10 @@ def test_adam_first_step_magnitude():
 
 def test_nonfinite_gradient_raises():
     params = ndnet.init_params([ndnet.dense(2, 2)], 0)
-    state = ndnet.init_opt_state(params)
-    bad = [{"W": np.full((2, 2), np.nan), "b": np.zeros(2)}]
+    state = ndnet.init_opt_state((params,))
+    bad = [[{"W": np.full((2, 2), np.nan), "b": np.zeros(2)}]]
     with pytest.raises(TrainingDiverged):
-        ndnet.optimizer_step(params, bad, state)
+        step_with((params,), bad, state)
 
 
 def test_backprop_rejects_mismatched_out_grad():
@@ -428,15 +438,17 @@ def test_flat_adam_matches_per_array_adam(kind):
     spec, shape = STACKS[kind]
     params = ndnet.init_params(spec, 6)
     start = [{k: a.copy() for k, a in lay.items()} for lay in params.layers]
-    state = ndnet.init_opt_state(params, lr=3e-3)
+    state = ndnet.init_opt_state((params,), lr=3e-3)
     rng = np.random.default_rng(2)
     grads_seq = []
     for _ in range(25):
         trace = ndnet.forward(params, rng.normal(size=shape))
         grads, _ = ndnet.backprop(params, trace,
-                                  rng.normal(size=trace.output.shape))
-        grads_seq.append(grads)
-        ndnet.optimizer_step(params, grads, state)
+                                  rng.normal(size=trace.output.shape),
+                                  out=state.grads[0])
+        grads_seq.append([{k: a.copy() for k, a in lay.items()}
+                          for lay in grads])
+        ndnet.optimizer_step((params,), state)
     want = per_array_adam(start, grads_seq, lr=3e-3)
     assert state.step == 25
     for got, ref in zip(params.layers, want, strict=True):
@@ -445,29 +457,143 @@ def test_flat_adam_matches_per_array_adam(kind):
 
 
 def test_optimizer_state_holds_params_in_one_buffer():
-    params = ndnet.init_params(STACKS["conv2d"][0], 1)
-    before = [{k: a.copy() for k, a in lay.items()} for lay in params.layers]
-    state = ndnet.init_opt_state(params)
-    n = sum(a.size for lay in before for a in lay.values())
-    assert state.buffer.shape == (3, n) and state.buffer.flags.c_contiguous
-    assert not state.buffer[1:].any()  # moments start at zero
-    for lay, ref in zip(params.layers, before):
-        for key in ref:
-            assert np.array_equal(lay[key], ref[key])
-            assert np.shares_memory(lay[key], state.buffer[0])
+    # one state covers the networks that one player steps together
+    nets = (ndnet.init_params(STACKS["conv2d"][0], 1),
+            ndnet.init_params(STACKS["dense"][0], 2))
+    before = [[{k: a.copy() for k, a in lay.items()} for lay in net.layers]
+              for net in nets]
+    state = ndnet.init_opt_state(nets)
+    n = sum(a.size for net in before for lay in net for a in lay.values())
+    # rows: parameters, gradients, two moments and two of scratch space
+    assert state.buffer.shape == (6, n) and state.buffer.flags.c_contiguous
+    assert not state.buffer[1:].any()  # gradients and moments start at zero
+    for net, ref_net, grads in zip(nets, before, state.grads, strict=True):
+        for lay, ref, glay in zip(net.layers, ref_net, grads, strict=True):
+            for key in ref:
+                assert np.array_equal(lay[key], ref[key])
+                assert np.shares_memory(lay[key], state.buffer[0])
+                assert glay[key].shape == ref[key].shape
+                assert np.shares_memory(glay[key], state.buffer[1])
 
 
 def test_optimizer_step_rejects_params_rebound_from_the_buffer():
     params = ndnet.init_params(STACKS["dense"][0], 0)
-    state = ndnet.init_opt_state(params)
+    state = ndnet.init_opt_state((params,))
     params.layers[1]["W"] = params.layers[1]["W"].copy()
-    grads = [{k: np.ones_like(a) for k, a in lay.items()}
-             for lay in params.layers]
+    grads = [[{k: np.ones_like(a) for k, a in lay.items()}
+              for lay in params.layers]]
     stale = state.buffer.copy()
     with pytest.raises(ValueError, match="init_opt_state"):
-        ndnet.optimizer_step(params, grads, state)
+        ndnet.optimizer_step((params,), state)
     assert state.step == 0 and np.array_equal(state.buffer, stale)
     # a fresh state adopts the rebound arrays
-    state = ndnet.init_opt_state(params)
-    ndnet.optimizer_step(params, grads, state)
+    state = ndnet.init_opt_state((params,))
+    step_with((params,), grads, state)
     assert state.step == 1
+
+
+@st.composite
+def stacks(draw):
+    """(params, input, output gradient) of a random dense, conv2d or
+    deconv2d stack of one to three layers with random activations."""
+    kind = draw(st.sampled_from(["dense", "conv2d", "deconv2d"]))
+    depth = draw(st.integers(1, 3))
+    acts = draw(st.lists(st.sampled_from(["relu", "sigmoid", "none"]),
+                         min_size=depth, max_size=depth))
+    width = draw(st.lists(st.integers(1, 4), min_size=depth + 1,
+                          max_size=depth + 1))
+    if kind == "dense":
+        spec = [ndnet.dense(width[i], width[i + 1], acts[i])
+                for i in range(depth)]
+        shape = (width[0],)
+    else:
+        layer = ndnet.conv2d if kind == "conv2d" else ndnet.deconv2d
+        spec = [layer(width[i], width[i + 1], kernel=draw(st.integers(1, 4)),
+                      stride=draw(st.integers(1, 2)),
+                      padding=draw(st.integers(0, 1)), activation=acts[i])
+                for i in range(depth)]
+        side = draw(st.integers(1, 9))
+        shape = (width[0], side, side)
+    batch = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    params = ndnet.init_params(spec, rng)
+    x = rng.normal(size=(batch,) + shape)
+    try:
+        out_shape = ndnet.forward(params, x).output.shape
+    except ValueError:  # a conv geometry that collapses the grid
+        assume(False)
+    return params, x, rng.normal(size=out_shape)
+
+
+def assert_grads_identical(got, want):
+    for lay, ref in zip(got, want, strict=True):
+        assert lay.keys() == ref.keys()
+        for key in ref:
+            assert np.array_equal(lay[key], ref[key])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=stacks())
+def test_forward_into_a_given_array_matches_the_allocating_forward(case):
+    params, x, _ = case
+    want = ndnet.forward(params, x)
+    buf = np.full(want.output.shape, np.nan)
+    got = ndnet.forward(params, x, buf)
+    assert got.output is buf and np.array_equal(buf, want.output)
+    for a, b in zip(got.pre + got.post[:-1], want.pre + want.post[:-1],
+                    strict=True):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=stacks())
+def test_backprop_modes_match_the_allocating_backprop(case):
+    params, x, out_grad = case
+    trace = ndnet.forward(params, x)
+    kept = out_grad.copy()
+    grads, in_grad = ndnet.backprop(params, trace, out_grad)
+    assert np.array_equal(out_grad, kept)  # the caller's gradient is kept
+    # written into given arrays: the same bits, in those arrays
+    dest = ndnet.init_opt_state((params,)).grads[0]
+    into, in_grad2 = ndnet.backprop(params, trace, out_grad, out=dest)
+    assert_grads_identical(into, grads)
+    assert all(lay[k] is d[k] for lay, d in zip(into, dest) for k in d)
+    assert np.array_equal(in_grad2, in_grad)
+    # input gradient only
+    none, in_only = ndnet.backprop(params, trace, out_grad, param_grads=False)
+    assert none is None and np.array_equal(in_only, in_grad)
+    assert np.array_equal(out_grad, kept)
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=st.integers(1, 200), in_size=st.integers(1, 80),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_column_input_grad_broadcast_matches_the_product(batch, in_size,
+                                                             seed):
+    rng = np.random.default_rng(seed)
+    params = ndnet.init_params([ndnet.dense(in_size, 1, "none")], rng)
+    trace = ndnet.forward(params, rng.normal(size=(batch, in_size)))
+    g = rng.normal(size=(batch, 1))
+    _, in_grad = ndnet.backprop(params, trace, g)
+    assert np.array_equal(in_grad, g @ params.layers[0]["W"].T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=stacks(), b=stacks(), steps=st.integers(1, 6),
+       lr=st.floats(1e-4, 1e-1))
+def test_multi_net_adam_matches_each_net_stepped_alone(a, b, steps, lr):
+    nets = (a[0], b[0])
+    start = [[{k: v.copy() for k, v in lay.items()} for lay in net.layers]
+             for net in nets]
+    state = ndnet.init_opt_state(nets, lr)
+    rng = np.random.default_rng(steps)
+    seqs = ([], [])
+    for _ in range(steps):
+        grads = [[{k: rng.normal(size=v.shape) for k, v in lay.items()}
+                  for lay in net.layers] for net in nets]
+        for seq, g in zip(seqs, grads):
+            seq.append(g)
+        step_with(nets, grads, state)
+    assert state.step == steps
+    for net, first, seq in zip(nets, start, seqs):
+        assert_grads_identical(net.layers, per_array_adam(first, seq, lr))
