@@ -236,14 +236,11 @@ def _disc_scores_traced(disc: DiscriminatorModel, m: int, yn: np.ndarray,
 
 def _disc_backward(disc: DiscriminatorModel, m: int, enc_tr, head_tr,
                    score_grad: np.ndarray, grads: tuple | None = None):
-    """Backprop a per-row score gradient through head and encoder.
-
-    With ``grads``, the (head, encoder) gradients of an
-    :class:`ndnet.OptState`, only the parameter gradients are computed,
-    summed over every traced row so that one call serves a stacked batch
-    of pair types, and written there; None is returned. Without, only
-    the gradient w.r.t. the normalized expression rows is computed and
-    returned."""
+    """Backprop a per-row score gradient through head and encoder. With
+    ``grads``, an :class:`ndnet.OptState`'s (head, encoder) gradients,
+    only the parameter gradients are computed, summed over every traced
+    row, and written there. Without, only the gradient w.r.t. the
+    normalized expression rows is computed, and returned."""
     head_out, enc_out = (None, None) if grads is None else grads
     _, head_in_grad = ndnet.backprop(disc.head, head_tr, score_grad[:, None],
                                      param_grads=grads is not None,

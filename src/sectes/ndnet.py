@@ -286,10 +286,12 @@ def forward(params: NetParams, x: np.ndarray,
             p = lay.padding
             if lay.kind == "conv2d":
                 z = _conv_contract(_pad(a, p), W, lay)
+                z += b[None, :, None, None]
             else:
                 full = _conv_scatter(a, W, lay, ho + 2 * p, wo + 2 * p)
-                z = full[:, :, p:p + ho, p:p + wo]
-            z += b[None, :, None, None]
+                # adding out of place leaves a compact array, not a
+                # strided crop, for the activation and backprop to read
+                z = full[:, :, p:p + ho, p:p + wo] + b[None, :, None, None]
         a = _apply_activation(z, lay.activation, out if i == last else None)
         pre.append(z)
         post.append(a)
