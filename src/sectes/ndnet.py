@@ -325,7 +325,7 @@ def backprop(params: NetParams, trace: Trace, out_grad: np.ndarray,
     if g.shape != trace.output.shape:
         raise ValueError(f"out_grad shape {g.shape} != output shape "
                          f"{trace.output.shape}")
-    grads: list[dict] | None = [None] * len(params.spec) if param_grads else None
+    grads = [None] * len(params.spec) if param_grads else None
     # masks are applied in place only on contiguous gradients made here:
     # out_grad is the caller's, and on a strided view the new layout
     # would reorder the bias gradient's sum
