@@ -21,6 +21,7 @@ import sys
 import time
 import types
 import typing
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, \
     replace
 
@@ -39,7 +40,7 @@ from .validation import KNOWN_METHODS, MethodSettings, aggregate_trials, \
 
 log = logging.getLogger("sectes")
 
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 
 
 # --- canonical JSON with exact float round-trips ---
@@ -409,7 +410,16 @@ def run_suite(cfg: ExperimentConfig) -> dict:
 
     log.info("running %d jobs with %d workers", len(jobs), cfg.workers)
     with task_pool(len(jobs), cfg.workers) as pool:
-        results = list(pool.map(_run_job, [cfg] * len(jobs), jobs))
+        started = time.monotonic()
+        futures = [pool.submit(_run_job, cfg, job) for job in jobs]
+        results = []
+        for job, future in zip(jobs, futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool:  # a worker died; finished jobs stay
+                results.append({**job, "status": "failed",
+                                "error": "worker died",
+                                "wall_time": time.monotonic() - started})
     results.sort(key=_job_key)
 
     ok = [{**r, **r["row"]} for r in results if r["status"] == "ok"]

@@ -82,21 +82,21 @@ def inverse_validation_scores(fake_batches: list, real: np.ndarray,
                                    batches[i]) for i in range(k)])
 
 
-def _member_score(peers: list, real: np.ndarray, cfg: ForestConfig,
-                  batch: np.ndarray | None) -> float | Forest:
-    """A member's inverse-validation score: the share of its batch that a
-    forest fitted to its peers' batches (category 0) against the real
-    rows (category 1) puts in category 0.
-
-    For a member still training ``batch`` is None, and the fitted forest
-    is returned for the caller to score once the member's batch exists.
-    """
+def _peer_forest(peers: list, real: np.ndarray, cfg: ForestConfig) -> Forest:
+    """A forest fitted to a member's peers' batches (category 0), put in
+    a canonical sorted order, against the real rows (category 1)."""
     peers = np.vstack(peers)
     peers = peers[np.lexsort(peers.T[::-1])]
     X = np.vstack([peers, real])
     y = np.repeat([0, 1], [peers.shape[0], real.shape[0]])
-    clf = fit_forest(X, y, cfg)
-    return clf if batch is None else _peer_share(clf, batch)
+    return fit_forest(X, y, cfg)
+
+
+def _member_score(peers: list, real: np.ndarray, cfg: ForestConfig,
+                  batch: np.ndarray) -> float:
+    """A member's inverse-validation score: the share of its batch that
+    its peer forest puts in category 0."""
+    return _peer_share(_peer_forest(peers, real, cfg), batch)
 
 
 def _peer_share(forest: Forest, batch: np.ndarray) -> float:
@@ -127,18 +127,16 @@ def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleMod
     validation on one synthesized expression per training characteristic,
     and select the top h.
 
-    The tasks run on one process pool (:func:`parallel.task_pool`) and
-    are scheduled by what they need, not by phase: member i's forest is
-    fitted on the other members' batches only, so it starts as soon as
-    every other member has finished or diverged, while member i may still
-    be training. Each member's batch is synthesized here as the member
-    arrives. A forest that started before its member was done comes back
-    fitted and is scored here once the member arrives; if the member
-    diverged, the forest is dropped. A diverged member gets no score.
-    Every task has its own seed, so the result does not depend on the
-    number of workers or on the order in which tasks finish. Once more
-    than k - h members have diverged, the queued tasks are cancelled and
-    :class:`EnsembleError` is raised.
+    The tasks run on one process pool (:func:`parallel.task_pool`) in
+    three phases: the members train until one is left; that member's
+    forest, which needs only its peers' batches, is fitted while it
+    trains; then every other finished member is scored in a worker, and
+    the last one here. Each batch is synthesized here as its member
+    arrives. A diverged member gets no score. Every task has its own
+    seed, so the result does not depend on the number of workers or on
+    the order in which tasks finish. Once more than k - h members have
+    diverged, the queued tasks are cancelled and :class:`EnsembleError`
+    is raised.
     """
     k, h = config.k, config.h
     root = np.random.SeedSequence(config.seed)
@@ -153,50 +151,47 @@ def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleMod
     models: list = [None] * k
     diagnostics: list = [None] * k
     batches: dict = {}  # finished member -> its synthesized batch
-    early: dict = {}  # member still training -> its fitted forest
     scores = np.zeros(k)
+
+    def arrive(i: int, out) -> None:
+        if isinstance(out, TrainingDiverged):
+            diagnostics[i] = f"member {i} diverged: {out}"
+        else:
+            models[i] = out
+            batches[i] = synthesize_each(
+                out, dataset.x, jitter=0.0,
+                rng=np.random.default_rng(member_children[i][1]))
+        diverged = sum(d is not None for d in diagnostics)
+        if k - diverged < h:
+            raise EnsembleError(f"{diverged} of {k} members diverged; "
+                                f"need at least h={h} to finish")
+
+    def peers(i: int) -> list:
+        return [batches[p] for p in sorted(batches) if p != i]
+
     with task_pool(k) as pool:
-        pending = {pool.submit(_train_member, dataset, cfg): ("member", i)
-                   for i, cfg in enumerate(member_cfgs)}
-        training = set(range(k))
-        forest_due = set(range(k))
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in sorted(done, key=pending.get):
-                kind, i = pending.pop(future)
-                out = future.result()
-                if kind == "score":
-                    scores[i] = out
-                elif kind == "forest":
-                    early[i] = out
-                else:
-                    training.discard(i)
-                    if isinstance(out, TrainingDiverged):
-                        diagnostics[i] = f"member {i} diverged: {out}"
-                    else:
-                        models[i] = out
-                        batches[i] = synthesize_each(
-                            out, dataset.x, jitter=0.0,
-                            rng=np.random.default_rng(member_children[i][1]))
-                diverged = k - len(training) - len(batches)
-                if k - diverged < h:
-                    raise EnsembleError(f"{diverged} of {k} members diverged; "
-                                        f"need at least h={h} to finish")
-                if i in early and i not in training:  # its member is done
-                    forest = early.pop(i)
-                    if i in batches:  # else the member diverged
-                        scores[i] = _peer_share(forest, batches[i])
-            # forest j waits for every member but j; a diverged member, or
-            # one without a finished peer, gets none
-            for j in sorted(forest_due):
-                if training - {j}:
-                    continue
-                forest_due.discard(j)
-                peers = [batches[p] for p in sorted(batches) if p != j]
-                if peers and (j in batches or j in training):
-                    kind = "score" if j in batches else "forest"
-                    pending[pool.submit(_member_score, peers, dataset.y,
-                                        clf_cfg, batches.get(j))] = (kind, j)
+        training = {pool.submit(_train_member, dataset, cfg): i
+                    for i, cfg in enumerate(member_cfgs)}
+        while len(training) > 1:
+            done, _ = wait(training, return_when=FIRST_COMPLETED)
+            for future in done:
+                arrive(training.pop(future), future.result())
+        early = last = None
+        if training:  # the last member's forest is fitted while it trains
+            (future, last), = training.items()
+            if batches:
+                early = pool.submit(_peer_forest, peers(last), dataset.y,
+                                    clf_cfg)
+            arrive(last, future.result())
+        late = {i: pool.submit(_member_score, peers(i), dataset.y, clf_cfg,
+                               batches[i])
+                for i in sorted(batches) if i != last and len(batches) > 1}
+        if early is not None:
+            forest = early.result()
+            if last in batches:  # else the last member diverged
+                scores[last] = _peer_share(forest, batches[last])
+        for i, future in late.items():
+            scores[i] = future.result()
 
     if len(batches) == 1:  # a single finished member is selected by default
         scores[next(iter(batches))] = 1.0

@@ -20,15 +20,11 @@ from .errors import ConfigError
 class ForestConfig:
     n_trees: int = 100
     max_depth: int = 0  # 0 = unlimited
-    min_samples_split: int = 2
-    max_features: int | None = None  # None = floor(sqrt(d)), at least 1
     seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1:
             raise ConfigError("n_trees must be >= 1")
-        if self.min_samples_split < 2:
-            raise ConfigError("min_samples_split must be >= 2")
 
 
 def gini(class_counts) -> float:
@@ -44,26 +40,25 @@ def gini(class_counts) -> float:
 @dataclass
 class _Tree:
     """CART tree as flat node arrays; node 0 is the root, ``feature`` is -1
-    at a leaf, and ``counts`` holds every node's class counts, shape
-    (nodes, n_classes)."""
+    at a leaf, a split node's right child is ``left + 1``, and ``leaf``
+    holds every node's majority class (ties to the lower class)."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
-    counts: np.ndarray
+    leaf: np.ndarray
 
     def votes(self, X: np.ndarray) -> np.ndarray:
-        """One majority-class vote per sample (ties to the lower class)."""
+        """One majority-class vote per sample."""
         # all rows still above a leaf step down one level together
         node = np.zeros(X.shape[0], dtype=np.int64)
         rows = np.flatnonzero(self.feature[node] >= 0)
         while rows.size:
             at = node[rows]
             go_left = X[rows, self.feature[at]] <= self.threshold[at]
-            node[rows] = np.where(go_left, self.left[at], self.right[at])
+            node[rows] = self.left[at] + ~go_left  # right is left + 1
             rows = rows[self.feature[node[rows]] >= 0]
-        return self.counts[node].argmax(axis=1)
+        return self.leaf[node]
 
 
 def _best_split(vals: np.ndarray, codes: np.ndarray, n_classes: int):
@@ -114,16 +109,16 @@ def _grow_tree(X: np.ndarray, codes: np.ndarray, n_classes: int,
     """One tree on the columns of the feature-major ``X`` (features,
     rows), so each candidate feature's values are one contiguous row."""
     d = X.shape[0]
-    mtry = cfg.max_features or max(1, int(np.floor(np.sqrt(d))))
-    feature, threshold, left, right, counts = [-1], [0.0], [-1], [-1], [None]
+    mtry = max(1, int(np.floor(np.sqrt(d))))
+    feature, threshold, left, leaf = [-1], [0.0], [-1], [0]
     stack = [(0, np.arange(X.shape[1]), 0)]
     while stack:
         node, idx, depth = stack.pop()
         node_codes = codes[idx]
-        counts[node] = np.bincount(node_codes, minlength=n_classes)
-        pure = counts[node].max() == idx.size
+        counts = np.bincount(node_codes, minlength=n_classes)
+        leaf[node] = int(counts.argmax())
         depth_capped = cfg.max_depth and depth >= cfg.max_depth
-        if pure or depth_capped or idx.size < cfg.min_samples_split:
+        if counts[leaf[node]] == idx.size or depth_capped:
             continue
         # scan a random feature order; constant features do not use up mtry
         best = None
@@ -142,15 +137,14 @@ def _grow_tree(X: np.ndarray, codes: np.ndarray, n_classes: int,
         _, feat, thr = best
         go_left = X[feat, idx] <= thr
         feature[node], threshold[node] = feat, thr
-        left[node], right[node] = len(feature), len(feature) + 1
+        left[node] = len(feature)
         feature += [-1, -1]
         threshold += [0.0, 0.0]
         left += [-1, -1]
-        right += [-1, -1]
-        counts += [None, None]
+        leaf += [0, 0]
         stack.append((left[node], idx[go_left], depth + 1))
-        stack.append((right[node], idx[~go_left], depth + 1))
-    return _Tree(*map(np.asarray, (feature, threshold, left, right, counts)))
+        stack.append((left[node] + 1, idx[~go_left], depth + 1))
+    return _Tree(*map(np.asarray, (feature, threshold, left, leaf)))
 
 
 @dataclass

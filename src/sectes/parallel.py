@@ -1,8 +1,8 @@
 """One process pool for the package's independent tasks.
 
 Ensemble members, their inverse-validation classifiers and bench jobs
-share no state, so they run on worker processes: bench jobs as one map,
-an ensemble's tasks submitted one by one as their inputs become ready.
+share no state, so they run on worker processes, each submitted as its
+own task once its inputs are ready.
 Every task carries its own seed and results are placed by task, not by
 arrival, so a pooled run returns exactly what the in-process run
 returns.

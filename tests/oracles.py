@@ -233,11 +233,11 @@ def stack_walk_votes(tree, X):
     while stack:
         node, idx = stack.pop()
         if tree.feature[node] < 0:
-            out[idx] = int(np.argmax(tree.counts[node]))
+            out[idx] = tree.leaf[node]
             continue
         go_left = X[idx, tree.feature[node]] <= tree.threshold[node]
         stack.append((tree.left[node], idx[go_left]))
-        stack.append((tree.right[node], idx[~go_left]))
+        stack.append((tree.left[node] + 1, idx[~go_left]))
     return out
 
 

@@ -1,13 +1,18 @@
+import csv
 import hashlib
 import json
 import multiprocessing
 import os
 import re
+import time
+import typing
 import warnings
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
+from sectes import cli as cli_mod
 from sectes.cli import (ExperimentConfig, build_config, dumps_canonical,
                         enumerate_jobs, load_model, main, parse_config,
                         run_suite, save_model, stable_seed)
@@ -54,6 +59,44 @@ def test_config_rejects_bad_sigma_and_method():
         build_config({"sigmas": [0.01, -0.5]})
     with pytest.raises(ConfigError, match="methods"):
         build_config({"methods": ["pls", "wgan"]})
+
+
+def settable_paths(tp, prefix=""):
+    """Dotted paths of every value a JSON config can set, walking nested
+    config blocks."""
+    hints = typing.get_type_hints(tp)
+    for f in fields(tp):
+        if not f.metadata.get("saved", True):
+            continue
+        if is_dataclass(hints[f.name]):
+            yield from settable_paths(hints[f.name], f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def test_config_settable_paths_are_pinned():
+    # a new knob must be added here on purpose; CHANGES reports this count
+    paths = list(settable_paths(ExperimentConfig))
+    assert paths == [
+        "study", "sigmas", "trials", "methods", "groups", "samples_per_group",
+        "train.beta", "train.batch_size", "train.iterations", "train.z_dim",
+        "train.learning_rate", "train.hidden", "train.convergence_window",
+        "train.convergence_tol", "train.jitter", "train.seed",
+        "train.conv_channels", "ensemble.k", "ensemble.h", "forest.n_trees",
+        "forest.max_depth", "forest.seed", "beta_grid", "gp.grid",
+        "gp.images_per_category", "data_csv", "out_dir", "master_seed",
+        "workers"]
+    assert len(paths) == 29
+    # each path is read from JSON: setting it to its default changes nothing
+    default = json.loads(dumps_canonical(ExperimentConfig()))
+    for path in paths:
+        *blocks, name = path.split(".")
+        doc = raw = {}
+        src = default
+        for block in blocks:
+            src, raw = src[block], raw.setdefault(block, {})
+        raw[name] = src[name]
+        assert build_config(doc) == ExperimentConfig()
 
 
 def test_config_rejects_unknown_fields_with_path():
@@ -262,6 +305,44 @@ def test_bench_failure_is_recorded_not_fatal(tmp_path):
     failed = [j for j in manifest["jobs"] if j["status"] == "failed"]
     assert all(j["group"] == 9 for j in failed)
     assert all(j["error"] for j in failed)
+
+
+def test_bench_keeps_finished_jobs_when_a_worker_dies(tmp_path, monkeypatch):
+    """One job's worker process exits: that job, and any job the broken
+    pool drops with it, is recorded as failed with a wall time, every
+    finished job keeps its row and ``bench`` exits 1."""
+    cfg = bench_config(tmp_path, "whole", workers=2)
+    cfg.methods, cfg.trials = ["pls", "grnn"], 3
+    path = tmp_path / "cfg.json"
+    path.write_text(dumps_canonical(cfg))
+    assert main(["bench", "--config", str(path)]) == 0
+    doomed = enumerate_jobs(cfg)[-1]
+    real = cli_mod.identify_group_experiment
+
+    def dies(*args, seed):
+        if seed == doomed["seed"]:
+            time.sleep(1.0)  # lets the jobs before it finish
+            os._exit(1)
+        return real(*args, seed=seed)
+
+    monkeypatch.setattr(cli_mod, "identify_group_experiment", dies)
+    out = tmp_path / "broken"
+    assert main(["bench", "--config", str(path), "--out", str(out)]) == 1
+    assert multiprocessing.active_children() == []
+    manifest = json.loads((out / "manifest.json").read_text())
+    failed = [j for j in manifest["jobs"] if j["status"] == "failed"]
+    assert manifest["n_jobs"] == 6 and manifest["n_failed"] == len(failed)
+    assert doomed["seed"] in [j["seed"] for j in failed]
+    assert all(j["error"] == "worker died" and j["wall_time"] >= 0
+               for j in failed)
+
+    def rows(name):
+        with open(tmp_path / name / "multivariate_trials.csv") as fh:
+            return list(csv.DictReader(fh))
+
+    kept, whole = rows("broken"), rows("whole")
+    assert 1 <= len(kept) == 6 - len(failed)
+    assert all(row in whole for row in kept)
 
 
 def tabular_csv(path, seed=0, n_per_group=20):
@@ -610,6 +691,8 @@ def test_load_rejects_format_1_and_unknown_kind(tmp_path, model_docs):
     for edit, message in ((_set("format_version", 1), "version 1"),
                           (_set("format_version", 3),
                            "unsupported format version 3"),
+                          (_set("format_version", 4),
+                           "unsupported format version 4"),
                           (_drop("kind"), "unknown model kind None"),
                           (_set("kind", "wgan"), "unknown model kind 'wgan'")):
         doc = json.loads(json.dumps(model_docs["pls"]))

@@ -42,8 +42,7 @@ train_configs = st.builds(
 
 forest_configs = st.builds(
     ForestConfig, n_trees=small_int, max_depth=st.integers(0, 10),
-    min_samples_split=st.integers(2, 10),
-    max_features=st.none() | small_int, seed=seeds)
+    seed=seeds)
 
 experiment_configs = st.builds(
     ExperimentConfig,

@@ -326,23 +326,26 @@ def test_train_se_ctes_raises_when_an_early_forest_fails(monkeypatch,
 def test_train_se_ctes_result_does_not_depend_on_completion_order(data):
     """Tasks are computed as they are submitted, but the scheduler learns
     of each one only when a drawn ``wait`` releases it, so any order of
-    finishing can be drawn, early forests included."""
+    finishing can be drawn, early forests included. The member that is
+    never released finishes last: only it may get an early forest."""
     k = data.draw(st.integers(3, 7), label="k")
     h = data.draw(st.integers(1, (k - 1) // 2), label="h")
     doomed = data.draw(st.sets(st.integers(0, k - 1)), label="diverging")
     cfg = EnsembleConfig(k=k, h=h, train=TrainConfig(iterations=3,
                                                      batch_size=10),
                          clf=ForestConfig(n_trees=5), seed=k)
-    submitted = []
+    submitted, calls, released = [], [], []
 
     class HeldExecutor(parallel.InlineExecutor):
         def submit(self, fn, /, *args, **kwargs):
             submitted.append(super().submit(fn, *args, **kwargs))
+            calls.append((fn, args))
             return submitted[-1]
 
     def release_one(fs, return_when):
         held = [f for f in submitted if f in fs]
         one = held[data.draw(st.integers(0, len(held) - 1), label="next")]
+        released.append(one)
         return {one}, set(fs) - {one}
 
     def run():
@@ -361,8 +364,22 @@ def test_train_se_ctes_result_does_not_depend_on_completion_order(data):
         mp.setattr(ensemble_mod, "wait", release_one)
         got = run()
     assert (want is None) == (got is None) == (len(doomed) > k - h)
-    if want is not None:
-        assert_same_ensemble(got, want)
+    if want is None:
+        return
+    assert_same_ensemble(got, want)
+    # trainings are submitted first, in member order; a forest task's
+    # first argument is its member's peer batches
+    last = next(i for i in range(k) if submitted[i] not in released)
+    finished = set(range(k)) - doomed
+    others = finished - {last}
+
+    def peer_counts(fn):
+        return [len(args[0]) for f, args in calls if f is fn]
+
+    assert peer_counts(ensemble_mod._peer_forest) == \
+        ([len(others)] if others else [])
+    assert peer_counts(ensemble_mod._member_score) == \
+        [len(finished) - 1] * (len(others) if len(finished) > 1 else 0)
 
 
 def test_train_se_ctes_too_many_failures(monkeypatch):

@@ -72,25 +72,32 @@ def test_determinism():
 
     def nodes(forest):
         return [(t.feature.tolist(), t.threshold.tolist(), t.left.tolist(),
-                 t.right.tolist()) for t in forest.trees]
+                 t.leaf.tolist()) for t in forest.trees]
 
     # predictions may coincide on easy data; the grown trees must not
     assert nodes(fits[0]) == nodes(fits[1]) != nodes(fits[2])
 
 
-def _leaf_tree(counts):
-    return _Tree(*map(np.asarray, ([-1], [0.0], [-1], [-1], [counts])))
+def _leaf_tree(cls):
+    return _Tree(*map(np.asarray, ([-1], [0.0], [-1], [cls])))
+
+
+def _tied_leaf_forest():
+    """One tree grown on identical rows, two of each class: every
+    bootstrap keeps the 2:2 tie, and no split separates the rows."""
+    return fit_forest(np.zeros((4, 2)), np.array([7, 7, 2, 2]),
+                      ForestConfig(n_trees=1, seed=3))
 
 
 def test_tie_breaks_toward_lower_class():
     # two trees voting different classes: forest tie resolves to class 0
-    forest = Forest(trees=[_leaf_tree([5, 1]), _leaf_tree([1, 5])],
+    forest = Forest(trees=[_leaf_tree(0), _leaf_tree(1)],
                     classes=np.array([0, 1]), n_features=2)
     assert predict_forest(forest, np.zeros((3, 2))).tolist() == [0, 0, 0]
-    # leaf-majority tie inside a single tree also takes the lower class
-    forest1 = Forest(trees=[_leaf_tree([4, 4])], classes=np.array([0, 1]),
-                     n_features=2)
-    assert predict_forest(forest1, np.zeros((1, 2)))[0] == 0
+    # leaf-majority tie inside a single grown tree also takes the lower class
+    forest1 = _tied_leaf_forest()
+    assert forest1.trees[0].feature.tolist() == [-1]
+    assert predict_forest(forest1, np.zeros((1, 2)))[0] == 2
 
 
 def test_single_tree_forest_equals_tree_majority():
@@ -134,13 +141,13 @@ def test_thresholds_straddle_observed_values():
         for node in range(len(tree.feature)):
             f = tree.feature[node]
             if f < 0:
-                assert tree.counts[node] is not None
-                assert tree.counts[node].sum() >= 1
+                assert 0 <= tree.leaf[node] < forest.n_classes
                 continue
             thr = tree.threshold[node]
             col = X[:, f]
             assert (col < thr).any() and (col > thr).any()
-            assert tree.left[node] >= 0 and tree.right[node] >= 0
+            # both children come after their parent, right after left
+            assert node < tree.left[node] < len(tree.feature) - 1
 
 
 def test_stratified_bootstrap_preserves_minority_class():
@@ -168,8 +175,6 @@ def test_input_validation():
         predict_forest(forest, np.ones((4, 7)))
     with pytest.raises(ConfigError):
         ForestConfig(n_trees=0)
-    with pytest.raises(ConfigError):
-        ForestConfig(min_samples_split=1)
 
 
 def test_max_depth_limits_tree():
@@ -192,8 +197,8 @@ def _forest_cases():
                        4),
         "max_depth": (fit_forest(Xm, ym, ForestConfig(n_trees=15, max_depth=2,
                                                       seed=27)), 4),
-        "leaf_trees": (Forest(trees=[_leaf_tree([5, 1]), _leaf_tree([1, 5]),
-                                     _leaf_tree([4, 4])],
+        "leaf_trees": (Forest(trees=[_leaf_tree(0), _leaf_tree(1),
+                                     *_tied_leaf_forest().trees],
                               classes=np.array([0, 1]), n_features=4), 4),
     }
 
