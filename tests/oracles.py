@@ -225,20 +225,26 @@ def tap_loop_layer(lay, x, W, b, g):
     return z + b[None, :, None, None], dW, g.sum(axis=(0, 2, 3)), dx
 
 
-def stack_walk_votes(tree, X):
-    """Per-sample majority-class vote of one forest tree, routing index
-    sets down the tree one node at a time (ties to the lower class)."""
+def stack_walk_leaves(tree, X):
+    """Per-sample index of the forest-tree leaf each row ends at, routing
+    index sets down the tree one node at a time."""
     out = np.empty(X.shape[0], dtype=np.int64)
     stack = [(0, np.arange(X.shape[0]))]
     while stack:
         node, idx = stack.pop()
         if tree.feature[node] < 0:
-            out[idx] = tree.leaf[node]
+            out[idx] = node
             continue
         go_left = X[idx, tree.feature[node]] <= tree.threshold[node]
         stack.append((tree.left[node], idx[go_left]))
         stack.append((tree.left[node] + 1, idx[~go_left]))
     return out
+
+
+def stack_walk_votes(tree, X):
+    """Per-sample majority-class vote of one forest tree (ties to the
+    lower class)."""
+    return tree.leaf[stack_walk_leaves(tree, X)]
 
 
 def three_pass_disc_grads(disc, m, xn, yn, yhat_n, xn_mis, beta):

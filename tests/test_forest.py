@@ -5,7 +5,7 @@ from sectes.forest import (Forest, ForestConfig, _Tree, fit_forest, gini,
                            predict_forest, predict_proba)
 from sectes.errors import ConfigError
 
-from oracles import stack_walk_votes
+from oracles import stack_walk_leaves, stack_walk_votes
 
 
 def test_gini_reference_values():
@@ -138,7 +138,16 @@ def test_thresholds_straddle_observed_values():
     X, y = _blobs(rng, n=60, sep=1.5)
     forest = fit_forest(X, y, ForestConfig(n_trees=10, seed=17))
     for tree in forest.trees:
-        for node in range(len(tree.feature)):
+        n_nodes = len(tree.feature)
+        splits = np.flatnonzero(tree.feature >= 0)
+        # every bootstrap row is a row of X, so a leaf no row of X reaches
+        # would be one the grower left empty
+        reached = set(stack_walk_leaves(tree, X).tolist())
+        assert reached == set(np.flatnonzero(tree.feature < 0).tolist())
+        # every allocated node but the root is some split's child
+        children = np.concatenate([tree.left[splits], tree.left[splits] + 1])
+        assert sorted(children.tolist()) == list(range(1, n_nodes))
+        for node in range(n_nodes):
             f = tree.feature[node]
             if f < 0:
                 assert 0 <= tree.leaf[node] < forest.n_classes
@@ -147,7 +156,25 @@ def test_thresholds_straddle_observed_values():
             col = X[:, f]
             assert (col < thr).any() and (col > thr).any()
             # both children come after their parent, right after left
-            assert node < tree.left[node] < len(tree.feature) - 1
+            assert node < tree.left[node] < n_nodes - 1
+
+
+def test_leaf_class_is_that_of_the_rows_routed_to_it():
+    # 12 distinct points with mixed labels, each repeated 40 times: every
+    # per-class bootstrap of 240 rows keeps every point (a point is missed
+    # with odds (5/6)^240), so the rows a leaf was grown on are exactly
+    # the rows of X routed to it, and all of them carry one label
+    rng = np.random.default_rng(28)
+    points = rng.normal(size=(12, 3))
+    X = np.repeat(points, 40, axis=0)
+    y = np.repeat(np.array([0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0]), 40)
+    forest = fit_forest(X, y, ForestConfig(n_trees=10, seed=29))
+    for tree in forest.trees:
+        ends = stack_walk_leaves(tree, X)
+        leaves = np.flatnonzero(tree.feature < 0)
+        assert set(ends.tolist()) == set(leaves.tolist())  # none empty
+        for node in leaves:
+            assert set(y[ends == node].tolist()) == {tree.leaf[node]}
 
 
 def test_stratified_bootstrap_preserves_minority_class():
