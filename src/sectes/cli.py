@@ -40,7 +40,7 @@ from .validation import KNOWN_METHODS, MethodSettings, aggregate_trials, \
 
 log = logging.getLogger("sectes")
 
-MODEL_FORMAT_VERSION = 5
+MODEL_FORMAT_VERSION = 6
 
 
 # --- canonical JSON with exact float round-trips ---

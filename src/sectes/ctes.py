@@ -40,7 +40,8 @@ class TrainConfig:
     convergence_window: int = 50
     convergence_tol: float = 1e-4
     jitter: float = 0.0
-    seed: int = 0
+    # every job derives its own; not part of config or model files
+    seed: int = field(default=0, metadata={"saved": False})
     conv_channels: tuple[int, ...] = (8, 16, 32, 64)
 
     def __post_init__(self):

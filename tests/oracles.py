@@ -8,6 +8,7 @@ code paths it checks.
 import numpy as np
 
 from sectes import ndnet
+from sectes.forest import ForestConfig, _Tree
 
 
 def loss_and_grads(params, x, proj):
@@ -245,6 +246,112 @@ def stack_walk_votes(tree, X):
     """Per-sample majority-class vote of one forest tree (ties to the
     lower class)."""
     return tree.leaf[stack_walk_leaves(tree, X)]
+
+
+def _best_split(vals: np.ndarray, codes: np.ndarray, n_classes: int):
+    """Lowest weighted-Gini split of one feature, or None if constant.
+
+    Returns (score, threshold) where score orders candidates like the
+    weighted Gini (shared constants dropped); thresholds are midpoints
+    strictly between two observed values.
+    """
+    order = vals.argsort()
+    sv = vals[order]
+    boundary = (sv[1:] > sv[:-1]).nonzero()[0]
+    if boundary.size == 0:
+        return None
+    sy = codes[order]
+    n_left = boundary + 1.0
+    n_right = vals.size - n_left
+    if n_classes == 2:
+        cum = sy.cumsum()
+        l1 = cum[boundary]
+        l0 = n_left - l1
+        r1 = cum[-1] - l1
+        r0 = n_right - r1
+        # n_side * gini_side == 2 * count0 * count1 / n_side
+        score = l0 * l1 / n_left + r0 * r1 / n_right
+    else:
+        onehot = sy[:, None] == np.arange(n_classes)[None, :]
+        cum = onehot.cumsum(axis=0).astype(np.float64)
+        lc = cum[boundary]
+        rc = cum[-1] - lc
+        score = (n_left - (lc * lc).sum(axis=1) / n_left
+                 + n_right - (rc * rc).sum(axis=1) / n_right)
+    while True:
+        best = int(score.argmin())
+        b = int(boundary[best])
+        lo, hi = float(sv[b]), float(sv[b + 1])
+        mid = (lo + hi) / 2.0
+        # adjacent floats can collapse the midpoint onto an observed value
+        if lo < mid < hi:
+            return float(score[best]), mid
+        score[best] = np.inf
+        if not np.isfinite(score).any():
+            return None
+
+
+def _grow_tree(X: np.ndarray, codes: np.ndarray, n_classes: int,
+               cfg: ForestConfig, rng: np.random.Generator) -> _Tree:
+    """One tree on the columns of the feature-major ``X`` (features,
+    rows), so each candidate feature's values are one contiguous row."""
+    d = X.shape[0]
+    mtry = max(1, int(np.floor(np.sqrt(d))))
+    feature, threshold, left, leaf = [-1], [0.0], [-1], [0]
+    stack = [(0, np.arange(X.shape[1]), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        node_codes = codes[idx]
+        counts = np.bincount(node_codes, minlength=n_classes)
+        leaf[node] = int(counts.argmax())
+        depth_capped = cfg.max_depth and depth >= cfg.max_depth
+        if counts[leaf[node]] == idx.size or depth_capped:
+            continue
+        # scan a random feature order; constant features do not use up mtry
+        best = None
+        evaluated = 0
+        for f in rng.permutation(d):
+            split = _best_split(X[f, idx], node_codes, n_classes)
+            if split is None:
+                continue
+            evaluated += 1
+            if best is None or split[0] < best[0]:
+                best = (split[0], int(f), split[1])
+            if evaluated >= mtry:
+                break
+        if best is None:
+            continue
+        _, feat, thr = best
+        go_left = X[feat, idx] <= thr
+        feature[node], threshold[node] = feat, thr
+        left[node] = len(feature)
+        feature += [-1, -1]
+        threshold += [0.0, 0.0]
+        left += [-1, -1]
+        leaf += [0, 0]
+        stack.append((left[node], idx[go_left], depth + 1))
+        stack.append((left[node] + 1, idx[~go_left], depth + 1))
+    return _Tree(*map(np.asarray, (feature, threshold, left, leaf)))
+
+
+def reference_trees(X, labels, cfg):
+    """The trees of ``fit_forest(X, labels, cfg)`` grown one at a time,
+    node by node and feature by feature, as ``(feature, threshold, left,
+    leaf)`` arrays."""
+    X = np.asarray(X, dtype=np.float64)
+    classes, codes = np.unique(labels, return_inverse=True)
+    by_class = [np.nonzero(codes == c)[0] for c in range(len(classes))]
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
+    XT = np.ascontiguousarray(X.T)
+    trees = []
+    for t in range(cfg.n_trees):
+        rng = np.random.default_rng(seeds[t])
+        boot = np.concatenate([
+            cls_idx[rng.integers(0, len(cls_idx), size=len(cls_idx))]
+            for cls_idx in by_class])
+        trees.append(_grow_tree(XT[:, boot], codes[boot], len(classes), cfg,
+                                rng))
+    return trees
 
 
 def three_pass_disc_grads(disc, m, xn, yn, yhat_n, xn_mis, beta):

@@ -81,9 +81,9 @@ def test_config_settable_paths_are_pinned():
         "study", "sigmas", "trials", "methods", "groups", "samples_per_group",
         "train.beta", "train.batch_size", "train.iterations", "train.z_dim",
         "train.learning_rate", "train.hidden", "train.convergence_window",
-        "train.convergence_tol", "train.jitter", "train.seed",
-        "train.conv_channels", "ensemble.k", "ensemble.h", "forest.n_trees",
-        "forest.max_depth", "forest.seed", "beta_grid", "gp.grid",
+        "train.convergence_tol", "train.jitter", "train.conv_channels",
+        "ensemble.k", "ensemble.h", "forest.n_trees", "forest.max_depth",
+        "beta_grid", "gp.grid",
         "gp.images_per_category", "data_csv", "out_dir", "master_seed",
         "workers"]
 
@@ -93,6 +93,10 @@ def test_config_rejects_unknown_fields_with_path():
         build_config({"train": {"learning_rte": 0.1}})
     with pytest.raises(ConfigError, match="frobnicate"):
         build_config({"frobnicate": 1})
+    # every job derives its own training and forest seeds
+    for block in ("train", "forest"):
+        with pytest.raises(ConfigError, match=f"{block}.seed: unknown field"):
+            build_config({block: {"seed": 5}})
 
 
 def test_config_two_point_sigma_sweep_accepted():
@@ -682,6 +686,8 @@ def test_load_rejects_format_1_and_unknown_kind(tmp_path, model_docs):
                            "unsupported format version 3"),
                           (_set("format_version", 4),
                            "unsupported format version 4"),
+                          (_set("format_version", 5),
+                           "unsupported format version 5"),
                           (_drop("kind"), "unknown model kind None"),
                           (_set("kind", "wgan"), "unknown model kind 'wgan'")):
         doc = json.loads(json.dumps(model_docs["pls"]))
