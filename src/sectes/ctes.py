@@ -29,7 +29,12 @@ PROB_CLAMP = 1e-7  # scores are pushed inside [clamp, 1-clamp] before logs
 
 @dataclass
 class TrainConfig:
-    """Settings of one adversarial training run."""
+    """Settings of one adversarial training run.
+
+    Training stops early once the mean absolute change of both losses over
+    the last ``convergence_window`` iterations is below ``convergence_tol``;
+    ``convergence_tol=0`` turns the early stop off.
+    """
 
     beta: float = 0.9
     batch_size: int = 50
@@ -52,8 +57,10 @@ class TrainConfig:
                               "needs two distinct characteristics)")
         if self.iterations < 0 or self.z_dim < 1:
             raise ConfigError("iterations must be >= 0 and z_dim >= 1")
-        if self.convergence_window < 0:
-            raise ConfigError("convergence_window must be >= 0")
+        if self.convergence_window < 1:
+            raise ConfigError("convergence_window must be >= 1")
+        if not self.convergence_tol >= 0:
+            raise ConfigError("convergence_tol must be >= 0")
         if self.jitter < 0:
             raise ConfigError("jitter must be >= 0")
         if not self.learning_rate > 0:
@@ -242,14 +249,12 @@ def _disc_backward(disc: DiscriminatorModel, m: int, enc_tr, head_tr,
     only the parameter gradients are computed, summed over every traced
     row, and written there. Without, only the gradient w.r.t. the
     normalized expression rows is computed, and returned."""
-    head_out, enc_out = (None, None) if grads is None else grads
-    _, head_in_grad = ndnet.backprop(disc.head, head_tr, score_grad[:, None],
-                                     param_grads=grads is not None,
-                                     out=head_out)
+    head_out, enc_out = grads or (None, None)
+    head_in_grad = ndnet.backprop(disc.head, head_tr, score_grad[:, None],
+                                  out=head_out)
     enc_grad = head_in_grad[:, m:].reshape(enc_tr.output.shape)
-    _, g = ndnet.backprop(disc.encoder, enc_tr, enc_grad,
-                          input_grad=grads is None,
-                          param_grads=grads is not None, out=enc_out)
+    g = ndnet.backprop(disc.encoder, enc_tr, enc_grad, out=enc_out,
+                       input_grad=grads is None)
     return None if g is None else g.reshape(score_grad.shape[0], -1)
 
 
@@ -429,12 +434,12 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
         score_max = max(score_max, float(d_fy2.max()))
         g_score = -1.0 / (s * _clamp(d_fy2))
         yhat_grad = _disc_backward(disc, m, enc_tr, head_tr, g_score)
-        _, dec_in_grad = ndnet.backprop(
+        dec_in_grad = ndnet.backprop(
             gen.decoder, dec_tr, yhat_grad.reshape(dec_tr.output.shape),
             out=dec_grads)
         ndnet.backprop(gen.mixer, mix_tr,
                        dec_in_grad.reshape(mix_tr.output.shape),
-                       input_grad=False, out=mix_grads)
+                       out=mix_grads, input_grad=False)
         ndnet.optimizer_step(g_nets, opt_g)
 
         losses[:, it] = loss_d, loss_g

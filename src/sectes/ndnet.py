@@ -6,9 +6,11 @@ models (e.g. a dense mixer feeding a deconvolutional decoder) are built by
 composing separate stacks and routing gradients between them.
 
 Everything operates on float64 numpy arrays and is deterministic given the
-seed. Inputs are batched: ``(B, d)`` for dense stacks, ``(B, C, H, W)`` for
-convolutional stacks; a single sample may be passed unbatched and is
-promoted to a batch of one.
+seed. Inputs and output gradients are batched: ``(B, d)`` for dense stacks,
+``(B, C, H, W)`` for convolutional stacks, with ``B = 1`` for one sample.
+A forward pass keeps one array per layer, its activation; backprop writes
+parameter gradients into arrays the caller gives it (an :class:`OptState`'s)
+and returns the input gradient.
 """
 
 from __future__ import annotations
@@ -77,11 +79,11 @@ class NetParams:
 
 @dataclass
 class Trace:
-    """All intermediate activations of one forward pass."""
+    """The input and every layer's activation of one forward pass; the
+    pre-activations are not kept (backprop reads only the activations)."""
 
-    x: np.ndarray          # (promoted) network input
-    pre: list[np.ndarray]  # pre-activation per layer
-    post: list[np.ndarray]  # post-activation per layer
+    x: np.ndarray           # network input
+    post: list[np.ndarray]  # activation per layer
 
     @property
     def output(self) -> np.ndarray:
@@ -146,44 +148,6 @@ def init_params(spec: list[LayerSpec], seed: int) -> NetParams:
         layers.append({"W": rng.uniform(-bound, bound, size=w_shape),
                        "b": np.zeros(b_shape)})
     return NetParams(spec=list(spec), layers=layers)
-
-
-def _apply_activation(z: np.ndarray, act: str,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    if act == "relu":
-        return np.maximum(z, 0.0, out=out)
-    if act == "sigmoid":
-        # np.clip's result, without its Python-level dispatch
-        clamped = np.minimum(np.maximum(z, -SIGMOID_CLAMP), SIGMOID_CLAMP)
-        return np.divide(1.0, 1.0 + np.exp(-clamped), out=out)
-    if out is None:
-        return z
-    out[...] = z
-    return out
-
-
-def _activation_backward(g: np.ndarray, z: np.ndarray, post: np.ndarray,
-                         act: str, in_place: bool) -> np.ndarray:
-    """Gradient at the pre-activation z from the gradient g at its
-    activation ``post``; the relu mask is applied to g itself when
-    ``in_place``."""
-    if act == "relu":
-        return np.multiply(g, z > 0.0, out=g if in_place else None)
-    if act == "sigmoid":
-        return g * (post * (1.0 - post))
-    return g
-
-
-def _promote(params: NetParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    first = params.spec[0]
-    want = 2 if first.kind == "dense" else 4
-    if x.ndim == want - 1:
-        return x[None, ...], True
-    if x.ndim != want:
-        raise ValueError(f"input has {x.ndim} dims, expected {want} "
-                         f"(batched) or {want - 1} (single sample)")
-    return x, False
 
 
 def _conv_out_hw(h: int, w: int, lay: LayerSpec) -> tuple[int, int]:
@@ -261,14 +225,18 @@ def _conv_weight_grad(g, xp, lay: LayerSpec):
 
 def forward(params: NetParams, x: np.ndarray,
             out: np.ndarray | None = None) -> Trace:
-    """Run the network, recording every intermediate activation.
+    """Run the network on the batch x, recording every layer's activation.
 
     Pure function of (params, x); returns a :class:`Trace` whose final
-    entry is the network output. With ``out``, an array of the output's
-    shape, the last layer writes its activation there.
+    entry is the network output. Each activation is applied in place on
+    its layer's pre-activation array. With ``out``, an array of the
+    output's shape, the last layer writes its activation there.
     """
-    x, _ = _promote(params, x)
-    pre, post = [], []
+    x = np.asarray(x, dtype=np.float64)
+    want = 2 if params.spec[0].kind == "dense" else 4
+    if x.ndim != want:
+        raise ValueError(f"input has {x.ndim} dims, expected {want} (a batch)")
+    post = []
     a = x
     last = len(params.spec) - 1
     for i, (lay, weights) in enumerate(zip(params.spec, params.layers)):
@@ -292,79 +260,79 @@ def forward(params: NetParams, x: np.ndarray,
                 # adding out of place leaves a compact array, not a
                 # strided crop, for the activation and backprop to read
                 z = full[:, :, p:p + ho, p:p + wo] + b[None, :, None, None]
-        a = _apply_activation(z, lay.activation, out if i == last else None)
-        pre.append(z)
+        a = z if i < last or out is None else out
+        if lay.activation == "relu":
+            np.maximum(z, 0.0, out=a)
+        elif lay.activation == "sigmoid":
+            # np.clip's result, without its Python-level dispatch
+            clamped = np.minimum(np.maximum(z, -SIGMOID_CLAMP), SIGMOID_CLAMP)
+            np.divide(1.0, 1.0 + np.exp(-clamped), out=a)
+        elif a is not z:
+            a[...] = z
         post.append(a)
-    return Trace(x=x, pre=pre, post=post)
-
-
-_NO_OUT = {"W": None, "b": None}
+    return Trace(x=x, post=post)
 
 
 def backprop(params: NetParams, trace: Trace, out_grad: np.ndarray,
-             input_grad: bool = True, param_grads: bool = True,
-             out: list[dict] | None = None
-             ) -> tuple[list[dict] | None, np.ndarray | None]:
+             out: list[dict] | None = None,
+             input_grad: bool = True) -> np.ndarray | None:
     """Exact reverse-mode gradients of the forward map.
 
     ``out_grad`` is the loss gradient with respect to the network output
-    (post-activation). Returns (per-layer {"W","b"} gradients, gradient
-    with respect to the network input). With ``input_grad=False`` the
-    first layer's input gradient is not computed and None takes its
-    place; the parameter gradients are the same. With
-    ``param_grads=False`` only the input gradient is computed, and None
-    takes the parameter gradients' place. ``out`` gives per-layer
-    {"W","b"} arrays that the parameter gradients are written into and
-    returned as (such as :attr:`OptState.grads`).
+    (post-activation), batched like it. Parameter gradients are computed
+    only with ``out``, per-layer {"W","b"} arrays of the parameters'
+    shapes (such as an :attr:`OptState.grads` entry), and are written
+    there. Returns the gradient with respect to the network input, or
+    None with ``input_grad=False``, which skips the first layer's input
+    gradient.
     """
-    if len(trace.pre) != len(params.spec):
+    if len(trace.post) != len(params.spec):
         raise ValueError("trace does not match network depth")
     g = np.asarray(out_grad, dtype=np.float64)
-    if g.ndim == trace.output.ndim - 1:
-        g = g[None, ...]
     if g.shape != trace.output.shape:
         raise ValueError(f"out_grad shape {g.shape} != output shape "
                          f"{trace.output.shape}")
-    grads = [None] * len(params.spec) if param_grads else None
-    # masks are applied in place only on contiguous gradients made here:
-    # out_grad is the caller's, and on a strided view the new layout
+    # relu masks are applied in place only on contiguous gradients made
+    # here: out_grad is the caller's, and on a strided view the new layout
     # would reorder the bias gradient's sum
     owned = False
     for i in range(len(params.spec) - 1, -1, -1):
-        lay = params.spec[i]
+        lay, post = params.spec[i], trace.post[i]
         W = params.layers[i]["W"]
         a_prev = trace.post[i - 1] if i > 0 else trace.x
-        g = _activation_backward(g, trace.pre[i], trace.post[i],
-                                 lay.activation,
-                                 owned and g.flags.c_contiguous)
+        if lay.activation == "relu":
+            # post > 0 exactly where the pre-activation is (NaN and -0 too)
+            in_place = owned and g.flags.c_contiguous
+            g = np.multiply(g, post > 0.0, out=g if in_place else None)
+        elif lay.activation == "sigmoid":
+            g = g * (post * (1.0 - post))
         need_in = i > 0 or input_grad
-        dst = _NO_OUT if out is None else out[i]
+        dst = None if out is None else out[i]
         p, g_in = lay.padding, None
         if lay.kind == "dense":
-            dW = np.matmul(a_prev.T, g, out=dst["W"]) if param_grads else None
+            if dst is not None:
+                np.matmul(a_prev.T, g, out=dst["W"])
             if need_in:
                 # one output column: its K = 1 product is a broadcast
                 g_in = g * W[:, 0] if lay.out_size == 1 else g @ W.T
         elif lay.kind == "conv2d":
             xp, (h, w) = _pad(a_prev, p), a_prev.shape[2:]
-            dW = _conv_weight_grad(g, xp, lay) if param_grads else None
+            if dst is not None:
+                dst["W"][...] = _conv_weight_grad(g, xp, lay)
             if need_in:
                 dxp = _conv_scatter(g, W, lay, *xp.shape[2:])
                 g_in = dxp[:, :, p:p + h, p:p + w]
         else:
             gp = _pad(g, p)
-            dW = _conv_weight_grad(a_prev, gp, lay) if param_grads else None
+            if dst is not None:
+                dst["W"][...] = _conv_weight_grad(a_prev, gp, lay)
             if need_in:
                 g_in = _conv_contract(gp, W, lay)
-        if param_grads:
-            if dst["W"] is not None and dW is not dst["W"]:
-                dst["W"][...] = dW
-                dW = dst["W"]
+        if dst is not None:
             axes = 0 if lay.kind == "dense" else (0, 2, 3)
-            grads[i] = {"W": dW,
-                        "b": np.add.reduce(g, axis=axes, out=dst["b"])}
+            np.add.reduce(g, axis=axes, out=dst["b"])
         g, owned = g_in, True
-    return grads, g
+    return g
 
 
 ADAM_BETA1 = 0.9
@@ -379,8 +347,8 @@ class OptState:
     parameters, their gradients, the first and second moment estimates
     and two rows of scratch space for the update. The networks' layer
     arrays are ``views`` into the first row; ``grads`` holds, per
-    network, {"W","b"} views into the second row in the layout that
-    :func:`backprop` returns and can write into."""
+    network, per-layer {"W","b"} views into the second row, which
+    :func:`backprop` writes when given one as ``out``."""
 
     lr: float
     buffer: np.ndarray

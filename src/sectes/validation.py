@@ -69,7 +69,15 @@ class RiskEvalReport:
 
 @dataclass
 class MethodSettings:
-    """Shared knobs for every synthesis method in an experiment."""
+    """Shared knobs for every synthesis method in an experiment.
+
+    ``train`` sets every adversarial training run. ``forest`` sets the
+    validation forests, and the inverse-validation forests only when
+    ``ensemble`` is None. Of ``ensemble``, only ``k``, ``h`` and ``clf``
+    are read: :func:`fit_method` replaces its ``train`` and ``seed`` with
+    ``train`` (at the label's beta) and the job seed, and its ``clf``, not
+    ``forest``, fits the inverse-validation forests.
+    """
 
     train: TrainConfig = field(default_factory=TrainConfig)
     forest: ForestConfig = field(default_factory=ForestConfig)
@@ -348,11 +356,11 @@ def fit_conv_classifier(Y: np.ndarray, labels: np.ndarray, expr_shape: tuple,
             head_tr = ndnet.forward(head, flat)
             probs = _softmax(head_tr.output)
             out_grad = (probs - onehot[sel]) / len(sel)
-            _, flat_grad = ndnet.backprop(head, head_tr, out_grad,
-                                          out=head_grads)
+            flat_grad = ndnet.backprop(head, head_tr, out_grad,
+                                       out=head_grads)
             ndnet.backprop(encoder, enc_tr,
                            flat_grad.reshape(enc_tr.output.shape),
-                           input_grad=False, out=enc_grads)
+                           out=enc_grads, input_grad=False)
             ndnet.optimizer_step(nets, opt)
     return ConvClassifier(encoder=encoder, head=head, classes=classes,
                           expr_shape=expr_shape, mean=mean, std=std)

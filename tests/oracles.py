@@ -5,17 +5,27 @@ loops, central finite differences) and stays independent of the library
 code paths it checks.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from sectes import ndnet
 from sectes.forest import ForestConfig, _Tree
 
 
+def zero_grads(params):
+    """Per-layer {"W","b"} zero arrays of ``params``' shapes, for
+    :func:`ndnet.backprop` to write parameter gradients into."""
+    return [{k: np.zeros_like(a) for k, a in lay.items()}
+            for lay in params.layers]
+
+
 def loss_and_grads(params, x, proj):
     """Scalar loss sum(proj * output); returns (loss, analytic grads)."""
     trace = ndnet.forward(params, x)
     loss = float(np.sum(proj * trace.output))
-    grads, _ = ndnet.backprop(params, trace, proj)
+    grads = zero_grads(params)
+    ndnet.backprop(params, trace, proj, out=grads)
     return loss, grads
 
 
@@ -41,9 +51,16 @@ def fd_grads(params, x, proj, h=1e-5):
 
 
 def min_preactivation(params, x):
-    """Smallest |pre-activation|; gates relu instances away from kinks."""
-    trace = ndnet.forward(params, x)
-    return min(float(np.abs(z).min()) for z in trace.pre)
+    """Smallest |pre-activation|; gates relu instances away from kinks.
+    Layer i's pre-activation is the output of the first i + 1 layers with
+    the last one's activation dropped."""
+    smallest = np.inf
+    for i in range(len(params.spec)):
+        spec = params.spec[:i] + [replace(params.spec[i], activation="none")]
+        z = ndnet.forward(ndnet.NetParams(spec, params.layers[:i + 1]),
+                          x).output
+        smallest = min(smallest, float(np.abs(z).min()))
+    return smallest
 
 
 def max_grad_rel_error(analytic, fd):
@@ -377,10 +394,12 @@ def three_pass_disc_grads(disc, m, xn, yn, yhat_n, xn_mis, beta):
         head_tr = ndnet.forward(
             disc.head, np.hstack([x, enc_tr.output.reshape(s, -1)]))
         d = head_tr.output[:, 0]
-        head_g, head_in_g = ndnet.backprop(disc.head, head_tr,
-                                           score_grad(d)[:, None])
-        enc_g, _ = ndnet.backprop(disc.encoder, enc_tr,
-                                  head_in_g[:, m:].reshape(enc_tr.output.shape))
+        head_g, enc_g = zero_grads(disc.head), zero_grads(disc.encoder)
+        head_in_g = ndnet.backprop(disc.head, head_tr, score_grad(d)[:, None],
+                                   out=head_g)
+        ndnet.backprop(disc.encoder, enc_tr,
+                       head_in_g[:, m:].reshape(enc_tr.output.shape),
+                       out=enc_g)
         scores.append(d)
         if head_sum is None:
             head_sum, enc_sum = head_g, enc_g

@@ -532,6 +532,9 @@ MALFORMED_CONFIGS = [
     ({"ensemble": {"k": 4, "h": 2}}, "ensemble: k must exceed 2*h"),
     ({"gp": {"grid": 1}}, "gp: grid side must be >= 2"),
     ({"workers": 0}, "workers: must be >= 1"),
+    ({"train": {"convergence_window": 0}},
+     "train: convergence_window must be >= 1"),
+    ({"train": {"convergence_tol": -0.5}}, "train: convergence_tol must be >= 0"),
 ]
 
 

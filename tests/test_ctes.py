@@ -41,8 +41,12 @@ def test_config_validation_and_low_beta_warning():
         TrainConfig(batch_size=1)
     with pytest.raises(ConfigError):
         TrainConfig(jitter=-0.1)
-    with pytest.raises(ConfigError, match="convergence_window"):
-        TrainConfig(convergence_window=-1)
+    for window in (-1, 0):  # an empty window has no mean to test
+        with pytest.raises(ConfigError, match="convergence_window must be >= 1"):
+            TrainConfig(convergence_window=window)
+    with pytest.raises(ConfigError, match="convergence_tol must be >= 0"):
+        TrainConfig(convergence_tol=-1e-4)
+    TrainConfig(convergence_window=1, convergence_tol=0.0)
     with pytest.warns(UserWarning):
         TrainConfig(beta=0.5)
     with pytest.warns(UserWarning):

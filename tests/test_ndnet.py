@@ -9,7 +9,7 @@ from sectes import ndnet
 from sectes.errors import ConfigError, TrainingDiverged
 
 from oracles import (fd_grads, loss_and_grads, max_grad_rel_error,
-                     per_array_adam,
+                     per_array_adam, zero_grads,
                      min_preactivation, naive_conv2d, naive_conv2d_grads,
                      naive_deconv2d, naive_deconv2d_grads, tap_loop_layer)
 
@@ -76,12 +76,16 @@ def test_forward_deterministic_and_shape_checked():
         ndnet.forward(params, np.ones((4, 7)))
 
 
-def test_forward_promotes_single_sample():
+def test_forward_and_backprop_reject_unbatched_arrays():
     params = ndnet.init_params([ndnet.dense(3, 2)], 0)
-    single = ndnet.forward(params, np.ones(3)).output
-    batched = ndnet.forward(params, np.ones((1, 3))).output
-    assert single.shape == (1, 2)
-    assert np.array_equal(single, batched)
+    with pytest.raises(ValueError, match="batch"):
+        ndnet.forward(params, np.ones(3))
+    trace = ndnet.forward(params, np.ones((1, 3)))
+    with pytest.raises(ValueError, match="out_grad shape"):
+        ndnet.backprop(params, trace, np.ones(2))
+    conv = ndnet.init_params([ndnet.conv2d(1, 2)], 0)
+    with pytest.raises(ValueError, match="batch"):
+        ndnet.forward(conv, np.ones((1, 4, 4)))
 
 
 def test_backprop_linear_case():
@@ -89,7 +93,8 @@ def test_backprop_linear_case():
     params = ndnet.init_params([ndnet.dense(1, 1)], 0)
     params.layers[0]["W"][0, 0] = 1.7
     trace = ndnet.forward(params, np.array([[2.0]]))
-    grads, in_grad = ndnet.backprop(params, trace, np.array([[3.0]]))
+    grads = zero_grads(params)
+    in_grad = ndnet.backprop(params, trace, np.array([[3.0]]), out=grads)
     assert grads[0]["W"][0, 0] == 6.0
     assert grads[0]["b"][0] == 3.0
     assert in_grad[0, 0] == 1.7 * 3.0
@@ -163,7 +168,8 @@ def test_conv2d_backward_matches_naive_loops():
     x = rng.normal(size=(2, 2, 5, 5))
     trace = ndnet.forward(params, x)
     g = rng.normal(size=trace.output.shape)
-    grads, dx = ndnet.backprop(params, trace, g)
+    grads = zero_grads(params)
+    dx = ndnet.backprop(params, trace, g, out=grads)
     dW, db, dx_ref = naive_conv2d_grads(x, params.layers[0]["W"], g, 2, 1)
     assert np.max(np.abs(grads[0]["W"] - dW)) <= 1e-10
     assert np.max(np.abs(grads[0]["b"] - db)) <= 1e-10
@@ -198,7 +204,8 @@ def test_deconv2d_backward_matches_naive_loops(stride, padding, kernel):
     params, x, rng = _deconv_case(stride, padding, kernel)
     trace = ndnet.forward(params, x)
     g = rng.normal(size=trace.output.shape)
-    grads, dx = ndnet.backprop(params, trace, g)
+    grads = zero_grads(params)
+    dx = ndnet.backprop(params, trace, g, out=grads)
     dW, db, dx_ref = naive_deconv2d_grads(x, params.layers[0]["W"], g,
                                           stride, padding)
     assert np.max(np.abs(grads[0]["W"] - dW)) <= 1e-10
@@ -247,7 +254,8 @@ def _check_layer_against(params, x, oracle, fwd_tol, grad_tol):
     W, b = params.layers[0]["W"], params.layers[0]["b"]
     trace = ndnet.forward(params, x)
     g = np.random.default_rng(x.size).normal(size=trace.output.shape)
-    grads, dx = ndnet.backprop(params, trace, g)
+    grads = zero_grads(params)
+    dx = ndnet.backprop(params, trace, g, out=grads)
     got = (trace.output, grads[0]["W"], grads[0]["b"], dx)
     for i, (a, r) in enumerate(zip(got, oracle(x, W, b, g))):
         assert a.shape == r.shape, (params.spec[0], i)
@@ -358,10 +366,9 @@ def test_shapes_preserved_by_forward_backprop_and_optimizer():
     shapes = [{k: v.shape for k, v in lay.items()} for lay in params.layers]
     trace = ndnet.forward(params, np.ones((2, 3)))
     state = ndnet.init_opt_state((params,))
-    grads, _ = ndnet.backprop(params, trace, np.ones((2, 2)),
-                              out=state.grads[0])
+    ndnet.backprop(params, trace, np.ones((2, 2)), out=state.grads[0])
     ndnet.optimizer_step((params,), state)
-    for lay, glay, want in zip(params.layers, grads, shapes):
+    for lay, glay, want in zip(params.layers, state.grads[0], shapes):
         for key in lay:
             assert lay[key].shape == want[key]
             assert glay[key].shape == want[key]
@@ -424,13 +431,11 @@ def test_backprop_without_input_grad_keeps_parameter_grads(kind):
     rng = np.random.default_rng(8)
     trace = ndnet.forward(params, rng.normal(size=shape))
     out_grad = rng.normal(size=trace.output.shape)
-    full, in_grad = ndnet.backprop(params, trace, out_grad)
-    lean, none = ndnet.backprop(params, trace, out_grad, input_grad=False)
+    full, lean = zero_grads(params), zero_grads(params)
+    in_grad = ndnet.backprop(params, trace, out_grad, out=full)
+    none = ndnet.backprop(params, trace, out_grad, out=lean, input_grad=False)
     assert in_grad.shape == trace.x.shape and none is None
-    for a, b in zip(full, lean, strict=True):
-        assert a.keys() == b.keys()
-        for key in a:
-            assert np.array_equal(a[key], b[key])
+    assert_grads_identical(lean, full)
 
 
 @pytest.mark.parametrize("kind", ["dense", "conv2d"])
@@ -443,11 +448,10 @@ def test_flat_adam_matches_per_array_adam(kind):
     grads_seq = []
     for _ in range(25):
         trace = ndnet.forward(params, rng.normal(size=shape))
-        grads, _ = ndnet.backprop(params, trace,
-                                  rng.normal(size=trace.output.shape),
-                                  out=state.grads[0])
+        ndnet.backprop(params, trace, rng.normal(size=trace.output.shape),
+                       out=state.grads[0])
         grads_seq.append([{k: a.copy() for k, a in lay.items()}
-                          for lay in grads])
+                          for lay in state.grads[0]])
         ndnet.optimizer_step((params,), state)
     want = per_array_adam(start, grads_seq, lr=3e-3)
     assert state.step == 25
@@ -540,8 +544,7 @@ def test_forward_into_a_given_array_matches_the_allocating_forward(case):
     buf = np.full(want.output.shape, np.nan)
     got = ndnet.forward(params, x, buf)
     assert got.output is buf and np.array_equal(buf, want.output)
-    for a, b in zip(got.pre + got.post[:-1], want.pre + want.post[:-1],
-                    strict=True):
+    for a, b in zip(got.post[:-1], want.post[:-1], strict=True):
         assert np.array_equal(a, b)
 
 
@@ -551,17 +554,17 @@ def test_backprop_modes_match_the_allocating_backprop(case):
     params, x, out_grad = case
     trace = ndnet.forward(params, x)
     kept = out_grad.copy()
-    grads, in_grad = ndnet.backprop(params, trace, out_grad)
+    grads = zero_grads(params)
+    in_grad = ndnet.backprop(params, trace, out_grad, out=grads)
     assert np.array_equal(out_grad, kept)  # the caller's gradient is kept
-    # written into given arrays: the same bits, in those arrays
+    # written into an optimizer state's gradient row: the same bits
     dest = ndnet.init_opt_state((params,)).grads[0]
-    into, in_grad2 = ndnet.backprop(params, trace, out_grad, out=dest)
-    assert_grads_identical(into, grads)
-    assert all(lay[k] is d[k] for lay, d in zip(into, dest) for k in d)
+    in_grad2 = ndnet.backprop(params, trace, out_grad, out=dest)
+    assert_grads_identical(dest, grads)
     assert np.array_equal(in_grad2, in_grad)
     # input gradient only
-    none, in_only = ndnet.backprop(params, trace, out_grad, param_grads=False)
-    assert none is None and np.array_equal(in_only, in_grad)
+    in_only = ndnet.backprop(params, trace, out_grad)
+    assert np.array_equal(in_only, in_grad)
     assert np.array_equal(out_grad, kept)
 
 
@@ -574,7 +577,7 @@ def test_one_column_input_grad_broadcast_matches_the_product(batch, in_size,
     params = ndnet.init_params([ndnet.dense(in_size, 1, "none")], rng)
     trace = ndnet.forward(params, rng.normal(size=(batch, in_size)))
     g = rng.normal(size=(batch, 1))
-    _, in_grad = ndnet.backprop(params, trace, g)
+    in_grad = ndnet.backprop(params, trace, g)
     assert np.array_equal(in_grad, g @ params.layers[0]["W"].T)
 
 
