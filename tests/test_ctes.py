@@ -430,30 +430,36 @@ def training_digest(model):
     return h.hexdigest()
 
 
-def matrix_toy_dataset(seed=3, n=24):
+def matrix_toy_dataset(seed=3, n=24, grid=4):
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 3, size=(n, 2)).astype(float)
-    y = rng.standard_normal((n, 16))
+    y = rng.standard_normal((n, grid * grid))
     return PairedDataset(x=x, y=y, groups=np.ones(n, int), n_groups=1,
-                         expr_shape=(4, 4))
+                         expr_shape=(grid, grid))
 
 
 # Digests taken from the per-array Adam and per-call mismatch sampling
 # that the flat optimizer buffers and the mismatch table replaced: the
 # trainer must reproduce those runs bit for bit. They pin float64
 # results of this numpy build's kernels, so a numpy or BLAS change that
-# moves rounding needs them re-derived from that earlier trainer.
+# moves rounding needs them re-derived from that earlier trainer. The
+# 16x16 case, four conv layers at the default channels, was taken from
+# the trainer whose ndnet passes allocated every array per call.
 @pytest.mark.parametrize("case, digest", [
     ("dense", "ec14dd992c25bbd65dab778e03138d5a76e73cc7e89bab706fb399dce299e595"),
     ("matrix", "6cc839352bfecc10b991bdfe8412e61f6d92860005dc8989ffd53f4c4a9e5dfa"),
+    ("matrix-16x16", "9cea951661950db409814572f3aad225b849560ad67aac3a1b464d2a69f769f3"),
 ])
 def test_training_run_matches_pinned_digest(case, digest):
     if case == "dense":
         model = train_ctes(toy_dataset(n=80),
                            TrainConfig(iterations=40, batch_size=16, seed=21))
-    else:
+    elif case == "matrix":
         model = train_ctes(matrix_toy_dataset(), TrainConfig(
             iterations=20, batch_size=8, seed=21, conv_channels=(4, 8)))
+    else:  # the four-layer conv stacks at the default channels
+        model = train_ctes(matrix_toy_dataset(n=40, grid=16), TrainConfig(
+            iterations=5, batch_size=16, seed=21))
     assert training_digest(model) == digest
 
 

@@ -222,6 +222,25 @@ def test_conv_classifier_matches_pinned_digest():
                              "9c980d46657aeceb9331d5e244be1f76")
 
 
+def test_conv_classifier_on_16x16_matches_pinned_digest():
+    # four conv layers at the default channels, and a short last batch
+    # (84 rows at batch 16); taken from the classifier whose ndnet passes
+    # allocated every array per call
+    rng = np.random.default_rng(8)
+    Y = np.vstack([rng.normal(0.0, 0.2, size=(42, 256)),
+                   rng.normal(3.0, 0.2, size=(42, 256))])
+    labels = np.array([0] * 42 + [1] * 42)
+    clf = fit_conv_classifier(Y, labels, (16, 16), seed=0, epochs=3,
+                              batch=16)
+    h = hashlib.sha256()
+    for net in (clf.encoder, clf.head):
+        for lay in net.layers:
+            h.update(lay["W"].tobytes())
+            h.update(lay["b"].tobytes())
+    assert h.hexdigest() == ("531402e42399966a77bc15a0777a3861"
+                             "8776e818ca4a9c8175e442d8474e02c6")
+
+
 def test_conv_encoders_share_the_channel_check():
     # grid 16 takes four stride-2 conv layers; three channel sizes are too
     # few for both the discriminator and the validation classifier
