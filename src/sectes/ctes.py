@@ -214,31 +214,31 @@ def _as_seed_seq(seed) -> np.random.SeedSequence:
 
 
 def _gen_forward_traced(gen: GeneratorModel, mix_in: np.ndarray,
-                        out: np.ndarray):
+                        out: np.ndarray, traces=(None, None)):
     """Normalized-space generator pass over mixer input rows [z | xn]; the
     decoder writes the expression rows into ``out``, a contiguous (B, n)
-    array. Returns the mixer and decoder traces."""
-    mix_tr = ndnet.forward(gen.mixer, mix_in)
+    array. Returns the mixer and decoder traces, refilling ``traces``."""
+    mix_tr = ndnet.forward(gen.mixer, mix_in, trace=traces[0])
     dec_in = mix_tr.output
     if gen.expr_shape is not None:
         dec_in = dec_in.reshape(dec_in.shape[0], -1, 1, 1)
         out = out.reshape(out.shape[0], 1, *gen.expr_shape)
-    dec_tr = ndnet.forward(gen.decoder, dec_in, out)
+    dec_tr = ndnet.forward(gen.decoder, dec_in, out, traces[1])
     return mix_tr, dec_tr
 
 
 def _disc_scores_traced(disc: DiscriminatorModel, m: int, yn: np.ndarray,
-                        head_in: np.ndarray):
+                        head_in: np.ndarray, traces=(None, None)):
     """Normalized-space discriminator pass over expression rows ``yn``.
     The first m columns of ``head_in`` hold the matching normalized
     characteristic rows, and the encoder writes its encodings into the
-    rest. Returns (scores, encoder/head traces)."""
+    rest. Returns (scores, encoder/head traces), refilling ``traces``."""
     enc_in, enc_out = yn, head_in[:, m:]
     if disc.expr_shape is not None:
         enc_in = yn.reshape(yn.shape[0], 1, *disc.expr_shape)
         enc_out = enc_out[:, :, None, None]
-    enc_tr = ndnet.forward(disc.encoder, enc_in, enc_out)
-    head_tr = ndnet.forward(disc.head, head_in)
+    enc_tr = ndnet.forward(disc.encoder, enc_in, enc_out, traces[0])
+    head_tr = ndnet.forward(disc.head, head_in, trace=traces[1])
     return head_tr.output[:, 0], enc_tr, head_tr
 
 
@@ -334,15 +334,15 @@ def sample_mismatch(batch_indices, table: MismatchTable,
 
 
 def _disc_step_grads(disc: DiscriminatorModel, m: int, enc_in, head_in,
-                     beta: float, grads: tuple):
+                     beta: float, grads: tuple, traces=(None, None)):
     """Score the real (x, y), generated (x, yhat) and mismatched (x', y)
     pairs as one stacked 3s-row batch: expression rows ``enc_in`` are y,
     yhat, y, and the first m columns of ``head_in`` hold x, x, x'.
     Backprop the negated three-pair objective once, into ``grads``, the
     (head, encoder) gradients of an :class:`ndnet.OptState`. Returns
-    (L_D, the 3s scores in that pair order)."""
+    (L_D, the 3s scores in that pair order, the refilled ``traces``)."""
     s = enc_in.shape[0] // 3
-    scores, enc_tr, head_tr = _disc_scores_traced(disc, m, enc_in, head_in)
+    scores, *traces = _disc_scores_traced(disc, m, enc_in, head_in, traces)
     d_real, d_fy, d_fx = scores[:s], scores[s:2 * s], scores[2 * s:]
     loss_d = float(np.mean(discriminator_loss(d_real, d_fy, d_fx, beta)))
     # minimizing -L_D: d/dd of the -log terms, weighted -1, beta and
@@ -350,8 +350,8 @@ def _disc_step_grads(disc: DiscriminatorModel, m: int, enc_in, head_in,
     at = scores.copy()
     np.subtract(1.0, scores[s:], out=at[s:])
     score_grad = np.repeat([-1.0, beta, 1.0 - beta], s) / (s * _clamp(at))
-    _disc_backward(disc, m, enc_tr, head_tr, score_grad, grads)
-    return loss_d, scores
+    _disc_backward(disc, m, *traces, score_grad, grads)
+    return loss_d, scores, traces
 
 
 def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
@@ -402,6 +402,7 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
     w, tol = config.convergence_window, config.convergence_tol
     iterations_run = config.iterations
     score_min, score_max = np.inf, -np.inf
+    gen_trs = d_trs = g_trs = (None, None)  # kept: the shapes are fixed
 
     for it in range(config.iterations):
         idx = rng.choice(N, size=s, replace=N < s)
@@ -412,9 +413,10 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
         enc_in[:s] = enc_in[2 * s:] = yn_all[idx]
 
         # --- discriminator ascent on the three-pair objective
-        mix_tr, dec_tr = _gen_forward_traced(gen, mix_in, enc_in[fake])
-        loss_d, scores = _disc_step_grads(disc, m, enc_in, head_in, beta,
-                                          opt_d.grads)
+        gen_trs = mix_tr, dec_tr = _gen_forward_traced(gen, mix_in,
+                                                       enc_in[fake], gen_trs)
+        loss_d, scores, d_trs = _disc_step_grads(disc, m, enc_in, head_in,
+                                                 beta, opt_d.grads, d_trs)
         if not np.isfinite(loss_d):
             raise TrainingDiverged(f"discriminator loss became {loss_d} at "
                                    f"iteration {it}", iteration=it)
@@ -424,8 +426,8 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
 
         # --- generator ascent on log D(x, yhat) against the updated D; the
         # D step left the generator unchanged, so its traces still hold
-        d_fy2, enc_tr, head_tr = _disc_scores_traced(disc, m, enc_in[fake],
-                                                     head_in[fake])
+        d_fy2, *g_trs = _disc_scores_traced(disc, m, enc_in[fake],
+                                            head_in[fake], g_trs)
         loss_g = float(np.mean(generator_loss(d_fy2)))
         if not np.isfinite(loss_g):
             raise TrainingDiverged(f"generator loss became {loss_g} at "
@@ -433,7 +435,7 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
         score_min = min(score_min, float(d_fy2.min()))
         score_max = max(score_max, float(d_fy2.max()))
         g_score = -1.0 / (s * _clamp(d_fy2))
-        yhat_grad = _disc_backward(disc, m, enc_tr, head_tr, g_score)
+        yhat_grad = _disc_backward(disc, m, *g_trs, g_score)
         dec_in_grad = ndnet.backprop(
             gen.decoder, dec_tr, yhat_grad.reshape(dec_tr.output.shape),
             out=dec_grads)

@@ -15,7 +15,8 @@ and returns the input gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,6 +85,7 @@ class Trace:
 
     x: np.ndarray           # network input
     post: list[np.ndarray]  # activation per layer
+    arrays: dict = field(default_factory=dict, repr=False)
 
     @property
     def output(self) -> np.ndarray:
@@ -170,21 +172,24 @@ def _batch_last(a):
     return a.transpose(1, 2, 3, 0)
 
 
-def _pad(a, p: int):
-    if p == 0:
-        return a
+def _kept(arrays: dict, key, shape, make=np.empty):
+    """``shape`` view of the flat arrays[key], made when missing or small."""
+    n = math.prod(shape)
+    if key not in arrays or arrays[key].size < n:
+        arrays[key] = make(n)
+    return arrays[key][:n].reshape(shape)
+
+
+def _padded(arrays: dict, key, a, p: int, fill: bool = False):
+    """a (B, C, h, w) padded by p, batch-last, in arrays[key]: its border
+    stays zero, and ``fill`` copies a in (else the layer before writes it)."""
+    if not p:
+        return _batch_last(a)
     B, C, h, w = a.shape
-    out = np.zeros((C, h + 2 * p, w + 2 * p, B))
-    out[:, p:-p, p:-p] = _batch_last(a)
-    return out.transpose(3, 0, 1, 2)
-
-
-def _patches(xp, lay: LayerSpec):
-    """(C, ho, wo, B, k, k) view of the padded input xp: the k x k window
-    each output of the convolution reads."""
-    s = lay.stride
-    return sliding_window_view(_batch_last(xp), (lay.kernel, lay.kernel),
-                               axis=(1, 2))[:, ::s, ::s]
+    xp = _kept(arrays, key, (C, h + 2 * p, w + 2 * p, B), np.zeros)
+    if fill:
+        xp[:, p:-p, p:-p] = _batch_last(a)
+    return xp
 
 
 # A conv2d layer's W is (out, in, k, k). A deconv2d layer's W is
@@ -193,50 +198,65 @@ def _patches(xp, lay: LayerSpec):
 # deconv forward pass is that conv's input-gradient scatter, its input
 # gradient is that conv's forward contraction, and its weight gradient
 # is that conv's weight gradient with the two activations swapped. Each
-# is one BLAS product over the im2col patches (Chellapilla et al. 2006);
-# the scatter then adds its columns back onto the input grid (col2im).
+# is one BLAS product over the im2col columns (Chellapilla et al. 2006),
+# on the operand layouts that np.tensordot gave them; the scatter then
+# adds its columns back onto the input grid (col2im).
 
-def _conv_contract(xp, W, lay: LayerSpec):
-    """Convolution of the padded input xp, without bias."""
-    z = np.tensordot(W, _patches(xp, lay),
-                     axes=((1, 2, 3), (0, 4, 5)))  # (O, ho, wo, B)
-    return z.transpose(3, 0, 1, 2)
-
-
-def _conv_scatter(g, W, lay: LayerSpec, hp: int, wp: int):
-    """Input gradient of the convolution, on the hp x wp padded input."""
+def _im2col(xp, lay: LayerSpec, arrays: dict):
+    """The (C*k*k, ho*wo*B) im2col matrix of the batch-last padded input
+    xp: column (i, j, b) is the window that output (i, j) of sample b reads."""
     k, s = lay.kernel, lay.stride
-    ho, wo = g.shape[2:]
-    cols = np.tensordot(W, _batch_last(g), axes=(0, 0))  # (C, k, k, ho, wo, B)
-    dxp = np.zeros((W.shape[1], hp, wp, g.shape[0]))
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+    win = win.transpose(0, 4, 5, 1, 2, 3)
+    try:  # windows that tile xp: a view, as np.tensordot took it
+        return win.reshape(len(win) * k * k, -1, copy=False)
+    except ValueError:
+        cols = _kept(arrays, "cols", win.shape)
+        cols[...] = win
+        return cols.reshape(len(win) * k * k, -1)
+
+
+def _scatter(g, W, lay: LayerSpec, arrays: dict, shape):
+    """Input gradient of the convolution from its output gradient g, on
+    its batch-last padded input of ``shape``."""
+    k, s = lay.kernel, lay.stride
+    B, O, ho, wo = g.shape
+    cols = _kept(arrays, "cols", (W.shape[1], k, k, ho, wo, B))
+    np.dot(W.reshape(O, -1).T, _batch_last(g).reshape(O, -1),
+           out=cols.reshape(-1, ho * wo * B))
+    grid = _kept(arrays, "grid", shape)
+    grid[...] = 0.0
     for ki in range(k):
         for kj in range(k):
-            dxp[:, ki:ki + s * ho:s, kj:kj + s * wo:s] += cols[:, ki, kj]
-    return dxp.transpose(3, 0, 1, 2)
+            grid[:, ki:ki + s * ho:s, kj:kj + s * wo:s] += cols[:, ki, kj]
+    return grid
 
 
-def _conv_weight_grad(g, xp, lay: LayerSpec):
-    """Weight gradient of the convolution from its output gradient g and
-    padded input xp."""
-    dW = np.tensordot(_patches(xp, lay), _batch_last(g),
-                      axes=((1, 2, 3), (1, 2, 3)))  # (C, k, k, O)
-    return dW.transpose(3, 0, 1, 2)
+def _weight_grad(cols, g, dW, arrays: dict):
+    """Write into dW the weight gradient of the convolution from the im2col
+    matrix of its input and its output gradient g (deconv: swapped)."""
+    gt = g.transpose(2, 3, 0, 1)  # (ho, wo, B, O)
+    prod = _kept(arrays, "wgrad", (len(cols), gt.shape[3]))
+    np.dot(cols, gt.reshape(-1, gt.shape[3]), out=prod)
+    dW[...] = prod.reshape(*dW.shape[1:], -1).transpose(3, 0, 1, 2)
 
 
 def forward(params: NetParams, x: np.ndarray,
-            out: np.ndarray | None = None) -> Trace:
+            out: np.ndarray | None = None,
+            trace: Trace | None = None) -> Trace:
     """Run the network on the batch x, recording every layer's activation.
 
     Pure function of (params, x); returns a :class:`Trace` whose final
-    entry is the network output. Each activation is applied in place on
-    its layer's pre-activation array. With ``out``, an array of the
-    output's shape, the last layer writes its activation there.
+    entry is the network output. With ``out``, an array of the output's
+    shape, the last layer writes its activation there.
     """
     x = np.asarray(x, dtype=np.float64)
     want = 2 if params.spec[0].kind == "dense" else 4
     if x.ndim != want:
         raise ValueError(f"input has {x.ndim} dims, expected {want} (a batch)")
-    post = []
+    if trace is None or trace.x.shape != x.shape:
+        trace = Trace(x, [])
+    trace.x, trace.post, kept = x, [], trace.arrays
     a = x
     last = len(params.spec) - 1
     for i, (lay, weights) in enumerate(zip(params.spec, params.layers)):
@@ -245,32 +265,40 @@ def forward(params: NetParams, x: np.ndarray,
             if a.shape[1] != lay.in_size:
                 raise ValueError(f"input width {a.shape[1]} != layer "
                                  f"in_size {lay.in_size}")
-            z = a @ W
+            z = act = np.matmul(a, W, out=_kept(kept, i, (len(a), W.shape[1])))
             z += b
         else:
             if a.shape[1] != lay.in_channels:
                 raise ValueError("channel mismatch")
             ho, wo = _conv_out_hw(a.shape[2], a.shape[3], lay)
-            p = lay.padding
+            p, O, B = lay.padding, lay.out_channels, len(a)
+            z = _kept(kept, "z", (O, ho, wo, B))
             if lay.kind == "conv2d":
-                z = _conv_contract(_pad(a, p), W, lay)
-                z += b[None, :, None, None]
+                xp = _padded(kept, ("pad", i), a, p, fill=i == 0)
+                np.dot(W.reshape(O, -1), _im2col(xp, lay, kept),
+                       out=z.reshape(O, -1))
             else:
-                full = _conv_scatter(a, W, lay, ho + 2 * p, wo + 2 * p)
-                # adding out of place leaves a compact array, not a
-                # strided crop, for the activation and backprop to read
-                z = full[:, :, p:p + ho, p:p + wo] + b[None, :, None, None]
-        a = z if i < last or out is None else out
+                grid = _scatter(a, W, lay, kept,
+                                (O, ho + 2 * p, wo + 2 * p, B))
+                z[...] = grid[:, p:p + ho, p:p + wo]
+            z += b[:, None, None, None]
+            z = z.transpose(3, 0, 1, 2)
+            nxt = params.spec[i + 1] if i < last else lay
+            q = nxt.padding if nxt.kind == "conv2d" and i < last else 0
+            act = (_padded(kept, ("pad", i + 1), z, q)[:, q:-q, q:-q] if q
+                   else _kept(kept, i, (O, ho, wo, B))).transpose(3, 0, 1, 2)
+        post = out if i == last and out is not None else act
         if lay.activation == "relu":
-            np.maximum(z, 0.0, out=a)
+            np.maximum(z, 0.0, out=post)
         elif lay.activation == "sigmoid":
             # np.clip's result, without its Python-level dispatch
             clamped = np.minimum(np.maximum(z, -SIGMOID_CLAMP), SIGMOID_CLAMP)
-            np.divide(1.0, 1.0 + np.exp(-clamped), out=a)
-        elif a is not z:
-            a[...] = z
-        post.append(a)
-    return Trace(x=x, post=post)
+            np.divide(1.0, 1.0 + np.exp(-clamped), out=post)
+        elif post is not z:
+            post[...] = z
+        trace.post.append(post)
+        a = post
+    return trace
 
 
 def backprop(params: NetParams, trace: Trace, out_grad: np.ndarray,
@@ -292,22 +320,30 @@ def backprop(params: NetParams, trace: Trace, out_grad: np.ndarray,
     if g.shape != trace.output.shape:
         raise ValueError(f"out_grad shape {g.shape} != output shape "
                          f"{trace.output.shape}")
+    kept = trace.arrays
     # relu masks are applied in place only on contiguous gradients made
     # here: out_grad is the caller's, and on a strided view the new layout
-    # would reorder the bias gradient's sum
+    # would reorder the bias gradient's sum. A conv gradient made here is
+    # masked into scratch in the batch-last layout a new array would take.
     owned = False
     for i in range(len(params.spec) - 1, -1, -1):
         lay, post = params.spec[i], trace.post[i]
         W = params.layers[i]["W"]
         a_prev = trace.post[i - 1] if i > 0 else trace.x
+        conv = lay.kind != "dense"
         if lay.activation == "relu":
             # post > 0 exactly where the pre-activation is (NaN and -0 too)
-            in_place = owned and g.flags.c_contiguous
-            g = np.multiply(g, post > 0.0, out=g if in_place else None)
+            into = g if owned and g.flags.c_contiguous else None
+            if owned and conv:
+                into = _kept(kept, "z", g.shape[1:] + g.shape[:1]
+                             ).transpose(3, 0, 1, 2)
+            g = np.multiply(g, post > 0.0, out=into)
         elif lay.activation == "sigmoid":
             g = g * (post * (1.0 - post))
         need_in = i > 0 or input_grad
         dst = None if out is None else out[i]
+        if dst is not None:
+            np.add.reduce(g, axis=(0, 2, 3) if conv else 0, out=dst["b"])
         p, g_in = lay.padding, None
         if lay.kind == "dense":
             if dst is not None:
@@ -315,22 +351,22 @@ def backprop(params: NetParams, trace: Trace, out_grad: np.ndarray,
             if need_in:
                 # one output column: its K = 1 product is a broadcast
                 g_in = g * W[:, 0] if lay.out_size == 1 else g @ W.T
-        elif lay.kind == "conv2d":
-            xp, (h, w) = _pad(a_prev, p), a_prev.shape[2:]
+        else:  # a deconv's conv reads the output gradient, padded
+            dec = lay.kind == "deconv2d"
+            xp = (_padded(kept, ("gp", i), g, p, fill=True) if dec
+                  else _padded(kept, ("pad", i), a_prev, p))
+            cols = _im2col(xp, lay, kept)
             if dst is not None:
-                dst["W"][...] = _conv_weight_grad(g, xp, lay)
-            if need_in:
-                dxp = _conv_scatter(g, W, lay, *xp.shape[2:])
-                g_in = dxp[:, :, p:p + h, p:p + w]
-        else:
-            gp = _pad(g, p)
-            if dst is not None:
-                dst["W"][...] = _conv_weight_grad(a_prev, gp, lay)
-            if need_in:
-                g_in = _conv_contract(gp, W, lay)
-        if dst is not None:
-            axes = 0 if lay.kind == "dense" else (0, 2, 3)
-            np.add.reduce(g, axis=axes, out=dst["b"])
+                _weight_grad(cols, a_prev if dec else g, dst["W"], kept)
+            if need_in and dec:
+                g_in = _kept(kept, "grid", _batch_last(a_prev).shape)
+                np.dot(W.reshape(len(W), -1), cols,
+                       out=g_in.reshape(len(W), -1))
+                g_in = g_in.transpose(3, 0, 1, 2)
+            elif need_in:
+                grid = _scatter(g, W, lay, kept, xp.shape)
+                h, w = a_prev.shape[2:]
+                g_in = grid[:, p:p + h, p:p + w].transpose(3, 0, 1, 2)
         g, owned = g_in, True
     return g
 

@@ -347,13 +347,15 @@ def fit_conv_classifier(Y: np.ndarray, labels: np.ndarray, expr_shape: tuple,
     opt = ndnet.init_opt_state(nets, lr)
     head_grads, enc_grads = opt.grads
     n = imgs.shape[0]
+    traces = {}  # per batch size (a short last batch has its own)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch):
             sel = order[start:start + batch]
-            enc_tr = ndnet.forward(encoder, imgs[sel])
+            trs = traces.setdefault(len(sel), [None, None])
+            trs[0] = enc_tr = ndnet.forward(encoder, imgs[sel], trace=trs[0])
             flat = enc_tr.output.reshape(len(sel), -1)
-            head_tr = ndnet.forward(head, flat)
+            trs[1] = head_tr = ndnet.forward(head, flat, trace=trs[1])
             probs = _softmax(head_tr.output)
             out_grad = (probs - onehot[sel]) / len(sel)
             flat_grad = ndnet.backprop(head, head_tr, out_grad,

@@ -246,8 +246,8 @@ def test_stacked_disc_step_matches_three_pair_passes(expr_shape):
     head_in = np.empty((3 * s, disc.head.spec[0].in_size))
     head_in[:, :m] = np.vstack([xn, xn, xn_mis])
     opt = ndnet.init_opt_state((disc.head, disc.encoder))
-    loss, scores = _disc_step_grads(disc, m, np.vstack([yn, yhat_n, yn]),
-                                    head_in, beta, opt.grads)
+    loss, scores, _ = _disc_step_grads(disc, m, np.vstack([yn, yhat_n, yn]),
+                                       head_in, beta, opt.grads)
     head_g, enc_g = opt.grads
     ref_loss, ref_scores, ref_head, ref_enc = three_pass_disc_grads(
         disc, m, xn, yn, yhat_n, xn_mis, beta)
