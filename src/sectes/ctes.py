@@ -136,7 +136,17 @@ class CtesModel:
     diagnostics: dict = field(default_factory=dict, metadata={"saved": False})
 
 
-def _conv_stack_depth(grid: int) -> int:
+def conv_grid_side(expr_shape: tuple) -> int:
+    """The side of a square expression grid; the conv stacks, which halve
+    it down to 1x1, reject any other shape."""
+    h, w = expr_shape
+    if h != w:
+        raise ConfigError(f"matrix expressions need a square grid, got {h}x{w}")
+    return h
+
+
+def _conv_stack_depth(expr_shape: tuple) -> int:
+    grid = conv_grid_side(expr_shape)
     depth = int(np.log2(grid))
     if 2 ** depth != grid or depth < 1:
         raise ConfigError(f"matrix expressions need a power-of-two grid, got {grid}")
@@ -166,7 +176,7 @@ def build_generator(m: int, n: int, cfg: TrainConfig, seed: int,
                       ndnet.dense(cfg.hidden, cfg.hidden, "relu")]
         decoder_spec = [ndnet.dense(cfg.hidden, n, "none")]
     else:
-        depth = _conv_stack_depth(expr_shape[0])
+        depth = _conv_stack_depth(expr_shape)
         # widest at the 1x1 end
         chans = _conv_stack_channels(depth, cfg.conv_channels)[::-1]
         mixer_spec = [ndnet.dense(cfg.z_dim + m, chans[0], "relu")]
@@ -189,7 +199,7 @@ def build_discriminator(m: int, n: int, cfg: TrainConfig, seed: int,
         encoder_spec = [ndnet.dense(n, cfg.hidden, "relu")]
         enc_out = cfg.hidden
     else:
-        encoder_spec = conv_encoder_spec(_conv_stack_depth(expr_shape[0]),
+        encoder_spec = conv_encoder_spec(_conv_stack_depth(expr_shape),
                                          cfg.conv_channels)
         enc_out = encoder_spec[-1].out_channels
     head_spec = [ndnet.dense(m + enc_out, cfg.hidden, "relu"),

@@ -268,7 +268,9 @@ def write_dataset_csv(ds: PairedDataset, path) -> None:
 def read_dataset_csv(path) -> PairedDataset:
     """Read a dataset written by :func:`write_dataset_csv`; a missing
     column or a non-finite or non-numeric cell raises ValueError naming
-    the file, line and column."""
+    the file, line and column. Pixel columns may come in any order: each
+    value goes to its (r, c), and a malformed, repeated or missing pixel
+    coordinate raises ValueError naming the file and column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -282,9 +284,21 @@ def read_dataset_csv(path) -> PairedDataset:
     o_col = header.index("outcome") if "outcome" in header else None
     expr_shape = None
     if px_cols:
-        coords = [tuple(int(t) for t in header[i].split("_")[1:]) for i in px_cols]
-        expr_shape = (max(r for r, _ in coords) + 1, max(c for _, c in coords) + 1)
-        y_cols = px_cols
+        at = {}  # column of each pixel coordinate
+        for i in px_cols:
+            rc = re.fullmatch(r"px_(\d+)_(\d+)", header[i])
+            if rc is None:
+                raise ValueError(f"{path}: column {header[i]!r}: expected "
+                                 "px_<row>_<col>")
+            if (int(rc[1]), int(rc[2])) in at:
+                raise ValueError(f"{path}: column {header[i]!r} repeats a "
+                                 "pixel")
+            at[int(rc[1]), int(rc[2])] = i
+        expr_shape = (max(r for r, _ in at) + 1, max(c for _, c in at) + 1)
+        for r, c in np.ndindex(expr_shape):
+            if (r, c) not in at:
+                raise ValueError(f"{path}: missing column 'px_{r}_{c}'")
+        y_cols = [at[rc] for rc in np.ndindex(expr_shape)]
     if not x_cols or not y_cols:
         raise ValueError(f"{path}: missing characteristic or expression columns")
 

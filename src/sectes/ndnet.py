@@ -11,6 +11,13 @@ seed. Inputs and output gradients are batched: ``(B, d)`` for dense stacks,
 A forward pass keeps one array per layer, its activation; backprop writes
 parameter gradients into arrays the caller gives it (an :class:`OptState`'s)
 and returns the input gradient.
+
+A training run's batch shapes are fixed, so its passes reuse their arrays:
+a :class:`Trace` given back to :func:`forward` with an input of the shape
+it was made for is refilled in place, and the conv layers' temporaries
+come from scratch that the trace owns. What a trace holds, and the input
+gradient that :func:`backprop` returns, therefore hold only until the
+trace's next use.
 """
 
 from __future__ import annotations
@@ -81,7 +88,21 @@ class NetParams:
 @dataclass
 class Trace:
     """The input and every layer's activation of one forward pass; the
-    pre-activations are not kept (backprop reads only the activations)."""
+    pre-activations are not kept (backprop reads only the activations).
+
+    A trace owns the arrays its passes fill, in ``arrays``: each layer's
+    activation (for a layer before a conv2d layer that pads, the interior
+    of that layer's zero-bordered padded input, so no pass pads it again),
+    each deconv layer's padded output gradient, and the scratch for the
+    other conv temporaries (im2col columns, col2im grid, pre-activation,
+    weight gradient): one region per kind that all layers share, sized
+    for the largest. :func:`forward` given the trace back with an input of
+    the same shape overwrites the arrays in ``post`` (a last entry that
+    was the caller's ``out`` excepted), and :func:`backprop` overwrites
+    the scratch: ``post``, ``output`` and the input gradient backprop
+    returns are views that the trace's next use overwrites, so copy what
+    must outlive it.
+    """
 
     x: np.ndarray           # network input
     post: list[np.ndarray]  # activation per layer
@@ -248,7 +269,11 @@ def forward(params: NetParams, x: np.ndarray,
 
     Pure function of (params, x); returns a :class:`Trace` whose final
     entry is the network output. With ``out``, an array of the output's
-    shape, the last layer writes its activation there.
+    shape, the last layer writes its activation there. With ``trace``, one
+    that an earlier call on this network returned, the call refills that
+    trace and returns it when x has the shape it was made for (its earlier
+    activations are overwritten; x must not be a view into it), and makes
+    a new trace otherwise.
     """
     x = np.asarray(x, dtype=np.float64)
     want = 2 if params.spec[0].kind == "dense" else 4
@@ -312,7 +337,8 @@ def backprop(params: NetParams, trace: Trace, out_grad: np.ndarray,
     shapes (such as an :attr:`OptState.grads` entry), and are written
     there. Returns the gradient with respect to the network input, or
     None with ``input_grad=False``, which skips the first layer's input
-    gradient.
+    gradient. The conv temporaries go to ``trace``'s scratch, and the input
+    gradient may be a view into it, valid until the trace's next use.
     """
     if len(trace.post) != len(params.spec):
         raise ValueError("trace does not match network depth")

@@ -22,7 +22,8 @@ import numpy as np
 from . import ndnet
 from .baselines import (GrnnModel, PlsModel, grnn_fit, grnn_predict, pls_fit,
                         pls_predict)
-from .ctes import TrainConfig, conv_encoder_spec, synthesize_each, train_ctes
+from .ctes import (TrainConfig, conv_encoder_spec, conv_grid_side,
+                   synthesize_each, train_ctes)
 from .datagen import PairedDataset
 from .ensemble import (EnsembleConfig, EnsembleModel, ensemble_synthesize,
                        train_se_ctes)
@@ -328,9 +329,9 @@ def fit_conv_classifier(Y: np.ndarray, labels: np.ndarray, expr_shape: tuple,
     cross-entropy; used where flat-feature forests fit poorly."""
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     classes, codes = np.unique(labels, return_inverse=True)
-    h, w = expr_shape
+    h = w = conv_grid_side(expr_shape)
     seeds = np.random.SeedSequence(seed).spawn(3)
-    # log2 depth leaves a 1x1 map on any grid, not only powers of two
+    # log2 depth leaves a 1x1 map on any square grid, not only powers of two
     encoder = ndnet.init_params(conv_encoder_spec(int(np.log2(h)), channels),
                                 seeds[0])
     head = ndnet.init_params(

@@ -580,6 +580,22 @@ def test_unparsable_sweep_beta_names_the_label(tmp_path, capsys, argv):
     _single_error_line(capsys, f"method {argv[2]!r}: beta")
 
 
+def test_train_rejects_a_non_square_pixel_grid(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    path = tmp_path / "wide.csv"
+    write_dataset_csv(PairedDataset(
+        x=rng.normal(size=(24, 2)), y=rng.normal(size=(24, 32)),
+        groups=np.repeat([1, 2, 3], 8), n_groups=3, expr_shape=(4, 8)), path)
+    capsys.readouterr()
+    # flattened methods read the grid; the conv stacks need a square one
+    assert main(["train", "--data", str(path), "--method", "pls",
+                 "--out", str(tmp_path / "pls.json")]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", str(path), "--method", "ctes",
+                 "--out", str(tmp_path / "ctes.json")]) == 2
+    _single_error_line(capsys, "square grid, got 4x8")
+
+
 def test_train_rejects_unknown_method(tmp_path, capsys):
     assert main(["train", "--method", "wgan",
                  "--out", str(tmp_path / "m.json")]) == 2

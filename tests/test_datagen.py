@@ -224,3 +224,50 @@ def test_paired_dataset_invariants():
     with pytest.raises(ValueError):
         PairedDataset(x=np.ones((3, 2)), y=np.ones((3, 4)),
                       groups=np.ones(3, int), n_groups=1, expr_shape=(3, 3))
+
+
+def _pixel_csv(path, header, rows):
+    path.write_text("\n".join(",".join(map(str, r)) for r in [header] + rows)
+                    + "\n")
+    return path
+
+
+def test_csv_pixels_go_to_their_coordinates_in_any_column_order(tmp_path):
+    path = _pixel_csv(tmp_path / "col_major.csv",
+                      ["x1", "px_0_0", "px_1_0", "px_0_1", "px_1_1", "group"],
+                      [[0.5, 1, 3, 2, 4, 1], [0.7, 5, 7, 6, 8, 1]])
+    ds = read_dataset_csv(path)
+    assert ds.expr_shape == (2, 2)
+    assert np.array_equal(ds.y, [[1, 2, 3, 4], [5, 6, 7, 8]])
+
+
+def test_csv_round_trip_with_shuffled_pixel_columns(tmp_path):
+    ds = gen_scalar_to_matrix_dataset(GpSimConfig(
+        grid=4, images_per_category=3, categories=2, char_dim=2, seed=6))
+    path = tmp_path / "written.csv"
+    write_dataset_csv(ds, path)
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    order = np.random.default_rng(0).permutation(len(lines[0]))
+    shuffled = _pixel_csv(tmp_path / "shuffled.csv",
+                          [lines[0][i] for i in order],
+                          [[row[i] for i in order] for row in lines[1:]])
+    for back in (read_dataset_csv(path), read_dataset_csv(shuffled)):
+        assert back.expr_shape == (4, 4)
+        assert np.array_equal(back.x, ds.x) and np.array_equal(back.y, ds.y)
+        assert np.array_equal(back.groups, ds.groups)
+
+
+@pytest.mark.parametrize("header, message", [
+    (["x1", "px_0_0", "px_0_1", "px_0_0", "px_1_1", "group"],
+     "column 'px_0_0' repeats a pixel"),
+    (["x1", "px_0_0", "px_0_1", "px_1_1", "group"],
+     "missing column 'px_1_0'"),
+    (["x1", "px_0_0", "px_0_1", "px_1_x", "px_1_1", "group"],
+     "column 'px_1_x': expected px_<row>_<col>"),
+])
+def test_csv_rejects_bad_pixel_coordinates(tmp_path, header, message):
+    path = _pixel_csv(tmp_path / "bad.csv", header,
+                      [[0.5] + [1.0] * (len(header) - 2) + [1]])
+    with pytest.raises(ValueError, match=message) as info:
+        read_dataset_csv(path)
+    assert str(info.value).startswith(f"{path}: ")

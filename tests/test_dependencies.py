@@ -1,6 +1,9 @@
 """numpy is the package's only runtime dependency: every module under
 ``src/sectes`` imports only the standard library, numpy and the package
-itself, and reaches numpy through its public API only."""
+itself, and reaches numpy through its public API only. The package also
+sets no environment variable: allocator or thread settings through the
+environment would change how every caller's process runs, so the
+package's speed has to come from how it allocates and computes."""
 
 import ast
 import re
@@ -56,3 +59,58 @@ def test_private_numpy_check_catches_each_spelling():
                    "np.corrcoef(a)", "from numpy.lib import stride_tricks",
                    "x = 'numpy._core'"):
         assert not private_numpy_uses(source), source
+
+
+ENVIRON_WRITES = {"setdefault", "update", "pop", "popitem", "clear"}
+
+
+def environment_writes(source: str) -> set[str]:
+    """The statements of ``source`` that set or delete a process
+    environment variable: item assignment or ``del`` on ``os.environ``,
+    its mutating methods, and ``os.putenv``/``os.unsetenv`` (also when
+    imported from ``os`` by name). Reads such as ``os.environ.get`` pass."""
+    tree = ast.parse(source)
+    environ, setters = {"os.environ"}, {"os.putenv", "os.unsetenv"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            for a in node.names:
+                if a.name == "environ":
+                    environ.add(a.asname or a.name)
+                elif a.name in ("putenv", "unsetenv"):
+                    setters.add(a.asname or a.name)
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and ast.unparse(node.value) in environ):
+            found.add(ast.unparse(node))
+        elif isinstance(node, ast.Call) and (
+                ast.unparse(node.func) in setters
+                or (isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ENVIRON_WRITES
+                    and ast.unparse(node.func.value) in environ)):
+            found.add(ast.unparse(node))
+    return found
+
+
+def test_package_sets_no_environment_variable():
+    found = {(path.name, stmt) for path in sorted(PACKAGE.glob("*.py"))
+             for stmt in environment_writes(path.read_text())}
+    assert found == set()
+
+
+def test_environment_check_catches_each_spelling():
+    for source in ("os.environ['X'] = '1'", "os.environ['X'] += '1'",
+                   "del os.environ['X']", "os.environ.setdefault('X', '1')",
+                   "os.environ.update(X='1')", "os.environ.pop('X', None)",
+                   "os.environ.clear()", "os.putenv('X', '1')",
+                   "os.unsetenv('X')",
+                   "from os import environ\nenviron['X'] = '1'",
+                   "from os import environ as env\nenv.update(X='1')",
+                   "from os import putenv\nputenv('X', '1')"):
+        assert environment_writes(source), source
+    for source in ("os.environ.get('CTES_LOG', 'WARNING')",
+                   "x = os.environ['X']", "'X' in os.environ",
+                   "env = dict(os.environ)", "os.getenv('X')",
+                   "settings['X'] = '1'", "settings.update(X='1')"):
+        assert not environment_writes(source), source

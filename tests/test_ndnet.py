@@ -568,6 +568,65 @@ def test_backprop_modes_match_the_allocating_backprop(case):
     assert np.array_equal(out_grad, kept)
 
 
+def one_pass(params, x, out_grad, trace=None):
+    """Forward and backprop of one batch, refilling ``trace`` when given:
+    (the trace, and copies of its activations, the input gradient and the
+    parameter gradients)."""
+    trace = ndnet.forward(params, x, trace=trace)
+    grads = zero_grads(params)
+    in_grad = ndnet.backprop(params, trace, out_grad, out=grads)
+    return trace, [a.copy() for a in trace.post], in_grad.copy(), grads
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=stacks(), extra=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kept_traces_give_the_bits_of_fresh_calls(case, extra, seed):
+    params, x, out_grad = case
+    rng = np.random.default_rng(seed)
+
+    def batch(rows):  # an input and an output gradient
+        return (rng.normal(size=(rows,) + x.shape[1:]),
+                rng.normal(size=(rows,) + out_grad.shape[1:]))
+
+    small, big = len(x), len(x) + extra
+    # traces first filled from other inputs, so stale values would show
+    kept = {rows: one_pass(params, *batch(rows))[0] for rows in (small, big)}
+    # a short batch between full ones, as in the classifier's epochs
+    for rows in (big, small, big):
+        xb, gb = batch(rows)
+        trace, post, in_grad, grads = one_pass(params, xb, gb, kept[rows])
+        assert trace is kept[rows]
+        _, want_post, want_in, want_grads = one_pass(params, xb, gb)
+        for got, want in zip(post, want_post, strict=True):
+            assert np.array_equal(got, want)
+        assert np.array_equal(in_grad, want_in)
+        assert_grads_identical(grads, want_grads)
+
+
+@pytest.mark.parametrize("spec, shape", [
+    ([ndnet.dense(3, 4, "relu"), ndnet.dense(4, 2)], (3,)),
+    ([ndnet.conv2d(1, 3), ndnet.conv2d(3, 4)], (1, 8, 8)),
+    ([ndnet.deconv2d(4, 3), ndnet.deconv2d(3, 1, activation="none")],
+     (4, 2, 2)),
+])
+def test_a_trace_passed_back_is_overwritten(spec, shape):
+    params = ndnet.init_params(spec, 0)
+    rng = np.random.default_rng(1)
+    x1, x2 = rng.normal(size=(2, 5) + shape)
+    trace = ndnet.forward(params, x1)
+    arrays, first = list(trace.post), [a.copy() for a in trace.post]
+    assert ndnet.forward(params, x2, trace=trace) is trace
+    assert trace.x is x2
+    for a, old, before in zip(trace.post, arrays, first, strict=True):
+        assert np.shares_memory(a, old) and not np.array_equal(a, before)
+    # another batch size gets a trace of its own and leaves this one alone
+    kept = [a.copy() for a in trace.post]
+    assert ndnet.forward(params, x1[:3], trace=trace) is not trace
+    for a, before in zip(trace.post, kept, strict=True):
+        assert np.array_equal(a, before)
+
+
 @settings(max_examples=100, deadline=None)
 @given(batch=st.integers(1, 200), in_size=st.integers(1, 80),
        seed=st.integers(0, 2 ** 32 - 1))

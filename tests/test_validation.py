@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from sectes.ctes import CtesModel, TrainConfig, build_discriminator
+from sectes.ctes import (CtesModel, TrainConfig, build_discriminator,
+                         build_generator)
 from sectes.datagen import (GpSimConfig, PairedDataset, SimConfig,
                             gen_multivariate_dataset,
                             gen_scalar_to_matrix_dataset)
@@ -239,6 +240,15 @@ def test_conv_classifier_on_16x16_matches_pinned_digest():
             h.update(lay["b"].tobytes())
     assert h.hexdigest() == ("531402e42399966a77bc15a0777a3861"
                              "8776e818ca4a9c8175e442d8474e02c6")
+
+
+def test_conv_stacks_reject_a_non_square_grid():
+    # before, a 4x8 grid failed inside the first forward pass
+    for build in (build_generator, build_discriminator):
+        with pytest.raises(ConfigError, match="square grid, got 4x8"):
+            build(2, 32, TrainConfig(), 0, (4, 8))
+    with pytest.raises(ConfigError, match="square grid, got 4x8"):
+        fit_conv_classifier(np.zeros((4, 32)), [0, 0, 1, 1], (4, 8))
 
 
 def test_conv_encoders_share_the_channel_check():
