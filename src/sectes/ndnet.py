@@ -282,8 +282,7 @@ def forward(params: NetParams, x: np.ndarray,
     if trace is None or trace.x.shape != x.shape:
         trace = Trace(x, [])
     trace.x, trace.post, kept = x, [], trace.arrays
-    a = x
-    last = len(params.spec) - 1
+    a, last = x, len(params.spec) - 1
     for i, (lay, weights) in enumerate(zip(params.spec, params.layers)):
         W, b = weights["W"], weights["b"]
         if lay.kind == "dense":
@@ -308,8 +307,8 @@ def forward(params: NetParams, x: np.ndarray,
                 z[...] = grid[:, p:p + ho, p:p + wo]
             z += b[:, None, None, None]
             z = z.transpose(3, 0, 1, 2)
-            nxt = params.spec[i + 1] if i < last else lay
-            q = nxt.padding if nxt.kind == "conv2d" and i < last else 0
+            nxt = params.spec[i + 1] if i < last else None
+            q = nxt.padding if nxt and nxt.kind == "conv2d" else 0
             act = (_padded(kept, ("pad", i + 1), z, q)[:, q:-q, q:-q] if q
                    else _kept(kept, i, (O, ho, wo, B))).transpose(3, 0, 1, 2)
         post = out if i == last and out is not None else act
@@ -349,8 +348,9 @@ def backprop(params: NetParams, trace: Trace, out_grad: np.ndarray,
     kept = trace.arrays
     # relu masks are applied in place only on contiguous gradients made
     # here: out_grad is the caller's, and on a strided view the new layout
-    # would reorder the bias gradient's sum. A conv gradient made here is
-    # masked into scratch in the batch-last layout a new array would take.
+    # would reorder the bias gradient's sum. Conv ones are masked into
+    # scratch, batch-last as a new array would be; g is read (bias sum
+    # first) before the kernels reuse the scratch it may view.
     owned = False
     for i in range(len(params.spec) - 1, -1, -1):
         lay, post = params.spec[i], trace.post[i]
