@@ -194,11 +194,13 @@ def _batch_last(a):
 
 
 def _kept(arrays: dict, key, shape, make=np.empty):
-    """``shape`` view of the flat arrays[key], made when missing or small."""
-    n = math.prod(shape)
-    if key not in arrays or arrays[key].size < n:
-        arrays[key] = make(n)
-    return arrays[key][:n].reshape(shape)
+    """arrays[key], a ``shape`` view of a flat buffer remade when small."""
+    view = arrays.get(key)
+    if view is None or view.shape != shape:
+        n = math.prod(shape)
+        flat = make(n) if view is None or view.base.size < n else view.base
+        view = arrays[key] = flat[:n].reshape(shape)
+    return view
 
 
 def _padded(arrays: dict, key, a, p: int, fill: bool = False):
@@ -289,7 +291,7 @@ def forward(params: NetParams, x: np.ndarray,
             if a.shape[1] != lay.in_size:
                 raise ValueError(f"input width {a.shape[1]} != layer "
                                  f"in_size {lay.in_size}")
-            z = act = np.matmul(a, W, out=_kept(kept, i, (len(a), W.shape[1])))
+            z = act = np.matmul(a, W, out=_kept(kept, i, (len(a), len(b))))
             z += b
         else:
             if a.shape[1] != lay.in_channels:
@@ -361,8 +363,7 @@ def backprop(params: NetParams, trace: Trace, out_grad: np.ndarray,
             # post > 0 exactly where the pre-activation is (NaN and -0 too)
             into = g if owned and g.flags.c_contiguous else None
             if owned and conv:
-                into = _kept(kept, "z", g.shape[1:] + g.shape[:1]
-                             ).transpose(3, 0, 1, 2)
+                into = _kept(kept, "z", _batch_last(g).shape).transpose(3, 0, 1, 2)
             g = np.multiply(g, post > 0.0, out=into)
         elif lay.activation == "sigmoid":
             g = g * (post * (1.0 - post))
@@ -386,8 +387,7 @@ def backprop(params: NetParams, trace: Trace, out_grad: np.ndarray,
                 _weight_grad(cols, a_prev if dec else g, dst["W"], kept)
             if need_in and dec:
                 g_in = _kept(kept, "grid", _batch_last(a_prev).shape)
-                np.dot(W.reshape(len(W), -1), cols,
-                       out=g_in.reshape(len(W), -1))
+                np.dot(W.reshape(len(W), -1), cols, out=g_in.reshape(len(W), -1))
                 g_in = g_in.transpose(3, 0, 1, 2)
             elif need_in:
                 grid = _scatter(g, W, lay, kept, xp.shape)

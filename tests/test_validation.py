@@ -243,7 +243,6 @@ def test_conv_classifier_on_16x16_matches_pinned_digest():
 
 
 def test_conv_stacks_reject_a_non_square_grid():
-    # before, a 4x8 grid failed inside the first forward pass
     for build in (build_generator, build_discriminator):
         with pytest.raises(ConfigError, match="square grid, got 4x8"):
             build(2, 32, TrainConfig(), 0, (4, 8))
