@@ -40,7 +40,7 @@ from .validation import KNOWN_METHODS, MethodSettings, aggregate_trials, \
 
 log = logging.getLogger("sectes")
 
-MODEL_FORMAT_VERSION = 6
+MODEL_FORMAT_VERSION = 7
 
 
 # --- canonical JSON with exact float round-trips ---
@@ -235,7 +235,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.study not in STUDIES:
             raise ConfigError(f"study: must be one of {STUDIES}")
-        for name in ("trials", "workers"):
+        for name in ("trials", "samples_per_group", "workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1")
         for s in self.sigmas:
@@ -272,10 +272,9 @@ def parse_config(path) -> ExperimentConfig:
 # --- the benchmark grid ---
 
 def _method_settings(cfg: ExperimentConfig) -> MethodSettings:
-    ensemble = EnsembleConfig(k=cfg.ensemble.k, h=cfg.ensemble.h,
-                              clf=cfg.forest)
     return MethodSettings(train=cfg.train, forest=cfg.forest,
-                          ensemble=ensemble)
+                          ensemble=EnsembleConfig(k=cfg.ensemble.k,
+                                                  h=cfg.ensemble.h))
 
 
 def _multivariate_data(cfg: ExperimentConfig, sigma, trial: int):

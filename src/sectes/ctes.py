@@ -44,7 +44,6 @@ class TrainConfig:
     hidden: int = 64
     convergence_window: int = 50
     convergence_tol: float = 1e-4
-    jitter: float = 0.0
     # every job derives its own; not part of config or model files
     seed: int = field(default=0, metadata={"saved": False})
     conv_channels: tuple[int, ...] = (8, 16, 32, 64)
@@ -61,8 +60,6 @@ class TrainConfig:
             raise ConfigError("convergence_window must be >= 1")
         if not self.convergence_tol >= 0:
             raise ConfigError("convergence_tol must be >= 0")
-        if self.jitter < 0:
-            raise ConfigError("jitter must be >= 0")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be > 0")
         if self.beta <= 0.5:
@@ -107,8 +104,6 @@ class GeneratorModel:
 
     mixer: ndnet.NetParams
     decoder: ndnet.NetParams
-    z_dim: int
-    norm: Normalization
     expr_shape: tuple[int, ...] | None = None
 
 
@@ -118,17 +113,18 @@ class DiscriminatorModel:
 
     encoder: ndnet.NetParams
     head: ndnet.NetParams
-    norm: Normalization
     expr_shape: tuple[int, ...] | None = None
 
 
 @dataclass
 class CtesModel:
-    """One trained generator/discriminator pair plus its loss trace."""
+    """One trained generator/discriminator pair, the normalization both
+    work in, and the loss trace."""
 
     generator: GeneratorModel
     discriminator: DiscriminatorModel
     config: TrainConfig
+    norm: Normalization
     loss_d: np.ndarray = field(default_factory=lambda: np.empty(0))
     loss_g: np.ndarray = field(default_factory=lambda: np.empty(0))
     iterations_run: int = 0
@@ -189,7 +185,7 @@ def build_generator(m: int, n: int, cfg: TrainConfig, seed: int,
     return GeneratorModel(
         mixer=ndnet.init_params(mixer_spec, seeds[0]),
         decoder=ndnet.init_params(decoder_spec, seeds[1]),
-        z_dim=cfg.z_dim, norm=None, expr_shape=expr_shape)
+        expr_shape=expr_shape)
 
 
 def build_discriminator(m: int, n: int, cfg: TrainConfig, seed: int,
@@ -208,7 +204,7 @@ def build_discriminator(m: int, n: int, cfg: TrainConfig, seed: int,
     return DiscriminatorModel(
         encoder=ndnet.init_params(encoder_spec, seeds[0]),
         head=ndnet.init_params(head_spec, seeds[1]),
-        norm=None, expr_shape=expr_shape)
+        expr_shape=expr_shape)
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -226,14 +222,14 @@ def _as_seed_seq(seed) -> np.random.SeedSequence:
 def _gen_forward_traced(gen: GeneratorModel, mix_in: np.ndarray,
                         out: np.ndarray, traces=(None, None)):
     """Normalized-space generator pass over mixer input rows [z | xn]; the
-    decoder writes the expression rows into ``out``, a contiguous (B, n)
+    decoder's expression rows are copied into ``out``, a contiguous (B, n)
     array. Returns the mixer and decoder traces, refilling ``traces``."""
-    mix_tr = ndnet.forward(gen.mixer, mix_in, trace=traces[0])
+    mix_tr = ndnet.forward(gen.mixer, mix_in, traces[0])
     dec_in = mix_tr.output
     if gen.expr_shape is not None:
         dec_in = dec_in.reshape(dec_in.shape[0], -1, 1, 1)
-        out = out.reshape(out.shape[0], 1, *gen.expr_shape)
-    dec_tr = ndnet.forward(gen.decoder, dec_in, out, traces[1])
+    dec_tr = ndnet.forward(gen.decoder, dec_in, traces[1])
+    out.reshape(dec_tr.output.shape, copy=False)[...] = dec_tr.output
     return mix_tr, dec_tr
 
 
@@ -241,14 +237,14 @@ def _disc_scores_traced(disc: DiscriminatorModel, m: int, yn: np.ndarray,
                         head_in: np.ndarray, traces=(None, None)):
     """Normalized-space discriminator pass over expression rows ``yn``.
     The first m columns of ``head_in`` hold the matching normalized
-    characteristic rows, and the encoder writes its encodings into the
-    rest. Returns (scores, encoder/head traces), refilling ``traces``."""
-    enc_in, enc_out = yn, head_in[:, m:]
+    characteristic rows, and the encodings are copied into the rest.
+    Returns (scores, encoder/head traces), refilling ``traces``."""
+    enc_in = yn
     if disc.expr_shape is not None:
         enc_in = yn.reshape(yn.shape[0], 1, *disc.expr_shape)
-        enc_out = enc_out[:, :, None, None]
-    enc_tr = ndnet.forward(disc.encoder, enc_in, enc_out, traces[0])
-    head_tr = ndnet.forward(disc.head, head_in, trace=traces[1])
+    enc_tr = ndnet.forward(disc.encoder, enc_in, traces[0])
+    head_in[:, m:] = enc_tr.output.reshape(len(yn), -1)
+    head_tr = ndnet.forward(disc.head, head_in, traces[1])
     return head_tr.output[:, 0], enc_tr, head_tr
 
 
@@ -268,17 +264,19 @@ def _disc_backward(disc: DiscriminatorModel, m: int, enc_tr, head_tr,
     return None if g is None else g.reshape(score_grad.shape[0], -1)
 
 
-def discriminator_forward(disc: DiscriminatorModel, x: np.ndarray,
+def discriminator_forward(model: CtesModel, x: np.ndarray,
                           y: np.ndarray) -> float:
-    """Score one (characteristic, expression) pair; strictly inside (0, 1)."""
+    """Score one (characteristic, expression) pair with the model's
+    discriminator; strictly inside (0, 1)."""
+    disc, norm = model.discriminator, model.norm
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
-    if x.size != disc.norm.x_mean.size or y.size != disc.norm.y_mean.size:
+    if x.size != norm.x_mean.size or y.size != norm.y_mean.size:
         raise ValueError("dimension mismatch")
     head_in = np.empty((1, disc.head.spec[0].in_size))
-    head_in[0, :x.size] = disc.norm.norm_x(x)
+    head_in[0, :x.size] = norm.norm_x(x)
     scores, _, _ = _disc_scores_traced(disc, x.size,
-                                       disc.norm.norm_y(y)[None, :], head_in)
+                                       norm.norm_y(y)[None, :], head_in)
     return float(scores[0])
 
 
@@ -387,7 +385,6 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     gen = build_generator(m, n, config, seeds[0], dataset.expr_shape)
     disc = build_discriminator(m, n, config, seeds[1], dataset.expr_shape)
-    gen.norm = disc.norm = norm
     rng = np.random.default_rng(seeds[2])
 
     # one Adam state per player; backprop writes into their gradients
@@ -469,6 +466,7 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
             for key in lay:
                 lay[key] = lay[key].copy()
     return CtesModel(generator=gen, discriminator=disc, config=config,
+                     norm=norm,
                      loss_d=losses[0, :iterations_run].copy(),
                      loss_g=losses[1, :iterations_run].copy(),
                      iterations_run=iterations_run,
@@ -477,30 +475,30 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
 
 
 def synthesize_each(model: CtesModel, X: np.ndarray,
-                    rng=None, jitter: float | None = None) -> np.ndarray:
+                    rng=None, jitter: float = 0.0) -> np.ndarray:
     """One synthesized expression per characteristic row.
 
     Each row gets fresh standard-normal noise; when ``jitter`` is
     positive the characteristic itself is perturbed by N(0, jitter^2)
-    to diversify the outputs. ``jitter=None`` uses the trained setting.
+    to diversify the outputs.
     """
-    gen = model.generator
-    jitter = model.config.jitter if jitter is None else jitter
-    if jitter < 0:
+    if not jitter >= 0:
         raise ValueError("jitter must be >= 0")
+    norm = model.norm
     rng = _as_rng(rng)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] < 1:
         raise ValueError("need at least one characteristic row")
-    if X.shape[1] != gen.norm.x_mean.size:
+    if X.shape[1] != norm.x_mean.size:
         raise ValueError(f"characteristics have {X.shape[1]} columns, "
-                         f"expected {gen.norm.x_mean.size}")
+                         f"expected {norm.x_mean.size}")
     if jitter > 0:
         X = X + rng.normal(0.0, jitter, size=X.shape)
-    z = rng.standard_normal((X.shape[0], gen.z_dim))
-    yhat_n = np.empty((X.shape[0], gen.norm.y_mean.size))
-    _gen_forward_traced(gen, np.hstack([z, gen.norm.norm_x(X)]), yhat_n)
-    return gen.norm.denorm_y(yhat_n)
+    z = rng.standard_normal((X.shape[0], model.config.z_dim))
+    yhat_n = np.empty((X.shape[0], norm.y_mean.size))
+    _gen_forward_traced(model.generator, np.hstack([z, norm.norm_x(X)]),
+                        yhat_n)
+    return norm.denorm_y(yhat_n)
 
 
 def toy_minimax_oracle(p_data, p_g, p_prime, beta: float):

@@ -47,7 +47,8 @@ class EnsembleConfig:
 @dataclass
 class EnsembleModel:
     """k trained members, their inverse-validation scores, and the
-    selected indices (ascending)."""
+    selected indices (ascending), checked on construction: one score and
+    one diagnostic per member, and a selection of finished members."""
 
     models: list[CtesModel | None]  # None for diverged members
     scores: np.ndarray
@@ -55,16 +56,31 @@ class EnsembleModel:
     config: EnsembleConfig
     diagnostics: list[str | None]  # per-member failure description
 
+    def __post_init__(self):
+        k = len(self.models)
+        if np.shape(self.scores) != (k,) or len(self.diagnostics) != k:
+            raise ConfigError(f"{k} models, scores of shape "
+                              f"{np.shape(self.scores)} and "
+                              f"{len(self.diagnostics)} diagnostics")
+        sel = self.selected
+        if not sel or any(a >= b for a, b in zip(sel, sel[1:])):
+            raise ConfigError(f"selected: {sel} is not a non-empty, "
+                              f"strictly ascending list")
+        for i in sel:
+            if not 0 <= i < k or self.models[i] is None:
+                raise ConfigError(f"selected: member {i} is not a finished "
+                                  f"member of {k}")
+
 
 def inverse_validation_scores(fake_batches: list, real: np.ndarray,
-                              clf_settings: ForestConfig,
-                              seed: int) -> np.ndarray:
+                              clf_settings: ForestConfig) -> np.ndarray:
     """Score each member's batch by its own inverse-validation classifier.
 
-    Classifier i trains on all other members' fakes (category 0) against
-    the real expressions (category 1); the score is the fraction of batch
-    i assigned to category 0. Peer rows are put in a canonical sorted
-    order so scores do not depend on how members are numbered.
+    Classifier i, a forest of ``clf_settings`` (its seed included), trains
+    on all other members' fakes (category 0) against the real expressions
+    (category 1); the score is the fraction of batch i assigned to
+    category 0. Peer rows are put in a canonical sorted order so scores do
+    not depend on how members are numbered.
     """
     k = len(fake_batches)
     if k < 2:
@@ -77,9 +93,9 @@ def inverse_validation_scores(fake_batches: list, real: np.ndarray,
         raise ValueError("expression dimensions differ across batches")
     if any(b.shape[0] == 0 for b in batches) or real.shape[0] == 0:
         raise ValueError("batches must be non-empty")
-    cfg = replace(clf_settings, seed=seed)
-    return np.array([_member_score(batches[:i] + batches[i + 1:], real, cfg,
-                                   batches[i]) for i in range(k)])
+    return np.array([_member_score(batches[:i] + batches[i + 1:], real,
+                                   clf_settings, batches[i])
+                     for i in range(k)])
 
 
 def _peer_forest(peers: list, real: np.ndarray, cfg: ForestConfig) -> Forest:
@@ -159,8 +175,7 @@ def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleMod
         else:
             models[i] = out
             batches[i] = synthesize_each(
-                out, dataset.x, jitter=0.0,
-                rng=np.random.default_rng(member_children[i][1]))
+                out, dataset.x, np.random.default_rng(member_children[i][1]))
         diverged = sum(d is not None for d in diagnostics)
         if k - diverged < h:
             raise EnsembleError(f"{diverged} of {k} members diverged; "
@@ -193,15 +208,17 @@ def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleMod
         for i, future in late.items():
             scores[i] = future.result()
 
-    if len(batches) == 1:  # a single finished member is selected by default
-        scores[next(iter(batches))] = 1.0
-    selected = select_top_h(scores, h)
+    finished = sorted(batches)
+    if len(finished) == 1:  # a single finished member is selected by default
+        scores[finished[0]] = 1.0
+    # a diverged member keeps score 0 and may tie, so it is not ranked
+    selected = [finished[j] for j in select_top_h(scores[finished], h)]
     return EnsembleModel(models=models, scores=scores, selected=selected,
                          config=config, diagnostics=diagnostics)
 
 
 def ensemble_synthesize(ens: EnsembleModel, X: np.ndarray,
-                        rng=None, jitter: float | None = None) -> np.ndarray:
+                        rng=None, jitter: float = 0.0) -> np.ndarray:
     """Uniform-mixture synthesis over the selected members: one expression
     per characteristic row.
 

@@ -1,6 +1,6 @@
 """Random-forest classifier: CART trees, Gini splits, stratified bootstrap.
 
-Trees grow until pure (or until ``max_depth``), thresholds sit at
+Trees grow until every leaf is pure or unsplittable, thresholds sit at
 midpoints of consecutive sorted values, and every source of randomness
 derives from the config seed, so (data, config) fixes the forest exactly.
 The bootstrap resamples each class separately, preserving class ratios in
@@ -34,7 +34,6 @@ from .errors import ConfigError
 @dataclass
 class ForestConfig:
     n_trees: int = 100
-    max_depth: int = 0  # 0 = unlimited
     # every job derives its own; not part of config or model files
     seed: int = field(default=0, metadata={"saved": False})
 
@@ -118,7 +117,7 @@ class _Grower:
     A tree in flight keeps its bootstrap in ``rows[slot]`` and
     ``copies[slot]``, each distinct row once with its number of copies,
     and each node on its stack owns a contiguous range of them. A stack
-    entry is ``(node, start, stop, depth, order)``; ``order`` is None
+    entry is ``(node, start, stop, order)``; ``order`` is None
     until the node draws its feature order. A feature that is constant at
     the node, or has no midpoint strictly between two of its values there,
     moves to the back of the order as feature ``d``, a constant stand-in,
@@ -141,9 +140,6 @@ class _Grower:
         # row numbers and copy counts are below n, so n's type holds both
         self.rows = np.empty((slots, self.n), dtype=np.min_scalar_type(self.n))
         self.copies = np.empty_like(self.rows)
-
-    def capped(self, depth: int) -> bool:
-        return bool(self.cfg.max_depth) and depth >= self.cfg.max_depth
 
     def grow(self, by_class: list) -> list:
         n_trees, cells_per_row = self.cfg.n_trees, self.mtry * self.n_classes
@@ -168,9 +164,8 @@ class _Grower:
                 distinct = np.flatnonzero(copies)
                 self.rows[slot, :distinct.size] = distinct
                 self.copies[slot, :distinct.size] = copies[distinct]
-                stack = [] if self.capped(0) else [(0, 0, distinct.size, 0,
-                                                    None)]
-                flying.append(_Growing(started, rng, stack, slot))
+                flying.append(_Growing(started, rng,
+                                       [(0, 0, distinct.size, None)], slot))
                 started += 1
             if not flying:
                 return trees
@@ -178,7 +173,7 @@ class _Grower:
             for tr in flying:
                 if not tr.stack:
                     continue
-                node, start, stop, depth, order = tr.stack[-1]
+                node, start, stop, order = tr.stack[-1]
                 need = (stop - start) * cells_per_row
                 if batch and cells + need > _STEP_CELLS:
                     continue
@@ -186,7 +181,7 @@ class _Grower:
                 tr.stack.pop()
                 if order is None:
                     order = tr.rng.permutation(self.d)
-                batch.append((tr, node, start, stop, depth, order))
+                batch.append((tr, node, start, stop, order))
             if batch:
                 self.step(batch)
             # a node too large to join others goes first before long
@@ -195,7 +190,7 @@ class _Grower:
     def step(self, batch: list) -> None:
         """Search and split one node of each tree in ``batch``."""
         n, C, mtry, shift = self.n, self.n_classes, self.mtry, self.shift
-        trs, nodes, starts, stops, depths, orders = zip(*batch)
+        trs, nodes, starts, stops, orders = zip(*batch)
         nn = len(batch)
         start = np.array(starts)
         size = np.array(stops) - start
@@ -280,8 +275,7 @@ class _Grower:
         for i in np.flatnonzero(retry):
             keep = ~np.isin(orders[i], cand[dead[:, i], i])
             again = np.append(orders[i][keep], np.full((~keep).sum(), self.d))
-            trs[i].stack.append((nodes[i], starts[i], stops[i], depths[i],
-                                 again))
+            trs[i].stack.append((nodes[i], starts[i], stops[i], again))
         win = low.argmin(axis=0)
         node_i = np.flatnonzero((low.min(axis=0) < np.inf) & ~retry)
         if node_i.size == 0:
@@ -306,16 +300,15 @@ class _Grower:
                 node_i.tolist(), cand.ravel()[win].tolist(), mid[win].tolist(),
                 (start[node_i] + n_split).tolist(), leaf.tolist(),
                 pure.tolist()):
-            tr, depth = trs[i], depths[i] + 1
+            tr = trs[i]
             left = tr.n_nodes
             tr.n_nodes += 2
             tr.splits.append((nodes[i], feat, thr, left, leaf_l, leaf_r))
-            if not self.capped(depth):
-                # the right child is pushed last, so it is grown first
-                if not pure_l:
-                    tr.stack.append((left, starts[i], cut_at, depth, None))
-                if not pure_r:
-                    tr.stack.append((left + 1, cut_at, stops[i], depth, None))
+            # the right child is pushed last, so it is grown first
+            if not pure_l:
+                tr.stack.append((left, starts[i], cut_at, None))
+            if not pure_r:
+                tr.stack.append((left + 1, cut_at, stops[i], None))
 
 
 @dataclass

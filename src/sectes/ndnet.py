@@ -79,10 +79,24 @@ def deconv2d(in_channels: int, out_channels: int, kernel: int = 4,
 
 @dataclass
 class NetParams:
-    """Per-layer weights and biases, plus the spec that produced them."""
+    """Per-layer weights and biases, plus the spec that produced them.
+    A valid spec and one {"W", "b"} pair per layer, of the shapes that
+    :func:`init_params` makes, are checked on construction."""
 
     spec: list[LayerSpec]
     layers: list[dict[str, np.ndarray]]  # each {"W": ..., "b": ...}
+
+    def __post_init__(self):
+        _validate_spec(self.spec)
+        if len(self.layers) != len(self.spec):
+            raise ConfigError(f"{len(self.spec)} layer specs but "
+                              f"{len(self.layers)} layers")
+        for i, (lay, arrays) in enumerate(zip(self.spec, self.layers)):
+            got = {key: np.shape(a) for key, a in arrays.items()}
+            want = _param_shapes(lay)
+            if got != want:
+                raise ConfigError(f"layer {i}: parameter shapes {got}, "
+                                  f"expected {want}")
 
 
 @dataclass
@@ -97,11 +111,10 @@ class Trace:
     other conv temporaries (im2col columns, col2im grid, pre-activation,
     weight gradient): one region per kind that all layers share, sized
     for the largest. :func:`forward` given the trace back with an input of
-    the same shape overwrites the arrays in ``post`` (a last entry that
-    was the caller's ``out`` excepted), and :func:`backprop` overwrites
-    the scratch: ``post``, ``output`` and the input gradient backprop
-    returns are views that the trace's next use overwrites, so copy what
-    must outlive it.
+    the same shape overwrites the arrays in ``post``, and :func:`backprop`
+    overwrites the scratch: ``post``, ``output`` and the input gradient
+    backprop returns are views that the trace's next use overwrites, so
+    copy what must outlive it.
     """
 
     x: np.ndarray           # network input
@@ -146,30 +159,30 @@ def _validate_spec(spec: list[LayerSpec]) -> None:
                 f"layer {i + 1} input channels {b.in_channels}")
 
 
+def _param_shapes(lay: LayerSpec) -> dict:
+    """The shapes of a layer's W and b."""
+    if lay.kind == "dense":
+        return {"W": (lay.in_size, lay.out_size), "b": (lay.out_size,)}
+    pair = ((lay.out_channels, lay.in_channels) if lay.kind == "conv2d"
+            else (lay.in_channels, lay.out_channels))
+    return {"W": pair + (lay.kernel, lay.kernel), "b": (lay.out_channels,)}
+
+
 def init_params(spec: list[LayerSpec], seed: int) -> NetParams:
     """Initialize weights uniformly in [-a, a] with a = sqrt(6/(fan_in+fan_out)).
 
     Biases start at zero. Deterministic given the seed.
     """
-    _validate_spec(spec)
+    _validate_spec(spec)  # before a zero width divides below
     rng = np.random.default_rng(seed)
     layers = []
     for lay in spec:
-        if lay.kind == "dense":
-            fan_in, fan_out = lay.in_size, lay.out_size
-            w_shape = (lay.in_size, lay.out_size)
-            b_shape = (lay.out_size,)
-        else:
-            fan_in = lay.in_channels * lay.kernel * lay.kernel
-            fan_out = lay.out_channels * lay.kernel * lay.kernel
-            if lay.kind == "conv2d":
-                w_shape = (lay.out_channels, lay.in_channels, lay.kernel, lay.kernel)
-            else:
-                w_shape = (lay.in_channels, lay.out_channels, lay.kernel, lay.kernel)
-            b_shape = (lay.out_channels,)
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        layers.append({"W": rng.uniform(-bound, bound, size=w_shape),
-                       "b": np.zeros(b_shape)})
+        shapes = _param_shapes(lay)
+        w = shapes["W"]
+        # fan_in + fan_out: both channel (or size) counts times the taps
+        bound = np.sqrt(6.0 / ((w[0] + w[1]) * math.prod(w[2:])))
+        layers.append({"W": rng.uniform(-bound, bound, size=w),
+                       "b": np.zeros(shapes["b"])})
     return NetParams(spec=list(spec), layers=layers)
 
 
@@ -265,17 +278,15 @@ def _weight_grad(cols, g, dW, arrays: dict):
 
 
 def forward(params: NetParams, x: np.ndarray,
-            out: np.ndarray | None = None,
             trace: Trace | None = None) -> Trace:
     """Run the network on the batch x, recording every layer's activation.
 
     Pure function of (params, x); returns a :class:`Trace` whose final
-    entry is the network output. With ``out``, an array of the output's
-    shape, the last layer writes its activation there. With ``trace``, one
-    that an earlier call on this network returned, the call refills that
-    trace and returns it when x has the shape it was made for (its earlier
-    activations are overwritten; x must not be a view into it), and makes
-    a new trace otherwise.
+    entry is the network output. With ``trace``, one that an earlier call
+    on this network returned, the call refills that trace and returns it
+    when x has the shape it was made for (its earlier activations are
+    overwritten; x must not be a view into it), and makes a new trace
+    otherwise.
     """
     x = np.asarray(x, dtype=np.float64)
     want = 2 if params.spec[0].kind == "dense" else 4
@@ -313,17 +324,16 @@ def forward(params: NetParams, x: np.ndarray,
             q = nxt.padding if nxt and nxt.kind == "conv2d" else 0
             act = (_padded(kept, ("pad", i + 1), z, q)[:, q:-q, q:-q] if q
                    else _kept(kept, i, (O, ho, wo, B))).transpose(3, 0, 1, 2)
-        post = out if i == last and out is not None else act
         if lay.activation == "relu":
-            np.maximum(z, 0.0, out=post)
+            np.maximum(z, 0.0, out=act)
         elif lay.activation == "sigmoid":
             # np.clip's result, without its Python-level dispatch
             clamped = np.minimum(np.maximum(z, -SIGMOID_CLAMP), SIGMOID_CLAMP)
-            np.divide(1.0, 1.0 + np.exp(-clamped), out=post)
-        elif post is not z:
-            post[...] = z
-        trace.post.append(post)
-        a = post
+            np.divide(1.0, 1.0 + np.exp(-clamped), out=act)
+        elif act is not z:
+            act[...] = z
+        trace.post.append(act)
+        a = act
     return trace
 
 
@@ -382,7 +392,10 @@ def backprop(params: NetParams, trace: Trace, out_grad: np.ndarray,
             dec = lay.kind == "deconv2d"
             xp = (_padded(kept, ("gp", i), g, p, fill=True) if dec
                   else _padded(kept, ("pad", i), a_prev, p))
-            cols = _im2col(xp, lay, kept)
+            # the im2col matrix serves the weight gradient and a deconv's
+            # input gradient only
+            if dst is not None or (dec and need_in):
+                cols = _im2col(xp, lay, kept)
             if dst is not None:
                 _weight_grad(cols, a_prev if dec else g, dst["W"], kept)
             if need_in and dec:

@@ -72,12 +72,9 @@ class RiskEvalReport:
 class MethodSettings:
     """Shared knobs for every synthesis method in an experiment.
 
-    ``train`` sets every adversarial training run. ``forest`` sets the
-    validation forests, and the inverse-validation forests only when
-    ``ensemble`` is None. Of ``ensemble``, only ``k``, ``h`` and ``clf``
-    are read: :func:`fit_method` replaces its ``train`` and ``seed`` with
-    ``train`` (at the label's beta) and the job seed, and its ``clf``, not
-    ``forest``, fits the inverse-validation forests.
+    ``train`` sets every adversarial training run and ``forest`` every
+    forest: the validation forests and the inverse-validation ones. Of
+    ``ensemble``, only ``k`` and ``h`` are read.
     """
 
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -145,16 +142,17 @@ def fit_method(method: str, settings: MethodSettings,
                 f"method {method!r}: beta is not a number") from None
     tc = replace(settings.train, beta=beta, seed=seed)
     if name == "se-ctes":
-        base = settings.ensemble or EnsembleConfig(clf=settings.forest)
-        return train_se_ctes(train_ds, replace(base, train=tc, seed=seed))
+        size = settings.ensemble or EnsembleConfig()
+        return train_se_ctes(train_ds, EnsembleConfig(
+            k=size.k, h=size.h, train=tc, clf=settings.forest, seed=seed))
     return train_ctes(train_ds, tc)
 
 
 def sample_model(model, X: np.ndarray, rng,
-                 jitter: float | None = None) -> np.ndarray:
+                 jitter: float = 0.0) -> np.ndarray:
     """One expression per characteristic row of X from any model
     :func:`fit_method` returns. PLS and GRNN are deterministic and ignore
-    ``rng`` and ``jitter``; ``jitter=None`` uses the trained setting."""
+    ``rng`` and ``jitter``."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if not np.isfinite(X).all():
         raise ValueError("characteristics must be finite")
@@ -323,10 +321,10 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def fit_conv_classifier(Y: np.ndarray, labels: np.ndarray, expr_shape: tuple,
                         seed: int = 0, epochs: int = 30, batch: int = 64,
-                        lr: float = 1e-3,
                         channels: tuple = (8, 16, 32, 64)) -> ConvClassifier:
     """Strided conv stack plus a linear head trained with softmax
-    cross-entropy; used where flat-feature forests fit poorly."""
+    cross-entropy by Adam at rate 1e-3; used where flat-feature forests
+    fit poorly."""
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     classes, codes = np.unique(labels, return_inverse=True)
     h = w = conv_grid_side(expr_shape)
@@ -345,7 +343,7 @@ def fit_conv_classifier(Y: np.ndarray, labels: np.ndarray, expr_shape: tuple,
     onehot = np.eye(len(classes))[codes]
 
     nets = (head, encoder)
-    opt = ndnet.init_opt_state(nets, lr)
+    opt = ndnet.init_opt_state(nets, 1e-3)
     head_grads, enc_grads = opt.grads
     n = imgs.shape[0]
     traces = {}  # per batch size (a short last batch has its own)

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from sectes import ndnet
-from sectes.forest import ForestConfig, _Tree
+from sectes.forest import _Tree
 
 
 def zero_grads(params):
@@ -309,20 +309,19 @@ def _best_split(vals: np.ndarray, codes: np.ndarray, n_classes: int):
 
 
 def _grow_tree(X: np.ndarray, codes: np.ndarray, n_classes: int,
-               cfg: ForestConfig, rng: np.random.Generator) -> _Tree:
+               rng: np.random.Generator) -> _Tree:
     """One tree on the columns of the feature-major ``X`` (features,
     rows), so each candidate feature's values are one contiguous row."""
     d = X.shape[0]
     mtry = max(1, int(np.floor(np.sqrt(d))))
     feature, threshold, left, leaf = [-1], [0.0], [-1], [0]
-    stack = [(0, np.arange(X.shape[1]), 0)]
+    stack = [(0, np.arange(X.shape[1]))]
     while stack:
-        node, idx, depth = stack.pop()
+        node, idx = stack.pop()
         node_codes = codes[idx]
         counts = np.bincount(node_codes, minlength=n_classes)
         leaf[node] = int(counts.argmax())
-        depth_capped = cfg.max_depth and depth >= cfg.max_depth
-        if counts[leaf[node]] == idx.size or depth_capped:
+        if counts[leaf[node]] == idx.size:
             continue
         # scan a random feature order; constant features do not use up mtry
         best = None
@@ -346,8 +345,8 @@ def _grow_tree(X: np.ndarray, codes: np.ndarray, n_classes: int,
         threshold += [0.0, 0.0]
         left += [-1, -1]
         leaf += [0, 0]
-        stack.append((left[node], idx[go_left], depth + 1))
-        stack.append((left[node] + 1, idx[~go_left], depth + 1))
+        stack.append((left[node], idx[go_left]))
+        stack.append((left[node] + 1, idx[~go_left]))
     return _Tree(*map(np.asarray, (feature, threshold, left, leaf)))
 
 
@@ -366,8 +365,7 @@ def reference_trees(X, labels, cfg):
         boot = np.concatenate([
             cls_idx[rng.integers(0, len(cls_idx), size=len(cls_idx))]
             for cls_idx in by_class])
-        trees.append(_grow_tree(XT[:, boot], codes[boot], len(classes), cfg,
-                                rng))
+        trees.append(_grow_tree(XT[:, boot], codes[boot], len(classes), rng))
     return trees
 
 

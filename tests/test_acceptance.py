@@ -330,8 +330,8 @@ def test_criterion_10_selection_sanity():
         good2 = rng.normal(0.0, 0.7, size=(300, 6))
         degenerate = np.full((300, 6), 100.0)
         scores = inverse_validation_scores(
-            [good1, degenerate, good2], real, ForestConfig(n_trees=100),
-            seed=seed)
+            [good1, degenerate, good2], real,
+            ForestConfig(n_trees=100, seed=seed))
         if scores[1] < scores[0] and scores[1] < scores[2]:
             wins += 1
             if 1 not in select_top_h(scores, 2):

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import re
 import time
+import types
 import typing
 import warnings
 from dataclasses import fields, is_dataclass
@@ -61,17 +62,28 @@ def test_config_rejects_bad_sigma_and_method():
         build_config({"methods": ["pls", "wgan"]})
 
 
+def _held(tp):
+    """The type that a field of type ``tp`` holds, ``| None`` dropped."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        tp, = [a for a in typing.get_args(tp) if a is not type(None)]
+    return tp
+
+
 def settable_paths(tp, prefix=""):
-    """Dotted paths of every value a JSON config can set, walking nested
-    config blocks."""
+    """Dotted paths of every value a JSON config or model file can set,
+    walking nested blocks, also the items of a list of blocks (``[]``)."""
     hints = typing.get_type_hints(tp)
     for f in fields(tp):
         if not f.metadata.get("saved", True):
             continue
-        if is_dataclass(hints[f.name]):
-            yield from settable_paths(hints[f.name], f"{prefix}{f.name}.")
+        path, held = prefix + f.name, _held(hints[f.name])
+        if typing.get_origin(held) is list \
+                and is_dataclass(_held(typing.get_args(held)[0])):
+            path, held = path + "[]", _held(typing.get_args(held)[0])
+        if is_dataclass(held):
+            yield from settable_paths(held, path + ".")
         else:
-            yield prefix + f.name
+            yield path
 
 
 def test_config_settable_paths_are_pinned():
@@ -81,11 +93,44 @@ def test_config_settable_paths_are_pinned():
         "study", "sigmas", "trials", "methods", "groups", "samples_per_group",
         "train.beta", "train.batch_size", "train.iterations", "train.z_dim",
         "train.learning_rate", "train.hidden", "train.convergence_window",
-        "train.convergence_tol", "train.jitter", "train.conv_channels",
-        "ensemble.k", "ensemble.h", "forest.n_trees", "forest.max_depth",
+        "train.convergence_tol", "train.conv_channels",
+        "ensemble.k", "ensemble.h", "forest.n_trees",
         "beta_grid", "gp.grid",
         "gp.images_per_category", "data_csv", "out_dir", "master_seed",
         "workers"]
+
+
+_TRAIN = ["beta", "batch_size", "iterations", "z_dim", "learning_rate",
+          "hidden", "convergence_window", "convergence_tol", "conv_channels"]
+
+
+def _net(path):
+    return [f"{path}.spec[].{f}" for f in (
+        "kind", "activation", "in_size", "out_size", "in_channels",
+        "out_channels", "kernel", "stride", "padding")] + [f"{path}.layers"]
+
+
+_CTES = [*_net("generator.mixer"), *_net("generator.decoder"),
+         "generator.expr_shape", *_net("discriminator.encoder"),
+         *_net("discriminator.head"), "discriminator.expr_shape",
+         *(f"config.{f}" for f in _TRAIN),
+         "norm.x_mean", "norm.x_std", "norm.y_mean", "norm.y_std",
+         "loss_d", "loss_g", "iterations_run"]
+
+
+def test_model_file_schema_is_pinned():
+    # a saved field added or removed changes what a model file holds, so
+    # it comes with a MODEL_FORMAT_VERSION bump: edit both here together
+    schema = {kind: list(settable_paths(tp))
+              for kind, tp in cli_mod._MODEL_KINDS.items()}
+    assert (cli_mod.MODEL_FORMAT_VERSION, schema) == (7, {
+        "pls": ["mean_x", "mean_y", "coef", "n_components"],
+        "grnn": ["train_x", "train_y", "bandwidth"],
+        "ctes": _CTES,
+        "se-ctes": [*(f"models[].{p}" for p in _CTES), "scores", "selected",
+                    "config.k", "config.h",
+                    *(f"config.train.{f}" for f in _TRAIN),
+                    "config.clf.n_trees", "config.seed", "diagnostics"]})
 
 
 def test_config_rejects_unknown_fields_with_path():
@@ -524,7 +569,8 @@ MALFORMED_CONFIGS = [
     ({"train": {"learning_rate": -1}}, "train: learning_rate must be > 0"),
     ({"forest": {"n_treez": 5}}, "forest.n_treez: unknown field"),
     ({"sigmas": [0.1, "a"]}, "sigmas[1]: expected finite float, got 'a'"),
-    ({"train": {"jitter": 10 ** 400}}, "train.jitter: expected finite float"),
+    ({"train": {"learning_rate": 10 ** 400}},
+     "train.learning_rate: expected finite float"),
     ({"train": {"conv_channels": [8, 16.5]}},
      "train.conv_channels[1]: expected int, got 16.5"),
     ({"fresh_data_per_trial": 1}, "fresh_data_per_trial: unknown field"),
@@ -535,6 +581,7 @@ MALFORMED_CONFIGS = [
     ({"train": {"convergence_window": 0}},
      "train: convergence_window must be >= 1"),
     ({"train": {"convergence_tol": -0.5}}, "train: convergence_tol must be >= 0"),
+    ({"samples_per_group": 0}, "samples_per_group: must be >= 1"),
 ]
 
 
@@ -564,10 +611,10 @@ def test_malformed_config_exits_2(tmp_path, capsys, raw, message):
 
 def test_non_finite_config_value_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text('{"train": {"jitter": NaN}}')
+    path.write_text('{"train": {"learning_rate": NaN}}')
     assert main(["validate", "--config", str(path), "--method", "pls",
                  "--group", "2"]) == 2
-    _single_error_line(capsys, "train.jitter: expected finite float")
+    _single_error_line(capsys, "train.learning_rate: expected finite float")
 
 
 @pytest.mark.parametrize("argv", [
@@ -656,8 +703,11 @@ TRUNCATED_PAYLOADS = [
      "payload.bandwidth: expected finite float"),
     ("grnn", lambda p: p["train_x"].append([1.0]),
      "payload.train_x: expected array of numbers"),
-    ("ctes", lambda p: p["generator"].pop("norm"),
-     "payload.generator.norm: missing field"),
+    ("ctes", lambda p: p.pop("norm"), "payload.norm: missing field"),
+    ("ctes", lambda p: p["generator"]["mixer"]["layers"][0].__setitem__(
+        "W", [[0.5]]), "payload.generator.mixer: layer 0: parameter shapes"),
+    ("ctes", lambda p: p["discriminator"]["head"]["layers"].pop(),
+     "payload.discriminator.head: 2 layer specs but 1 layers"),
     ("ctes", lambda p: p["generator"]["mixer"]["spec"][0].pop("kind"),
      "payload.generator.mixer.spec[0].kind: missing field"),
     ("ctes", lambda p: p["discriminator"]["head"]["layers"][1].__setitem__(
@@ -670,6 +720,18 @@ TRUNCATED_PAYLOADS = [
      "payload.members: unknown field"),
     ("se-ctes", lambda p: p["config"].__setitem__("h", 2),
      "payload.config: k must exceed 2*h"),
+    ("se-ctes", lambda p: p.__setitem__("selected", [9]),
+     "payload: selected: member 9 is not a finished member of 3"),
+    ("se-ctes", lambda p: p.__setitem__("selected", [-1]),
+     "payload: selected: member -1 is not a finished member of 3"),
+    ("se-ctes", lambda p: p["models"].__setitem__(p["selected"][0], None),
+     "is not a finished member of 3"),
+    ("se-ctes", lambda p: p.__setitem__("selected", [1, 1]),
+     "payload: selected: [1, 1] is not a non-empty, strictly ascending list"),
+    ("se-ctes", lambda p: p.__setitem__("selected", []),
+     "payload: selected: [] is not a non-empty, strictly ascending list"),
+    ("se-ctes", lambda p: p["scores"].pop(),
+     "payload: 3 models, scores of shape (2,) and 3 diagnostics"),
 ]
 
 
@@ -707,6 +769,9 @@ def test_load_rejects_format_1_and_unknown_kind(tmp_path, model_docs):
                            "unsupported format version 4"),
                           (_set("format_version", 5),
                            "unsupported format version 5"),
+                          (_set("format_version", 6),
+                           "unsupported format version 6; this build reads "
+                           "version 7"),
                           (_drop("kind"), "unknown model kind None"),
                           (_set("kind", "wgan"), "unknown model kind 'wgan'")):
         doc = json.loads(json.dumps(model_docs["pls"]))

@@ -39,8 +39,6 @@ def test_config_validation_and_low_beta_warning():
         TrainConfig(beta=1.5)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=1)
-    with pytest.raises(ConfigError):
-        TrainConfig(jitter=-0.1)
     for window in (-1, 0):  # an empty window has no mean to test
         with pytest.raises(ConfigError, match="convergence_window must be >= 1"):
             TrainConfig(convergence_window=window)
@@ -106,7 +104,7 @@ def test_generator_forward_zero_params_returns_mean_offset(trained_toy):
             lay["W"][:] = 0.0
             lay["b"][:] = 0.0
     out = synthesize_each(model, np.array([[0.5]]), rng=0)
-    assert np.allclose(out, model.generator.norm.y_mean)
+    assert np.allclose(out, model.norm.y_mean)
 
 
 def test_generator_forward_shape_and_determinism(trained_toy):
@@ -132,7 +130,7 @@ def test_discriminator_forward_zero_params_is_half():
         for lay in net.layers:
             lay["W"][:] = 0.0
             lay["b"][:] = 0.0
-    assert discriminator_forward(model.discriminator, np.array([0.5]),
+    assert discriminator_forward(model, np.array([0.5]),
                                  np.array([0.5])) == 0.5
 
 
@@ -140,9 +138,9 @@ def test_discriminator_forward_range_and_determinism(trained_toy):
     rng = np.random.default_rng(2)
     for _ in range(20):
         x, y = rng.uniform(0, 1, 1), rng.uniform(0, 1, 1)
-        s = discriminator_forward(trained_toy.discriminator, x, y)
+        s = discriminator_forward(trained_toy, x, y)
         assert 0.0 < s < 1.0
-        assert s == discriminator_forward(trained_toy.discriminator, x, y)
+        assert s == discriminator_forward(trained_toy, x, y)
 
 
 def char_ids(x):
@@ -352,6 +350,9 @@ def test_synthesize_count_and_reproducibility(trained_toy):
         synthesize_each(trained_toy, np.empty((0, 1)))
     with pytest.raises(ValueError):
         synthesize_each(trained_toy, np.repeat([[0.5, 0.5]], 3, 0))
+    for jitter in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="jitter must be >= 0"):
+            synthesize_each(trained_toy, [[0.5]], jitter=jitter)
 
 
 def test_jitter_increases_sample_variance(trained_toy):

@@ -1,3 +1,4 @@
+import copy
 import multiprocessing
 import os
 import pickle
@@ -47,7 +48,7 @@ def constant_model(dataset, value, seed=0):
         for lay in net.layers:
             lay["W"][:] = 0.0
             lay["b"][:] = 0.0
-    model.generator.norm.y_mean = np.full(dataset.expr_dim, float(value))
+    model.norm.y_mean = np.full(dataset.expr_dim, float(value))
     return model
 
 
@@ -74,7 +75,7 @@ def test_inverse_validation_identical_batches_scores_equal():
     batch = rng.normal(size=(40, 3))
     real = rng.normal(size=(40, 3))
     scores = inverse_validation_scores([batch, batch.copy(), batch.copy()],
-                                       real, ForestConfig(n_trees=30), seed=1)
+                                       real, ForestConfig(n_trees=30, seed=1))
     assert len(scores) == 3
     assert np.allclose(scores, scores[0])
 
@@ -84,7 +85,7 @@ def test_inverse_validation_default_k_five_gives_five_scores():
     batches = [rng.normal(size=(30, 2)) for _ in range(5)]
     real = rng.normal(size=(30, 2))
     scores = inverse_validation_scores(batches, real,
-                                       ForestConfig(n_trees=20), seed=2)
+                                       ForestConfig(n_trees=20, seed=2))
     assert scores.shape == (5,)
     assert np.all((scores >= 0) & (scores <= 1))
 
@@ -96,7 +97,7 @@ def test_inverse_validation_flags_degenerate_member():
     good2 = rng.normal(0.0, 0.7, size=(200, 4))
     degenerate = np.full((200, 4), 100.0)
     scores = inverse_validation_scores([good1, degenerate, good2], real,
-                                       ForestConfig(n_trees=60), seed=3)
+                                       ForestConfig(n_trees=60, seed=3))
     assert scores[1] < scores[0] and scores[1] < scores[2]
     assert 1 not in select_top_h(scores, 2)
 
@@ -105,11 +106,11 @@ def test_inverse_validation_permutation_symmetry():
     rng = np.random.default_rng(3)
     batches = [rng.normal(loc=i * 0.2, size=(50, 3)) for i in range(4)]
     real = rng.normal(size=(60, 3))
-    cfg = ForestConfig(n_trees=40)
-    base = inverse_validation_scores(batches, real, cfg, seed=5)
+    cfg = ForestConfig(n_trees=40, seed=5)
+    base = inverse_validation_scores(batches, real, cfg)
     perm = [2, 0, 3, 1]
     permuted = inverse_validation_scores([batches[i] for i in perm], real,
-                                         cfg, seed=5)
+                                         cfg)
     assert np.array_equal(permuted, base[perm])
     # the selected model set (as models) is unchanged
     sel_base = {id(batches[i]) for i in select_top_h(base, 2)}
@@ -122,11 +123,11 @@ def test_inverse_validation_input_errors():
     with pytest.raises(ValueError):
         inverse_validation_scores([rng.normal(size=(10, 2))],
                                   rng.normal(size=(10, 2)),
-                                  ForestConfig(n_trees=5), seed=0)
+                                  ForestConfig(n_trees=5))
     with pytest.raises(ValueError):
         inverse_validation_scores(
             [rng.normal(size=(10, 2)), rng.normal(size=(10, 3))],
-            rng.normal(size=(10, 2)), ForestConfig(n_trees=5), seed=0)
+            rng.normal(size=(10, 2)), ForestConfig(n_trees=5))
 
 
 def tiny_ensemble_config(k=3, h=1, seed=0):
@@ -213,6 +214,22 @@ def test_train_se_ctes_lone_finished_member_scores_one(monkeypatch):
     ens = train_se_ctes(ds, cfg)
     assert ens.scores.tolist() == [0.0, 1.0, 0.0]
     assert ens.selected == [1] and fits == []
+
+
+def test_a_diverged_member_is_not_selected_on_a_tie(monkeypatch):
+    """A diverged member keeps score 0; when finished members score 0
+    too, the tie still goes to a finished member."""
+    ds = small_dataset()
+    cfg = tiny_ensemble_config(k=5, h=2, seed=2)
+    force_divergence(monkeypatch, cfg, [0])
+    monkeypatch.setattr(ensemble_mod, "_member_score", lambda *args: 0.0)
+    on_one_cpu(monkeypatch)
+    ens = train_se_ctes(ds, cfg)
+    assert ens.models[0] is None
+    assert ens.scores.tolist() == [0.0] * 5
+    assert ens.selected == [1, 2]
+    out = ensemble_synthesize(ens, np.repeat([[0.5]], 4, 0), rng=0)
+    assert out.shape == (4, 2) and np.isfinite(out).all()
 
 
 def test_train_se_ctes_too_few_finished_cancels_and_leaves_no_children(
@@ -556,8 +573,11 @@ def test_ensemble_synthesize_validation():
     ens = ens_of_constants([1.0, 2.0, 3.0], h=1)
     with pytest.raises(ValueError):
         ensemble_synthesize(ens, np.empty((0, 1)))
-    empty = EnsembleModel(models=ens.models, scores=ens.scores, selected=[],
-                          config=ens.config, diagnostics=[None] * 3)
+    with pytest.raises(ConfigError, match="selected"):
+        EnsembleModel(models=ens.models, scores=ens.scores, selected=[],
+                      config=ens.config, diagnostics=[None] * 3)
+    empty = copy.copy(ens)  # emptied after the construction checks
+    empty.selected = []
     with pytest.raises(EnsembleError):
         ensemble_synthesize(empty, np.repeat([[0.5]], 10, 0))
 

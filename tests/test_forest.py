@@ -210,15 +210,6 @@ def test_input_validation():
         ForestConfig(n_trees=0)
 
 
-def test_max_depth_limits_tree():
-    rng = np.random.default_rng(22)
-    X, y = _blobs(rng, n=80, sep=1.0)
-    forest = fit_forest(X, y, ForestConfig(n_trees=5, max_depth=2, seed=23))
-    for tree in forest.trees:
-        # depth 2 allows at most 7 nodes
-        assert len(tree.feature) <= 7
-
-
 def _forest_cases():
     rng = np.random.default_rng(24)
     Xb, yb = _blobs(rng, n=60, sep=1.5)
@@ -228,16 +219,13 @@ def _forest_cases():
         "binary": (fit_forest(Xb, yb, ForestConfig(n_trees=15, seed=25)), 2),
         "multiclass": (fit_forest(Xm, ym, ForestConfig(n_trees=15, seed=26)),
                        4),
-        "max_depth": (fit_forest(Xm, ym, ForestConfig(n_trees=15, max_depth=2,
-                                                      seed=27)), 4),
         "leaf_trees": (Forest(trees=[_leaf_tree(0), _leaf_tree(1),
                                      *_tied_leaf_forest().trees],
                               classes=np.array([0, 1]), n_features=4), 4),
     }
 
 
-@pytest.mark.parametrize("case", ["binary", "multiclass", "max_depth",
-                                  "leaf_trees"])
+@pytest.mark.parametrize("case", ["binary", "multiclass", "leaf_trees"])
 def test_votes_match_stack_walk(case):
     forest, d = _forest_cases()[case]
     rng = np.random.default_rng(28)
@@ -274,7 +262,6 @@ def tied_data(draw):
     y = draw(arrays(np.int64, n, elements=st.integers(0, n_classes - 1)))
     y[:n_classes] = np.arange(n_classes)  # every class appears
     cfg = ForestConfig(n_trees=draw(st.integers(1, 5)),
-                       max_depth=draw(st.integers(0, 3)),
                        seed=draw(st.integers(0, 2 ** 32 - 1)))
     return X, y, cfg
 

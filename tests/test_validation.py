@@ -99,7 +99,7 @@ def test_fit_method_table():
     forest = ForestConfig(n_trees=3)
     settings = MethodSettings(
         train=TrainConfig(iterations=0, batch_size=10), forest=forest,
-        ensemble=EnsembleConfig(k=3, h=1, clf=forest))
+        ensemble=EnsembleConfig(k=3, h=1))
     train_ds = grouped_dataset([20, 20])
     fit = lambda method: fit_method(method, settings, train_ds, 0)
     assert fit("cgan").config.beta == 1.0
@@ -109,6 +109,7 @@ def test_fit_method_table():
     se = fit("se-ctes")
     assert isinstance(se, EnsembleModel)
     assert [m.config.beta for m in se.models] == [0.9] * 3
+    assert se.config.clf == forest  # one forest config fits every forest
     assert (EnsembleConfig().k, EnsembleConfig().h) == (5, 2)
     with pytest.raises(ConfigError) as exc:
         fit("wgan")
