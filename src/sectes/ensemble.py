@@ -4,7 +4,7 @@ Train k models, score each one by inverse validation (a classifier
 learns peer-generated fakes vs real expressions and each member is
 scored by how firmly its own output lands in the peer-fake class), keep
 the h best, and synthesize from the uniform mixture of the survivors.
-Members that diverge during training score 0 and fall out naturally.
+Members that diverge during training score 0 and are never selected.
 """
 
 from __future__ import annotations
