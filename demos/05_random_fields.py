@@ -9,8 +9,19 @@ smoother images; a 3x3 mean filter smooths synthesized output further.
 import numpy as np
 
 from sectes import GpSimConfig, TrainConfig, gen_scalar_to_matrix_dataset, \
-    gp_sample, low_pass_filter
+    gp_sample
 from sectes.ctes import synthesize_each, train_ctes
+
+
+def low_pass_filter(image: np.ndarray) -> np.ndarray:
+    """3x3 uniform mean filter with replicate padding; shape-preserving."""
+    padded = np.pad(image, 1, mode="edge")
+    out = np.zeros_like(image)
+    for di in range(3):
+        for dj in range(3):
+            out += padded[di:di + image.shape[0], dj:dj + image.shape[1]]
+    return out / 9.0
+
 
 cfg = GpSimConfig(grid=16, images_per_category=24, categories=5, seed=0)
 

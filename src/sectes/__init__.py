@@ -18,14 +18,13 @@ from .ctes import (CtesModel, DiscriminatorModel, GeneratorModel,
 from .datagen import (GpSimConfig, PairedDataset, SimConfig,
                       expression_transform, gen_multivariate_dataset,
                       gen_scalar_to_matrix_dataset, gp_sample,
-                      low_pass_filter, quantile_discretize,
                       read_dataset_csv, write_dataset_csv)
-from .ensemble import (EnsembleConfig, EnsembleModel, ensemble_synthesize,
-                       inverse_validation_scores, select_top_h,
-                       train_se_ctes)
+from .ensemble import (EnsembleConfig, EnsembleModel, EnsembleSize,
+                       ensemble_synthesize, inverse_validation_scores,
+                       select_top_h, train_se_ctes)
 from .errors import (ConfigError, EnsembleError, MismatchImpossible,
                      ModelFormatError, TrainingDiverged)
-from .forest import (Forest, ForestConfig, fit_forest, gini, predict_forest,
+from .forest import (Forest, ForestConfig, fit_forest, predict_forest,
                      predict_proba)
 from .validation import (ConfusionCounts, MethodSettings, RiskEvalReport,
                          ValidationReport, aggregate_trials,

@@ -31,7 +31,7 @@ from .baselines import GrnnModel, PlsModel
 from .ctes import CtesModel, TrainConfig
 from .datagen import GpSimConfig, SimConfig, gen_multivariate_dataset, \
     gen_scalar_to_matrix_dataset, read_dataset_csv, write_dataset_csv
-from .ensemble import EnsembleConfig, EnsembleModel
+from .ensemble import EnsembleModel, EnsembleSize
 from .errors import ConfigError, ModelFormatError
 from .forest import ForestConfig
 from .parallel import task_pool
@@ -189,17 +189,6 @@ def load_model(path):
 # --- experiment configuration ---
 
 @dataclass
-class EnsembleSize:
-    """The config's ``ensemble`` block: members trained and kept."""
-
-    k: int = EnsembleConfig.k
-    h: int = EnsembleConfig.h
-
-    def __post_init__(self):
-        EnsembleConfig(k=self.k, h=self.h)  # h >= 1, k > 2h
-
-
-@dataclass
 class GpSize:
     """The config's ``gp`` block: scalar-to-matrix dataset size."""
 
@@ -273,8 +262,7 @@ def parse_config(path) -> ExperimentConfig:
 
 def _method_settings(cfg: ExperimentConfig) -> MethodSettings:
     return MethodSettings(train=cfg.train, forest=cfg.forest,
-                          ensemble=EnsembleConfig(k=cfg.ensemble.k,
-                                                  h=cfg.ensemble.h))
+                          ensemble=cfg.ensemble)
 
 
 def _multivariate_data(cfg: ExperimentConfig, sigma, trial: int):

@@ -56,6 +56,10 @@ class TrainConfig:
                               "needs two distinct characteristics)")
         if self.iterations < 0 or self.z_dim < 1:
             raise ConfigError("iterations must be >= 0 and z_dim >= 1")
+        if self.hidden < 1:
+            raise ConfigError("hidden must be >= 1")
+        if any(c < 1 for c in self.conv_channels):
+            raise ConfigError("conv_channels entries must be >= 1")
         if self.convergence_window < 1:
             raise ConfigError("convergence_window must be >= 1")
         if not self.convergence_tol >= 0:
@@ -119,7 +123,9 @@ class DiscriminatorModel:
 @dataclass
 class CtesModel:
     """One trained generator/discriminator pair, the normalization both
-    work in, and the loss trace."""
+    work in, and the loss trace. The normalization's widths are checked
+    on construction against the characteristic and expression widths the
+    nets take."""
 
     generator: GeneratorModel
     discriminator: DiscriminatorModel
@@ -130,6 +136,20 @@ class CtesModel:
     iterations_run: int = 0
     # run telemetry, left out of model files
     diagnostics: dict = field(default_factory=dict, metadata={"saved": False})
+
+    def __post_init__(self):
+        # the mixer reads [z | x] rows and the encoder expression rows
+        m = self.generator.mixer.spec[0].in_size - self.config.z_dim
+        shape = self.discriminator.expr_shape
+        n = (self.discriminator.encoder.spec[0].in_size if shape is None
+             else int(np.prod(shape)))
+        norm = self.norm
+        got = [np.shape(a) for a in (norm.x_mean, norm.x_std, norm.y_mean,
+                                     norm.y_std)]
+        if got != [(m,), (m,), (n,), (n,)]:
+            raise ConfigError(f"norm: x_mean, x_std, y_mean, y_std have "
+                              f"shapes {got}; the nets take characteristics "
+                              f"of width {m} and expressions of width {n}")
 
 
 def conv_grid_side(expr_shape: tuple) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 import re
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,36 +204,6 @@ def gen_scalar_to_matrix_dataset(cfg: GpSimConfig) -> PairedDataset:
     return PairedDataset(x=np.asarray(xs), y=np.asarray(ys),
                          groups=np.asarray(gs), n_groups=cfg.categories,
                          expr_shape=(cfg.grid, cfg.grid))
-
-
-def quantile_discretize(column: np.ndarray, bins: int = 6) -> np.ndarray:
-    """Map values to quantile-bin indices in [0, bins-1].
-
-    Edges sit at the j/bins empirical quantiles; a value equal to an edge
-    falls in the lower bin. Degenerate (near-constant) columns collapse
-    into low bins with a warning.
-    """
-    column = np.asarray(column, dtype=np.float64)
-    if column.size == 0:
-        raise ValueError("column is empty")
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
-    if len(np.unique(column)) < bins:
-        warnings.warn("fewer distinct values than bins; some bins are empty",
-                      stacklevel=2)
-    edges = np.quantile(column, np.arange(1, bins) / bins)
-    return np.searchsorted(edges, column, side="left").astype(np.int64)
-
-
-def low_pass_filter(image: np.ndarray) -> np.ndarray:
-    """3x3 uniform mean filter with replicate padding; shape-preserving."""
-    image = np.asarray(image, dtype=np.float64)
-    padded = np.pad(image, 1, mode="edge")
-    out = np.zeros_like(image)
-    for di in range(3):
-        for dj in range(3):
-            out += padded[di:di + image.shape[0], dj:dj + image.shape[1]]
-    return out / 9.0
 
 
 def _fmt(v: float) -> str:

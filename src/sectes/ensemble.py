@@ -23,25 +23,29 @@ from .parallel import task_pool
 
 
 @dataclass
-class EnsembleConfig:
-    """Settings of one selective-ensemble run.
-
-    ``k`` models are trained and ``h`` survive selection; k must exceed
-    2h so that a majority of members being well trained guarantees the
-    selected ones are.
-    """
+class EnsembleSize:
+    """The size of a selective ensemble: ``k`` models are trained and ``h``
+    survive selection; k must exceed 2h so that a majority of members
+    being well trained guarantees the selected ones are."""
 
     k: int = 5
     h: int = 2
-    train: TrainConfig = field(default_factory=TrainConfig)
-    clf: ForestConfig = field(default_factory=ForestConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if self.h < 1:
             raise ConfigError("h must be >= 1")
         if self.k <= 2 * self.h:
             raise ConfigError(f"k must exceed 2*h (got k={self.k}, h={self.h})")
+
+
+@dataclass
+class EnsembleConfig(EnsembleSize):
+    """Settings of one selective-ensemble run: its size, the members'
+    training, the inverse-validation forests and the root seed."""
+
+    train: TrainConfig = field(default_factory=TrainConfig)
+    clf: ForestConfig = field(default_factory=ForestConfig)
+    seed: int = 0
 
 
 @dataclass

@@ -42,16 +42,6 @@ class ForestConfig:
             raise ConfigError("n_trees must be >= 1")
 
 
-def gini(class_counts) -> float:
-    """Impurity 1 - sum((n_c / N)^2); zero iff one class holds all counts."""
-    counts = np.asarray(class_counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("class counts sum to zero")
-    frac = counts / total
-    return float(1.0 - np.dot(frac, frac))
-
-
 @dataclass
 class _Tree:
     """CART tree as flat node arrays; node 0 is the root, ``feature`` is -1

@@ -25,8 +25,8 @@ from .baselines import (GrnnModel, PlsModel, grnn_fit, grnn_predict, pls_fit,
 from .ctes import (TrainConfig, conv_encoder_spec, conv_grid_side,
                    synthesize_each, train_ctes)
 from .datagen import PairedDataset
-from .ensemble import (EnsembleConfig, EnsembleModel, ensemble_synthesize,
-                       train_se_ctes)
+from .ensemble import (EnsembleConfig, EnsembleModel, EnsembleSize,
+                       ensemble_synthesize, train_se_ctes)
 from .errors import ConfigError
 from .forest import ForestConfig, fit_forest, predict_forest, predict_proba
 
@@ -73,13 +73,15 @@ class MethodSettings:
     """Shared knobs for every synthesis method in an experiment.
 
     ``train`` sets every adversarial training run and ``forest`` every
-    forest: the validation forests and the inverse-validation ones. Of
-    ``ensemble``, only ``k`` and ``h`` are read.
+    forest: the validation forests and the inverse-validation ones.
+    ``ensemble`` is a size: the ``k`` members every se-ctes run trains and
+    the ``h`` it keeps (an :class:`EnsembleConfig` given here counts only
+    as its size).
     """
 
     train: TrainConfig = field(default_factory=TrainConfig)
     forest: ForestConfig = field(default_factory=ForestConfig)
-    ensemble: EnsembleConfig | None = None  # None = EnsembleConfig defaults
+    ensemble: EnsembleSize = field(default_factory=EnsembleSize)
     classifier_epochs: int = 30  # conv classifier, matrix expressions only
 
 
@@ -142,9 +144,9 @@ def fit_method(method: str, settings: MethodSettings,
                 f"method {method!r}: beta is not a number") from None
     tc = replace(settings.train, beta=beta, seed=seed)
     if name == "se-ctes":
-        size = settings.ensemble or EnsembleConfig()
         return train_se_ctes(train_ds, EnsembleConfig(
-            k=size.k, h=size.h, train=tc, clf=settings.forest, seed=seed))
+            k=settings.ensemble.k, h=settings.ensemble.h, train=tc,
+            clf=settings.forest, seed=seed))
     return train_ctes(train_ds, tc)
 
 

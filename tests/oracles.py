@@ -265,6 +265,16 @@ def stack_walk_votes(tree, X):
     return tree.leaf[stack_walk_leaves(tree, X)]
 
 
+def gini(class_counts) -> float:
+    """Impurity 1 - sum((n_c / N)^2); zero iff one class holds all counts."""
+    counts = np.asarray(class_counts, dtype=np.float64)
+    total = counts.sum()
+    if total <= 0:
+        raise ValueError("class counts sum to zero")
+    frac = counts / total
+    return float(1.0 - np.dot(frac, frac))
+
+
 def _best_split(vals: np.ndarray, codes: np.ndarray, n_classes: int):
     """Lowest weighted-Gini split of one feature, or None if constant.
 

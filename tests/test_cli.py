@@ -22,7 +22,8 @@ from sectes.ctes import TrainConfig, synthesize_each, train_ctes
 from sectes.datagen import (PairedDataset, SimConfig,
                             gen_multivariate_dataset, read_dataset_csv,
                             write_dataset_csv)
-from sectes.ensemble import EnsembleConfig, EnsembleModel, train_se_ctes
+from sectes.ensemble import (EnsembleConfig, EnsembleModel, EnsembleSize,
+                             train_se_ctes)
 from sectes.errors import ConfigError, ModelFormatError
 from sectes.forest import ForestConfig
 from sectes.validation import (KNOWN_METHODS, MethodSettings, fit_method,
@@ -53,6 +54,14 @@ def test_empty_config_fills_published_defaults(tmp_path):
 def test_config_rejects_k_not_exceeding_2h():
     with pytest.raises(ConfigError, match="k"):
         build_config({"ensemble": {"k": 4, "h": 2}})
+
+
+def test_config_and_method_settings_share_the_ensemble_size():
+    # one type holds k, h and the k > 2h rule for configs and the library
+    assert [typing.get_type_hints(tp)["ensemble"]
+            for tp in (ExperimentConfig, MethodSettings)] == [EnsembleSize] * 2
+    assert cli_mod._method_settings(build_config(
+        {"ensemble": {"k": 3, "h": 1}})).ensemble == EnsembleSize(k=3, h=1)
 
 
 def test_config_rejects_bad_sigma_and_method():
@@ -582,6 +591,10 @@ MALFORMED_CONFIGS = [
      "train: convergence_window must be >= 1"),
     ({"train": {"convergence_tol": -0.5}}, "train: convergence_tol must be >= 0"),
     ({"samples_per_group": 0}, "samples_per_group: must be >= 1"),
+    ({"train": {"hidden": 0}}, "train: hidden must be >= 1"),
+    ({"train": {"hidden": -3}}, "train: hidden must be >= 1"),
+    ({"train": {"conv_channels": [0, 4]}},
+     "train: conv_channels entries must be >= 1"),
 ]
 
 
@@ -714,6 +727,13 @@ TRUNCATED_PAYLOADS = [
         "b", ["x"]), "payload.discriminator.head.layers[1].b: expected array"),
     ("ctes", lambda p: p["config"].__setitem__("iterations", "abc"),
      "payload.config.iterations: expected int, got 'abc'"),
+    ("ctes", lambda p: [p["norm"][k].pop() for k in ("y_mean", "y_std")],
+     "payload: norm: x_mean, x_std, y_mean, y_std have shapes "
+     "[(2,), (2,), (1,), (1,)]; the nets take characteristics of width 2 "
+     "and expressions of width 2"),
+    ("ctes", lambda p: [p["norm"][k].append(0.5) for k in ("x_mean", "x_std")],
+     "payload: norm: x_mean, x_std, y_mean, y_std have shapes "
+     "[(3,), (3,), (2,), (2,)]"),
     ("se-ctes", lambda p: p["models"][1].pop("discriminator"),
      "payload.models[1].discriminator: missing field"),
     ("se-ctes", lambda p: p.__setitem__("members", p.pop("models")),

@@ -11,12 +11,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sectes.baselines import grnn_fit, pls_fit
-from sectes.cli import (KNOWN_METHODS, STUDIES, EnsembleSize,
-                        ExperimentConfig, GpSize, build_config,
-                        dumps_canonical, load_model, save_model)
+from sectes.cli import (KNOWN_METHODS, STUDIES, ExperimentConfig, GpSize,
+                        build_config, dumps_canonical, load_model, save_model)
 from sectes.ctes import TrainConfig, train_ctes
 from sectes.datagen import PairedDataset
-from sectes.ensemble import EnsembleConfig, train_se_ctes
+from sectes.ensemble import EnsembleConfig, EnsembleSize, train_se_ctes
 from sectes.forest import ForestConfig
 from sectes.validation import sample_model
 

@@ -6,7 +6,6 @@ import pytest
 from sectes.datagen import (GpSimConfig, PairedDataset, SimConfig,
                             expression_transform, gen_multivariate_dataset,
                             gen_scalar_to_matrix_dataset, gp_sample,
-                            low_pass_filter, quantile_discretize,
                             read_dataset_csv, write_dataset_csv)
 from sectes.errors import ConfigError
 
@@ -139,54 +138,6 @@ def test_scalar_to_matrix_dataset():
     # category 2, coordinate q=10: mean 20*2 + 10/10 = 41
     v = ds.x[ds.groups == 2, 9]
     assert abs(v.mean() - 41.0) <= 4.0 / math.sqrt(16)
-
-
-def test_quantile_discretize_uniform():
-    bins = quantile_discretize(np.arange(1, 13, dtype=float), 6)
-    counts = np.bincount(bins, minlength=6)
-    assert np.array_equal(counts, [2, 2, 2, 2, 2, 2])
-
-
-def test_quantile_discretize_thirteen_values():
-    bins = quantile_discretize(np.arange(1, 14, dtype=float), 6)
-    counts = np.bincount(bins, minlength=6)
-    assert set(counts) <= {2, 3}
-    assert counts.sum() == 13
-
-
-def test_quantile_discretize_constant_warns():
-    with pytest.warns(UserWarning):
-        bins = quantile_discretize(np.full(10, 3.3), 6)
-    assert np.all(bins == 0)
-
-
-def test_quantile_discretize_validation():
-    with pytest.raises(ValueError):
-        quantile_discretize(np.array([]), 6)
-    with pytest.raises(ValueError):
-        quantile_discretize(np.ones(5), 1)
-
-
-def test_low_pass_constant_unchanged():
-    img = np.full((5, 7), 2.5)
-    assert np.allclose(low_pass_filter(img), img, atol=1e-15)
-
-
-def test_low_pass_impulse():
-    img = np.zeros((5, 5))
-    img[2, 2] = 1.0
-    out = low_pass_filter(img)
-    assert np.allclose(out[1:4, 1:4], 1.0 / 9.0)
-    assert out[0, 0] == 0.0
-    assert out.sum() == pytest.approx(1.0)
-
-
-def test_low_pass_contracts_energy():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        img = rng.normal(size=(12, 12))
-        img -= img.mean()
-        assert np.sum(low_pass_filter(img) ** 2) <= np.sum(img ** 2)
 
 
 def test_csv_round_trip_vector():

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sectes import forest as forest_mod
-from sectes.forest import (Forest, ForestConfig, _Tree, fit_forest, gini,
+from sectes.forest import (Forest, ForestConfig, _Tree, fit_forest,
                            predict_forest, predict_proba)
 from sectes.errors import ConfigError
 
-from oracles import reference_trees, stack_walk_leaves, stack_walk_votes
+from oracles import (gini, reference_trees, stack_walk_leaves,
+                     stack_walk_votes)
 
 
 def test_gini_reference_values():
