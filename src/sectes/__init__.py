@@ -10,11 +10,10 @@ exposes the experiment harness.
 
 from .baselines import (GrnnModel, PlsModel, grnn_fit, grnn_predict, pls_fit,
                         pls_predict)
-from .ctes import (CtesModel, DiscriminatorModel, GeneratorModel,
-                   Normalization, TrainConfig, discriminator_forward,
-                   discriminator_loss, generator_loss, mismatch_table,
-                   sample_mismatch, synthesize_each, toy_minimax_oracle,
-                   train_ctes)
+from .ctes import (CtesModel, Normalization, TrainConfig,
+                   discriminator_forward, discriminator_loss, generator_loss,
+                   mismatch_table, sample_mismatch, synthesize_each,
+                   toy_minimax_oracle, train_ctes)
 from .datagen import (GpSimConfig, PairedDataset, SimConfig,
                       expression_transform, gen_multivariate_dataset,
                       gen_scalar_to_matrix_dataset, gp_sample,

@@ -40,7 +40,7 @@ from .validation import KNOWN_METHODS, MethodSettings, aggregate_trials, \
 
 log = logging.getLogger("sectes")
 
-MODEL_FORMAT_VERSION = 7
+MODEL_FORMAT_VERSION = 8
 
 
 # --- canonical JSON with exact float round-trips ---
@@ -237,6 +237,13 @@ class ExperimentConfig:
         for b in self.beta_grid:
             if not 0.0 <= b <= 1.0:
                 raise ConfigError(f"beta_grid: value {b} outside [0, 1]")
+        top = STUDY_TABLE[self.study].groups
+        for g in self.groups:
+            if g < 1:
+                raise ConfigError(f"groups: group {g} is below 1")
+            if top is not None and g > top:
+                raise ConfigError(f"groups: group {g} exceeds the {top} "
+                                  f"groups the {self.study} study simulates")
 
 
 def build_config(raw: dict) -> ExperimentConfig:
@@ -306,6 +313,7 @@ class Study:
     row: typing.Callable  # (dataset, group, method, settings, seed) -> columns
     sim_file: str | None  # ``simulate``'s file name; None: reads data_csv
     sweeps_sigma: bool    # one dataset per configured sigma
+    groups: int | None    # the simulated group count; None: data_csv's
     keys: tuple           # trial CSV key columns, ``trial`` last
     values: tuple         # trial CSV value columns, as ``row`` names them
     stds: dict            # averaged value column -> its summary std column
@@ -320,11 +328,13 @@ _IDENTIFY = dict(row=_identify_row, keys=("method", "sigma", "group", "trial"),
 STUDY_TABLE = {
     "multivariate": Study(_multivariate_data,
                           sim_file="multivariate_sigma{sigma:g}.csv",
-                          sweeps_sigma=True, **_IDENTIFY),
+                          sweeps_sigma=True, groups=SimConfig.groups,
+                          **_IDENTIFY),
     "scalar-to-matrix": Study(_gp_data, sim_file="scalar_to_matrix.csv",
-                              sweeps_sigma=False, **_IDENTIFY),
+                              sweeps_sigma=False,
+                              groups=GpSimConfig.categories, **_IDENTIFY),
     "tabular-risk": Study(
-        _csv_data, _risk_row, sim_file=None, sweeps_sigma=False,
+        _csv_data, _risk_row, sim_file=None, sweeps_sigma=False, groups=None,
         keys=("method", "group", "trial"), values=("mean_abs_diff", "std", "n"),
         stds={"mean_abs_diff": "std"},
         summary=("method", "group", "mean_abs_diff", "std", "n_trials")),

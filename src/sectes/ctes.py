@@ -16,7 +16,7 @@ the decoder/encoder for strided (de)convolutional stacks.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,34 +103,21 @@ class Normalization:
 
 
 @dataclass
-class GeneratorModel:
-    """Noise+characteristic mixer followed by an expression decoder."""
+class CtesModel:
+    """A conditional generator (noise+characteristic mixer, expression
+    decoder) and pair discriminator (expression encoder, sigmoid head over
+    [x | encoding]), the normalization whose widths each net is checked
+    against on construction, and the loss trace. ``expr_shape`` is the
+    grid of matrix expressions, whose decoder and encoder are conv stacks;
+    None for vectors."""
 
     mixer: ndnet.NetParams
     decoder: ndnet.NetParams
-    expr_shape: tuple[int, ...] | None = None
-
-
-@dataclass
-class DiscriminatorModel:
-    """Expression encoder and a sigmoid scoring head over (x, encoding)."""
-
     encoder: ndnet.NetParams
     head: ndnet.NetParams
-    expr_shape: tuple[int, ...] | None = None
-
-
-@dataclass
-class CtesModel:
-    """One trained generator/discriminator pair, the normalization both
-    work in, and the loss trace. The normalization's widths are checked
-    on construction against the characteristic and expression widths the
-    nets take."""
-
-    generator: GeneratorModel
-    discriminator: DiscriminatorModel
     config: TrainConfig
     norm: Normalization
+    expr_shape: tuple[int, ...] | None = None
     loss_d: np.ndarray = field(default_factory=lambda: np.empty(0))
     loss_g: np.ndarray = field(default_factory=lambda: np.empty(0))
     iterations_run: int = 0
@@ -138,18 +125,50 @@ class CtesModel:
     diagnostics: dict = field(default_factory=dict, metadata={"saved": False})
 
     def __post_init__(self):
-        # the mixer reads [z | x] rows and the encoder expression rows
-        m = self.generator.mixer.spec[0].in_size - self.config.z_dim
-        shape = self.discriminator.expr_shape
-        n = (self.discriminator.encoder.spec[0].in_size if shape is None
-             else int(np.prod(shape)))
-        norm = self.norm
+        norm, shape = self.norm, self.expr_shape
+        m, n = np.size(norm.x_mean), np.size(norm.y_mean)
         got = [np.shape(a) for a in (norm.x_mean, norm.x_std, norm.y_mean,
                                      norm.y_std)]
         if got != [(m,), (m,), (n,), (n,)]:
             raise ConfigError(f"norm: x_mean, x_std, y_mean, y_std have "
-                              f"shapes {got}; the nets take characteristics "
-                              f"of width {m} and expressions of width {n}")
+                              f"shapes {got}")
+        enc, dec = self.encoder.spec, self.decoder.spec
+        kinds = [sorted({lay.kind for lay in net}) for net in (enc, dec)]
+        if shape is None:
+            if kinds != [["dense"], ["dense"]]:
+                raise ConfigError(f"expr_shape: null, but the encoder and "
+                                  f"decoder are {kinds} stacks")
+            if (enc[0].in_size, dec[-1].out_size) != (n, n):
+                raise ConfigError(
+                    f"norm: y_mean, y_std have {n} entries, but the encoder "
+                    f"takes {enc[0].in_size} and the decoder gives "
+                    f"{dec[-1].out_size}")
+            enc_out = enc[-1].out_size
+        else:
+            try:
+                depth = _conv_stack_depth(shape)
+            except ValueError as exc:
+                raise ConfigError(f"expr_shape: {exc}") from None
+            if shape[0] * shape[1] != n:
+                raise ConfigError(f"expr_shape: {shape} holds "
+                                  f"{shape[0] * shape[1]} pixels, but "
+                                  f"norm.y_mean has {n} entries")
+            if (kinds, len(enc), len(dec)) != (
+                    [["conv2d"], ["deconv2d"]], depth, depth):
+                raise ConfigError(
+                    f"expr_shape: {shape} takes conv stacks {depth} deep, "
+                    f"but the encoder and decoder are {kinds} stacks "
+                    f"{len(enc)} and {len(dec)} deep")
+            enc_out = enc[-1].out_channels
+        if self.head.spec[0].in_size != m + enc_out:
+            raise ConfigError(
+                f"norm: x_mean, x_std have {m} entries and the encoder gives "
+                f"{enc_out}, but the head takes {self.head.spec[0].in_size}")
+        mix_in = self.mixer.spec[0].in_size
+        if mix_in != self.config.z_dim + m:
+            raise ConfigError(
+                f"config.z_dim: {self.config.z_dim} noise and {m} "
+                f"characteristic inputs, but the mixer takes {mix_in}")
 
 
 def conv_grid_side(expr_shape: tuple) -> int:
@@ -169,62 +188,51 @@ def _conv_stack_depth(expr_shape: tuple) -> int:
     return depth
 
 
-def _conv_stack_channels(depth: int, channels: tuple) -> tuple[int, ...]:
-    if depth > len(channels):
-        raise ConfigError(f"conv_channels: {depth} conv layers need {depth} "
-                          f"channel sizes, got {len(channels)}")
-    return tuple(channels[:depth])
-
-
 def conv_encoder_spec(depth: int, channels: tuple) -> list[ndnet.LayerSpec]:
     """``depth`` strided relu conv layers from one input channel through
     ``channels[:depth]``; each halves the grid."""
-    chans = (1,) + _conv_stack_channels(depth, channels)
-    return [ndnet.conv2d(chans[i], chans[i + 1], activation="relu")
-            for i in range(depth)]
+    if depth > len(channels):
+        raise ConfigError(f"conv_channels: {depth} conv layers need {depth} "
+                          f"channel sizes, got {len(channels)}")
+    chans = (1, *channels[:depth])
+    return [ndnet.conv2d(a, b, activation="relu")
+            for a, b in zip(chans, chans[1:])]
 
 
-def build_generator(m: int, n: int, cfg: TrainConfig, seed: int,
-                    expr_shape: tuple | None = None) -> GeneratorModel:
-    """Mixer+decoder with the last decoder layer left linear."""
+def build_ctes(norm: Normalization, cfg: TrainConfig,
+               expr_shape: tuple | None = None) -> CtesModel:
+    """An untrained model for ``norm``'s characteristic and expression
+    widths: the mixer and decoder, whose last layer is left linear, from
+    child 0 of ``SeedSequence(cfg.seed).spawn(3)``, and the encoder and
+    the head, with a sigmoid on its scalar output, from child 1 (child 2
+    is the trainer's batch stream)."""
+    m, n = norm.x_mean.size, norm.y_mean.size
     if expr_shape is None:
-        mixer_spec = [ndnet.dense(cfg.z_dim + m, cfg.hidden, "relu"),
-                      ndnet.dense(cfg.hidden, cfg.hidden, "relu")]
-        decoder_spec = [ndnet.dense(cfg.hidden, n, "none")]
-    else:
-        depth = _conv_stack_depth(expr_shape)
-        # widest at the 1x1 end
-        chans = _conv_stack_channels(depth, cfg.conv_channels)[::-1]
-        mixer_spec = [ndnet.dense(cfg.z_dim + m, chans[0], "relu")]
-        decoder_spec = []
-        for i in range(depth - 1):
-            decoder_spec.append(ndnet.deconv2d(chans[i], chans[i + 1],
-                                               activation="relu"))
-        decoder_spec.append(ndnet.deconv2d(chans[-1], 1, activation="none"))
-    seeds = _as_seed_seq(seed).spawn(2)
-    return GeneratorModel(
-        mixer=ndnet.init_params(mixer_spec, seeds[0]),
-        decoder=ndnet.init_params(decoder_spec, seeds[1]),
-        expr_shape=expr_shape)
-
-
-def build_discriminator(m: int, n: int, cfg: TrainConfig, seed: int,
-                        expr_shape: tuple | None = None) -> DiscriminatorModel:
-    """Encoder+head with a sigmoid on the scalar output."""
-    if expr_shape is None:
-        encoder_spec = [ndnet.dense(n, cfg.hidden, "relu")]
+        mixer = [ndnet.dense(cfg.z_dim + m, cfg.hidden, "relu"),
+                 ndnet.dense(cfg.hidden, cfg.hidden, "relu")]
+        decoder = [ndnet.dense(cfg.hidden, n, "none")]
+        encoder = [ndnet.dense(n, cfg.hidden, "relu")]
         enc_out = cfg.hidden
     else:
-        encoder_spec = conv_encoder_spec(_conv_stack_depth(expr_shape),
-                                         cfg.conv_channels)
-        enc_out = encoder_spec[-1].out_channels
-    head_spec = [ndnet.dense(m + enc_out, cfg.hidden, "relu"),
-                 ndnet.dense(cfg.hidden, 1, "sigmoid")]
-    seeds = _as_seed_seq(seed).spawn(2)
-    return DiscriminatorModel(
-        encoder=ndnet.init_params(encoder_spec, seeds[0]),
-        head=ndnet.init_params(head_spec, seeds[1]),
-        expr_shape=expr_shape)
+        encoder = conv_encoder_spec(_conv_stack_depth(expr_shape),
+                                    cfg.conv_channels)
+        # the decoder mirrors the encoder, widest at the 1x1 end
+        chans = [lay.out_channels for lay in encoder][::-1]
+        mixer = [ndnet.dense(cfg.z_dim + m, chans[0], "relu")]
+        decoder = [ndnet.deconv2d(a, b, activation="relu")
+                   for a, b in zip(chans, chans[1:])]
+        decoder.append(ndnet.deconv2d(chans[-1], 1, activation="none"))
+        enc_out = chans[0]
+    head = [ndnet.dense(m + enc_out, cfg.hidden, "relu"),
+            ndnet.dense(cfg.hidden, 1, "sigmoid")]
+    gen, disc = (seq.spawn(2) for seq in
+                 np.random.SeedSequence(cfg.seed).spawn(3)[:2])
+    return CtesModel(
+        mixer=ndnet.init_params(mixer, gen[0]),
+        decoder=ndnet.init_params(decoder, gen[1]),
+        encoder=ndnet.init_params(encoder, disc[0]),
+        head=ndnet.init_params(head, disc[1]),
+        config=cfg, norm=norm, expr_shape=expr_shape)
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -233,42 +241,36 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _as_seed_seq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
-def _gen_forward_traced(gen: GeneratorModel, mix_in: np.ndarray,
+def _gen_forward_traced(model: CtesModel, mix_in: np.ndarray,
                         out: np.ndarray, traces=(None, None)):
     """Normalized-space generator pass over mixer input rows [z | xn]; the
     decoder's expression rows are copied into ``out``, a contiguous (B, n)
     array. Returns the mixer and decoder traces, refilling ``traces``."""
-    mix_tr = ndnet.forward(gen.mixer, mix_in, traces[0])
+    mix_tr = ndnet.forward(model.mixer, mix_in, traces[0])
     dec_in = mix_tr.output
-    if gen.expr_shape is not None:
+    if model.expr_shape is not None:
         dec_in = dec_in.reshape(dec_in.shape[0], -1, 1, 1)
-    dec_tr = ndnet.forward(gen.decoder, dec_in, traces[1])
+    dec_tr = ndnet.forward(model.decoder, dec_in, traces[1])
     out.reshape(dec_tr.output.shape, copy=False)[...] = dec_tr.output
     return mix_tr, dec_tr
 
 
-def _disc_scores_traced(disc: DiscriminatorModel, m: int, yn: np.ndarray,
+def _disc_scores_traced(model: CtesModel, yn: np.ndarray,
                         head_in: np.ndarray, traces=(None, None)):
     """Normalized-space discriminator pass over expression rows ``yn``.
-    The first m columns of ``head_in`` hold the matching normalized
-    characteristic rows, and the encodings are copied into the rest.
+    The first ``norm.x_mean.size`` columns of ``head_in`` hold the matching
+    normalized characteristic rows, and the encodings fill the rest.
     Returns (scores, encoder/head traces), refilling ``traces``."""
     enc_in = yn
-    if disc.expr_shape is not None:
-        enc_in = yn.reshape(yn.shape[0], 1, *disc.expr_shape)
-    enc_tr = ndnet.forward(disc.encoder, enc_in, traces[0])
-    head_in[:, m:] = enc_tr.output.reshape(len(yn), -1)
-    head_tr = ndnet.forward(disc.head, head_in, traces[1])
+    if model.expr_shape is not None:
+        enc_in = yn.reshape(yn.shape[0], 1, *model.expr_shape)
+    enc_tr = ndnet.forward(model.encoder, enc_in, traces[0])
+    head_in[:, model.norm.x_mean.size:] = enc_tr.output.reshape(len(yn), -1)
+    head_tr = ndnet.forward(model.head, head_in, traces[1])
     return head_tr.output[:, 0], enc_tr, head_tr
 
 
-def _disc_backward(disc: DiscriminatorModel, m: int, enc_tr, head_tr,
+def _disc_backward(model: CtesModel, enc_tr, head_tr,
                    score_grad: np.ndarray, grads: tuple | None = None):
     """Backprop a per-row score gradient through head and encoder. With
     ``grads``, an :class:`ndnet.OptState`'s (head, encoder) gradients,
@@ -276,10 +278,11 @@ def _disc_backward(disc: DiscriminatorModel, m: int, enc_tr, head_tr,
     row, and written there. Without, only the gradient w.r.t. the
     normalized expression rows is computed, and returned."""
     head_out, enc_out = grads or (None, None)
-    head_in_grad = ndnet.backprop(disc.head, head_tr, score_grad[:, None],
+    head_in_grad = ndnet.backprop(model.head, head_tr, score_grad[:, None],
                                   out=head_out)
-    enc_grad = head_in_grad[:, m:].reshape(enc_tr.output.shape)
-    g = ndnet.backprop(disc.encoder, enc_tr, enc_grad, out=enc_out,
+    enc_grad = head_in_grad[:, model.norm.x_mean.size:].reshape(
+        enc_tr.output.shape)
+    g = ndnet.backprop(model.encoder, enc_tr, enc_grad, out=enc_out,
                        input_grad=grads is None)
     return None if g is None else g.reshape(score_grad.shape[0], -1)
 
@@ -288,15 +291,15 @@ def discriminator_forward(model: CtesModel, x: np.ndarray,
                           y: np.ndarray) -> float:
     """Score one (characteristic, expression) pair with the model's
     discriminator; strictly inside (0, 1)."""
-    disc, norm = model.discriminator, model.norm
+    norm = model.norm
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.size != norm.x_mean.size or y.size != norm.y_mean.size:
         raise ValueError("dimension mismatch")
-    head_in = np.empty((1, disc.head.spec[0].in_size))
+    head_in = np.empty((1, model.head.spec[0].in_size))
     head_in[0, :x.size] = norm.norm_x(x)
-    scores, _, _ = _disc_scores_traced(disc, x.size,
-                                       norm.norm_y(y)[None, :], head_in)
+    scores, _, _ = _disc_scores_traced(model, norm.norm_y(y)[None, :],
+                                       head_in)
     return float(scores[0])
 
 
@@ -361,8 +364,8 @@ def sample_mismatch(batch_indices, table: MismatchTable,
     return table.order[r + count * (r >= table.start[batch_indices])]
 
 
-def _disc_step_grads(disc: DiscriminatorModel, m: int, enc_in, head_in,
-                     beta: float, grads: tuple, traces=(None, None)):
+def _disc_step_grads(model: CtesModel, enc_in, head_in, beta: float,
+                     grads: tuple, traces=(None, None)):
     """Score the real (x, y), generated (x, yhat) and mismatched (x', y)
     pairs as one stacked 3s-row batch: expression rows ``enc_in`` are y,
     yhat, y, and the first m columns of ``head_in`` hold x, x, x'.
@@ -370,7 +373,7 @@ def _disc_step_grads(disc: DiscriminatorModel, m: int, enc_in, head_in,
     (head, encoder) gradients of an :class:`ndnet.OptState`. Returns
     (L_D, the 3s scores in that pair order, the refilled ``traces``)."""
     s = enc_in.shape[0] // 3
-    scores, *traces = _disc_scores_traced(disc, m, enc_in, head_in, traces)
+    scores, *traces = _disc_scores_traced(model, enc_in, head_in, traces)
     d_real, d_fy, d_fx = scores[:s], scores[s:2 * s], scores[2 * s:]
     loss_d = float(np.mean(discriminator_loss(d_real, d_fy, d_fx, beta)))
     # minimizing -L_D: d/dd of the -log terms, weighted -1, beta and
@@ -378,7 +381,7 @@ def _disc_step_grads(disc: DiscriminatorModel, m: int, enc_in, head_in,
     at = scores.copy()
     np.subtract(1.0, scores[s:], out=at[s:])
     score_grad = np.repeat([-1.0, beta, 1.0 - beta], s) / (s * _clamp(at))
-    _disc_backward(disc, m, *traces, score_grad, grads)
+    _disc_backward(model, *traces, score_grad, grads)
     return loss_d, scores, traces
 
 
@@ -402,13 +405,12 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
     xn_all = norm.norm_x(dataset.x)
     yn_all = norm.norm_y(dataset.y)
 
-    seeds = np.random.SeedSequence(config.seed).spawn(3)
-    gen = build_generator(m, n, config, seeds[0], dataset.expr_shape)
-    disc = build_discriminator(m, n, config, seeds[1], dataset.expr_shape)
-    rng = np.random.default_rng(seeds[2])
+    model = build_ctes(norm, config, dataset.expr_shape)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(config.seed).spawn(3)[2])
 
     # one Adam state per player; backprop writes into their gradients
-    d_nets, g_nets = (disc.head, disc.encoder), (gen.decoder, gen.mixer)
+    d_nets, g_nets = (model.head, model.encoder), (model.decoder, model.mixer)
     opt_d = ndnet.init_opt_state(d_nets, config.learning_rate)
     opt_g = ndnet.init_opt_state(g_nets, config.learning_rate)
     dec_grads, mix_grads = opt_g.grads
@@ -421,7 +423,7 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
     # of the three pair types; the G step reuses the yhat third
     mix_in = np.empty((s, zd + m))
     enc_in = np.empty((3 * s, n))
-    head_in = np.empty((3 * s, disc.head.spec[0].in_size))
+    head_in = np.empty((3 * s, model.head.spec[0].in_size))
     fake = slice(s, 2 * s)
     # L_D and L_G, and their absolute change from the previous iteration
     losses = np.empty((2, config.iterations))
@@ -440,9 +442,9 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
         enc_in[:s] = enc_in[2 * s:] = yn_all[idx]
 
         # --- discriminator ascent on the three-pair objective
-        gen_trs = mix_tr, dec_tr = _gen_forward_traced(gen, mix_in,
+        gen_trs = mix_tr, dec_tr = _gen_forward_traced(model, mix_in,
                                                        enc_in[fake], gen_trs)
-        loss_d, scores, d_trs = _disc_step_grads(disc, m, enc_in, head_in,
+        loss_d, scores, d_trs = _disc_step_grads(model, enc_in, head_in,
                                                  beta, opt_d.grads, d_trs)
         if not np.isfinite(loss_d):
             raise TrainingDiverged(f"discriminator loss became {loss_d} at "
@@ -453,7 +455,7 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
 
         # --- generator ascent on log D(x, yhat) against the updated D; the
         # D step left the generator unchanged, so its traces still hold
-        d_fy2, *g_trs = _disc_scores_traced(disc, m, enc_in[fake],
+        d_fy2, *g_trs = _disc_scores_traced(model, enc_in[fake],
                                             head_in[fake], g_trs)
         loss_g = float(np.mean(generator_loss(d_fy2)))
         if not np.isfinite(loss_g):
@@ -462,11 +464,11 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
         score_min = min(score_min, float(d_fy2.min()))
         score_max = max(score_max, float(d_fy2.max()))
         g_score = -1.0 / (s * _clamp(d_fy2))
-        yhat_grad = _disc_backward(disc, m, *g_trs, g_score)
+        yhat_grad = _disc_backward(model, *g_trs, g_score)
         dec_in_grad = ndnet.backprop(
-            gen.decoder, dec_tr, yhat_grad.reshape(dec_tr.output.shape),
+            model.decoder, dec_tr, yhat_grad.reshape(dec_tr.output.shape),
             out=dec_grads)
-        ndnet.backprop(gen.mixer, mix_tr,
+        ndnet.backprop(model.mixer, mix_tr,
                        dec_in_grad.reshape(mix_tr.output.shape),
                        out=mix_grads, input_grad=False)
         ndnet.optimizer_step(g_nets, opt_g)
@@ -485,13 +487,11 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
         for lay in params.layers:
             for key in lay:
                 lay[key] = lay[key].copy()
-    return CtesModel(generator=gen, discriminator=disc, config=config,
-                     norm=norm,
-                     loss_d=losses[0, :iterations_run].copy(),
-                     loss_g=losses[1, :iterations_run].copy(),
-                     iterations_run=iterations_run,
-                     diagnostics={"score_min": score_min,
-                                  "score_max": score_max})
+    model.loss_d = losses[0, :iterations_run].copy()
+    model.loss_g = losses[1, :iterations_run].copy()
+    model.iterations_run = iterations_run
+    model.diagnostics = {"score_min": score_min, "score_max": score_max}
+    return model
 
 
 def synthesize_each(model: CtesModel, X: np.ndarray,
@@ -516,8 +516,7 @@ def synthesize_each(model: CtesModel, X: np.ndarray,
         X = X + rng.normal(0.0, jitter, size=X.shape)
     z = rng.standard_normal((X.shape[0], model.config.z_dim))
     yhat_n = np.empty((X.shape[0], norm.y_mean.size))
-    _gen_forward_traced(model.generator, np.hstack([z, norm.norm_x(X)]),
-                        yhat_n)
+    _gen_forward_traced(model, np.hstack([z, norm.norm_x(X)]), yhat_n)
     return norm.denorm_y(yhat_n)
 
 

@@ -237,7 +237,8 @@ def write_dataset_csv(ds: PairedDataset, path) -> None:
 def read_dataset_csv(path) -> PairedDataset:
     """Read a dataset written by :func:`write_dataset_csv`; a missing
     column or a non-finite or non-numeric cell raises ValueError naming
-    the file, line and column. Pixel columns may come in any order: each
+    the file, line and column, and a file without data rows one naming
+    the file. Pixel columns may come in any order: each
     value goes to its (r, c), and a malformed, repeated or missing pixel
     coordinate raises ValueError naming the file and column."""
     with open(path, newline="") as fh:
@@ -270,6 +271,8 @@ def read_dataset_csv(path) -> PairedDataset:
         y_cols = [at[rc] for rc in np.ndindex(expr_shape)]
     if not x_cols or not y_cols:
         raise ValueError(f"{path}: missing characteristic or expression columns")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
 
     def cell(line: int, row: list, i: int, conv):
         text = row[i] if i < len(row) else ""
@@ -287,6 +290,5 @@ def read_dataset_csv(path) -> PairedDataset:
     groups = np.array([cell(n, row, g_col, int) for n, row in rows])
     outcome = (np.array([cell(n, row, o_col, int) for n, row in rows])
                if o_col is not None else None)
-    return PairedDataset(x=x, y=y, groups=groups,
-                         n_groups=int(groups.max()) if len(groups) else 0,
+    return PairedDataset(x=x, y=y, groups=groups, n_groups=int(groups.max()),
                          expr_shape=expr_shape, outcome=outcome)

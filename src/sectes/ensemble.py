@@ -52,7 +52,8 @@ class EnsembleConfig(EnsembleSize):
 class EnsembleModel:
     """k trained members, their inverse-validation scores, and the
     selected indices (ascending), checked on construction: one score and
-    one diagnostic per member, and a selection of finished members."""
+    one diagnostic per member, a selection of finished members, and the
+    config's k members and h selected."""
 
     models: list[CtesModel | None]  # None for diverged members
     scores: np.ndarray
@@ -74,6 +75,10 @@ class EnsembleModel:
             if not 0 <= i < k or self.models[i] is None:
                 raise ConfigError(f"selected: member {i} is not a finished "
                                   f"member of {k}")
+        cfg = self.config
+        if (cfg.k, cfg.h) != (k, len(sel)):
+            raise ConfigError(f"config: k={cfg.k} and h={cfg.h}, but there "
+                              f"are {k} models and {len(sel)} selected")
 
 
 def inverse_validation_scores(fake_batches: list, real: np.ndarray,

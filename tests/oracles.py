@@ -379,7 +379,7 @@ def reference_trees(X, labels, cfg):
     return trees
 
 
-def three_pass_disc_grads(disc, m, xn, yn, yhat_n, xn_mis, beta):
+def three_pass_disc_grads(model, m, xn, yn, yhat_n, xn_mis, beta):
     """Reference for the discriminator step on the three-pair objective:
     the real (x, y), generated (x, yhat) and mismatched (x', y) pairs each
     get their own forward pass and backprop, and the three gradient sets
@@ -396,16 +396,16 @@ def three_pass_disc_grads(disc, m, xn, yn, yhat_n, xn_mis, beta):
              (xn_mis, yn, lambda d: (1.0 - beta) / (s * clamp(1.0 - d))))
     scores, head_sum, enc_sum = [], None, None
     for x, y, score_grad in pairs:
-        enc_in = y if disc.expr_shape is None else y.reshape(
-            s, 1, *disc.expr_shape)
-        enc_tr = ndnet.forward(disc.encoder, enc_in)
+        enc_in = y if model.expr_shape is None else y.reshape(
+            s, 1, *model.expr_shape)
+        enc_tr = ndnet.forward(model.encoder, enc_in)
         head_tr = ndnet.forward(
-            disc.head, np.hstack([x, enc_tr.output.reshape(s, -1)]))
+            model.head, np.hstack([x, enc_tr.output.reshape(s, -1)]))
         d = head_tr.output[:, 0]
-        head_g, enc_g = zero_grads(disc.head), zero_grads(disc.encoder)
-        head_in_g = ndnet.backprop(disc.head, head_tr, score_grad(d)[:, None],
+        head_g, enc_g = zero_grads(model.head), zero_grads(model.encoder)
+        head_in_g = ndnet.backprop(model.head, head_tr, score_grad(d)[:, None],
                                    out=head_g)
-        ndnet.backprop(disc.encoder, enc_tr,
+        ndnet.backprop(model.encoder, enc_tr,
                        head_in_g[:, m:].reshape(enc_tr.output.shape),
                        out=enc_g)
         scores.append(d)

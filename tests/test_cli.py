@@ -119,12 +119,10 @@ def _net(path):
         "out_channels", "kernel", "stride", "padding")] + [f"{path}.layers"]
 
 
-_CTES = [*_net("generator.mixer"), *_net("generator.decoder"),
-         "generator.expr_shape", *_net("discriminator.encoder"),
-         *_net("discriminator.head"), "discriminator.expr_shape",
+_CTES = [*_net("mixer"), *_net("decoder"), *_net("encoder"), *_net("head"),
          *(f"config.{f}" for f in _TRAIN),
          "norm.x_mean", "norm.x_std", "norm.y_mean", "norm.y_std",
-         "loss_d", "loss_g", "iterations_run"]
+         "expr_shape", "loss_d", "loss_g", "iterations_run"]
 
 
 def test_model_file_schema_is_pinned():
@@ -132,7 +130,7 @@ def test_model_file_schema_is_pinned():
     # it comes with a MODEL_FORMAT_VERSION bump: edit both here together
     schema = {kind: list(settable_paths(tp))
               for kind, tp in cli_mod._MODEL_KINDS.items()}
-    assert (cli_mod.MODEL_FORMAT_VERSION, schema) == (7, {
+    assert (cli_mod.MODEL_FORMAT_VERSION, schema) == (8, {
         "pls": ["mean_x", "mean_y", "coef", "n_components"],
         "grnn": ["train_x", "train_y", "bandwidth"],
         "ctes": _CTES,
@@ -151,6 +149,11 @@ def test_config_rejects_unknown_fields_with_path():
     for block in ("train", "forest"):
         with pytest.raises(ConfigError, match=f"{block}.seed: unknown field"):
             build_config({block: {"seed": 5}})
+
+
+def test_config_groups_of_a_data_csv_have_no_upper_bound():
+    # only the simulated studies fix their group count
+    assert build_config({"study": "tabular-risk", "groups": [9]}).groups == [9]
 
 
 def test_config_two_point_sigma_sweep_accepted():
@@ -595,6 +598,11 @@ MALFORMED_CONFIGS = [
     ({"train": {"hidden": -3}}, "train: hidden must be >= 1"),
     ({"train": {"conv_channels": [0, 4]}},
      "train: conv_channels entries must be >= 1"),
+    ({"groups": [0, 9]}, "groups: group 0 is below 1"),
+    ({"groups": [2, 9]},
+     "groups: group 9 exceeds the 5 groups the multivariate study simulates"),
+    ({"study": "scalar-to-matrix", "groups": [6]},
+     "groups: group 6 exceeds the 5 groups the scalar-to-matrix study"),
 ]
 
 
@@ -717,25 +725,32 @@ TRUNCATED_PAYLOADS = [
     ("grnn", lambda p: p["train_x"].append([1.0]),
      "payload.train_x: expected array of numbers"),
     ("ctes", lambda p: p.pop("norm"), "payload.norm: missing field"),
-    ("ctes", lambda p: p["generator"]["mixer"]["layers"][0].__setitem__(
-        "W", [[0.5]]), "payload.generator.mixer: layer 0: parameter shapes"),
-    ("ctes", lambda p: p["discriminator"]["head"]["layers"].pop(),
-     "payload.discriminator.head: 2 layer specs but 1 layers"),
-    ("ctes", lambda p: p["generator"]["mixer"]["spec"][0].pop("kind"),
-     "payload.generator.mixer.spec[0].kind: missing field"),
-    ("ctes", lambda p: p["discriminator"]["head"]["layers"][1].__setitem__(
-        "b", ["x"]), "payload.discriminator.head.layers[1].b: expected array"),
+    ("ctes", lambda p: p["mixer"]["layers"][0].__setitem__("W", [[0.5]]),
+     "payload.mixer: layer 0: parameter shapes"),
+    ("ctes", lambda p: p["head"]["layers"].pop(),
+     "payload.head: 2 layer specs but 1 layers"),
+    ("ctes", lambda p: p["mixer"]["spec"][0].pop("kind"),
+     "payload.mixer.spec[0].kind: missing field"),
+    ("ctes", lambda p: p["head"]["layers"][1].__setitem__("b", ["x"]),
+     "payload.head.layers[1].b: expected array"),
     ("ctes", lambda p: p["config"].__setitem__("iterations", "abc"),
      "payload.config.iterations: expected int, got 'abc'"),
+    ("ctes", lambda p: p["norm"]["y_std"].pop(),
+     "payload: norm: x_mean, x_std, y_mean, y_std have shapes "
+     "[(2,), (2,), (2,), (1,)]"),
     ("ctes", lambda p: [p["norm"][k].pop() for k in ("y_mean", "y_std")],
-     "payload: norm: x_mean, x_std, y_mean, y_std have shapes "
-     "[(2,), (2,), (1,), (1,)]; the nets take characteristics of width 2 "
-     "and expressions of width 2"),
+     "payload: norm: y_mean, y_std have 1 entries, but the encoder takes 2 "
+     "and the decoder gives 2"),
     ("ctes", lambda p: [p["norm"][k].append(0.5) for k in ("x_mean", "x_std")],
-     "payload: norm: x_mean, x_std, y_mean, y_std have shapes "
-     "[(3,), (3,), (2,), (2,)]"),
-    ("se-ctes", lambda p: p["models"][1].pop("discriminator"),
-     "payload.models[1].discriminator: missing field"),
+     "payload: norm: x_mean, x_std have 3 entries and the encoder gives 64, "
+     "but the head takes 66"),
+    ("ctes", lambda p: p["config"].__setitem__("z_dim", 7),
+     "payload: config.z_dim: 7 noise and 2 characteristic inputs, but the "
+     "mixer takes 10"),
+    ("ctes", lambda p: p.__setitem__("expr_shape", [1, 3]),
+     "payload: expr_shape: matrix expressions need a square grid, got 1x3"),
+    ("se-ctes", lambda p: p["models"][1].pop("head"),
+     "payload.models[1].head: missing field"),
     ("se-ctes", lambda p: p.__setitem__("members", p.pop("models")),
      "payload.members: unknown field"),
     ("se-ctes", lambda p: p["config"].__setitem__("h", 2),
@@ -752,6 +767,8 @@ TRUNCATED_PAYLOADS = [
      "payload: selected: [] is not a non-empty, strictly ascending list"),
     ("se-ctes", lambda p: p["scores"].pop(),
      "payload: 3 models, scores of shape (2,) and 3 diagnostics"),
+    ("se-ctes", lambda p: p["config"].update(k=7, h=3),
+     "payload: config: k=7 and h=3, but there are 3 models and 1 selected"),
 ]
 
 
@@ -790,8 +807,10 @@ def test_load_rejects_format_1_and_unknown_kind(tmp_path, model_docs):
                           (_set("format_version", 5),
                            "unsupported format version 5"),
                           (_set("format_version", 6),
-                           "unsupported format version 6; this build reads "
-                           "version 7"),
+                           "unsupported format version 6"),
+                          (_set("format_version", 7),
+                           "unsupported format version 7; this build reads "
+                           "version 8"),
                           (_drop("kind"), "unknown model kind None"),
                           (_set("kind", "wgan"), "unknown model kind 'wgan'")):
         doc = json.loads(json.dumps(model_docs["pls"]))
@@ -847,6 +866,7 @@ MALFORMED_CSVS = [
     ("x1,x2,y1,group\n0.1,inf,0.3,1\n", "column 'x2': expected a finite"),
     ("x1,x2,y1,group\n0.1,0.2,0.3\n", "column 'group': expected a finite"),
     ("", "missing 'group' column"),
+    ("x1,x2,y1,group\n", "no data rows"),
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -6,8 +7,8 @@ import pytest
 
 from oracles import three_pass_disc_grads
 from sectes import ctes, ndnet
-from sectes.ctes import (TrainConfig, _disc_step_grads, build_discriminator,
-                         discriminator_forward, discriminator_loss,
+from sectes.ctes import (Normalization, TrainConfig, _disc_step_grads,
+                         build_ctes, discriminator_forward, discriminator_loss,
                          generator_loss, mismatch_table, sample_mismatch,
                          synthesize_each,
                          toy_minimax_oracle, train_ctes)
@@ -99,7 +100,7 @@ def test_generator_loss_values_and_monotonicity():
 def test_generator_forward_zero_params_returns_mean_offset(trained_toy):
     ds = toy_dataset()
     model = train_ctes(ds, TrainConfig(iterations=0, seed=1))
-    for net in (model.generator.mixer, model.generator.decoder):
+    for net in (model.mixer, model.decoder):
         for lay in net.layers:
             lay["W"][:] = 0.0
             lay["b"][:] = 0.0
@@ -126,7 +127,7 @@ def test_multivariate_generator_emits_six_entries():
 
 def test_discriminator_forward_zero_params_is_half():
     model = train_ctes(toy_dataset(), TrainConfig(iterations=0, seed=1))
-    for net in (model.discriminator.encoder, model.discriminator.head):
+    for net in (model.encoder, model.head):
         for lay in net.layers:
             lay["W"][:] = 0.0
             lay["b"][:] = 0.0
@@ -237,18 +238,19 @@ def _rel_err(a, b):
 def test_stacked_disc_step_matches_three_pair_passes(expr_shape):
     m, s, beta = 3, 12, 0.9
     n = 5 if expr_shape is None else 16
-    disc = build_discriminator(m, n, TrainConfig(hidden=16), 7, expr_shape)
+    widths = Normalization.fit(np.zeros((1, m)), np.zeros((1, n)))
+    model = build_ctes(widths, TrainConfig(hidden=16, seed=7), expr_shape)
     rng = np.random.default_rng(4)
     xn, xn_mis = rng.standard_normal((2, s, m))
     yn, yhat_n = rng.standard_normal((2, s, n))
-    head_in = np.empty((3 * s, disc.head.spec[0].in_size))
+    head_in = np.empty((3 * s, model.head.spec[0].in_size))
     head_in[:, :m] = np.vstack([xn, xn, xn_mis])
-    opt = ndnet.init_opt_state((disc.head, disc.encoder))
-    loss, scores, _ = _disc_step_grads(disc, m, np.vstack([yn, yhat_n, yn]),
+    opt = ndnet.init_opt_state((model.head, model.encoder))
+    loss, scores, _ = _disc_step_grads(model, np.vstack([yn, yhat_n, yn]),
                                        head_in, beta, opt.grads)
     head_g, enc_g = opt.grads
     ref_loss, ref_scores, ref_head, ref_enc = three_pass_disc_grads(
-        disc, m, xn, yn, yhat_n, xn_mis, beta)
+        model, m, xn, yn, yhat_n, xn_mis, beta)
     assert _rel_err(loss, ref_loss) < 1e-12
     assert _rel_err(scores, ref_scores) < 1e-12
     for got, want in ((head_g, ref_head), (enc_g, ref_enc)):
@@ -264,8 +266,7 @@ def test_training_is_deterministic():
     b = train_ctes(ds, cfg)
     assert np.array_equal(a.loss_d, b.loss_d)
     assert np.array_equal(a.loss_g, b.loss_g)
-    for na, nb in ((a.generator.mixer, b.generator.mixer),
-                   (a.discriminator.head, b.discriminator.head)):
+    for na, nb in ((a.mixer, b.mixer), (a.head, b.head)):
         for la, lb in zip(na.layers, nb.layers):
             assert np.array_equal(la["W"], lb["W"])
     c = train_ctes(ds, TrainConfig(iterations=40, batch_size=16, seed=22))
@@ -285,8 +286,7 @@ def test_trained_model_does_not_hold_optimizer_buffers(monkeypatch):
     monkeypatch.undo()
     # one state per player, together covering every parameter once
     assert len(states) == 2 and all(s.step == 5 for s in states)
-    nets = (model.generator.mixer, model.generator.decoder,
-            model.discriminator.encoder, model.discriminator.head)
+    nets = (model.mixer, model.decoder, model.encoder, model.head)
     assert sum(s.buffer.shape[1] for s in states) == sum(
         a.size for net in nets for lay in net.layers for a in lay.values())
     for net in nets:
@@ -423,8 +423,7 @@ def training_digest(model):
     h = hashlib.sha256()
     h.update(model.loss_d.tobytes())
     h.update(model.loss_g.tobytes())
-    for net in (model.generator.mixer, model.generator.decoder,
-                model.discriminator.encoder, model.discriminator.head):
+    for net in (model.mixer, model.decoder, model.encoder, model.head):
         for lay in net.layers:
             h.update(lay["W"].tobytes())
             h.update(lay["b"].tobytes())
@@ -437,6 +436,26 @@ def matrix_toy_dataset(seed=3, n=24, grid=4):
     y = rng.standard_normal((n, grid * grid))
     return PairedDataset(x=x, y=y, groups=np.ones(n, int), n_groups=1,
                          expr_shape=(grid, grid))
+
+
+@pytest.mark.parametrize("conv, shape, message", [
+    (True, None, "expr_shape: null, but the encoder and decoder are "
+                 "[['conv2d'], ['deconv2d']] stacks"),
+    (True, (8, 8), "expr_shape: (8, 8) holds 64 pixels, but norm.y_mean has "
+                   "16 entries"),
+    (True, (3, 3), "expr_shape: matrix expressions need a power-of-two grid"),
+    (False, (4, 4), "expr_shape: (4, 4) takes conv stacks 2 deep, but the "
+                    "encoder and decoder are [['dense'], ['dense']] stacks"),
+])
+def test_model_checks_expr_shape_against_norm_and_nets(conv, shape, message):
+    ds = matrix_toy_dataset()
+    if not conv:  # the same 16 expression values as vectors
+        ds = PairedDataset(x=ds.x, y=ds.y, groups=ds.groups, n_groups=1)
+    model = train_ctes(ds, TrainConfig(iterations=0, batch_size=8,
+                                       conv_channels=(4, 8)))
+    with pytest.raises(ConfigError) as info:
+        dataclasses.replace(model, expr_shape=shape)
+    assert str(info.value).startswith(message)
 
 
 # Digests taken from the per-array Adam and per-call mismatch sampling

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from sectes.cli import ExperimentConfig, build_config
+from sectes.cli import MODEL_FORMAT_VERSION, ExperimentConfig, build_config
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = sorted(ROOT.glob("demos/*.py")) + [ROOT / "README.md"]
@@ -73,3 +73,11 @@ def test_every_config_field_is_documented():
     missing = [f.name for f in fields(ExperimentConfig)
                if f'"{f.name}"' not in readme and f"`{f.name}`" not in readme]
     assert not missing, f"README.md does not document {missing}"
+
+
+def test_readme_states_the_current_model_format():
+    # a format bump must carry the README's model-file paragraph with it
+    readme = (ROOT / "README.md").read_text()
+    stated = re.findall(r'\bformat (\d+)\b|"format_version": (\d+)', readme)
+    assert len(stated) >= 2
+    assert {int(a or b) for a, b in stated} == {MODEL_FORMAT_VERSION}

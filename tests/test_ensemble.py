@@ -44,7 +44,7 @@ def constant_model(dataset, value, seed=0):
     """A generator that always emits `value` (zero net + shifted offset)."""
     model = train_ctes(dataset, TrainConfig(iterations=0, batch_size=8,
                                             seed=seed))
-    for net in (model.generator.mixer, model.generator.decoder):
+    for net in (model.mixer, model.decoder):
         for lay in net.layers:
             lay["W"][:] = 0.0
             lay["b"][:] = 0.0
@@ -429,8 +429,7 @@ def assert_same_ensemble(a, b):
         assert ma.iterations_run == mb.iterations_run
         assert np.array_equal(ma.loss_d, mb.loss_d)
         assert np.array_equal(ma.loss_g, mb.loss_g)
-        nets = lambda m: (m.generator.mixer, m.generator.decoder,
-                          m.discriminator.encoder, m.discriminator.head)
+        nets = lambda m: (m.mixer, m.decoder, m.encoder, m.head)
         for na, nb in zip(nets(ma), nets(mb)):
             for la, lb in zip(na.layers, nb.layers):
                 assert la.keys() == lb.keys()

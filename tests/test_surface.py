@@ -30,9 +30,9 @@ def test_exported_names_are_pinned():
                       if not n.startswith("_")
                       and not isinstance(getattr(sectes, n), type(sectes)))
     assert exported == [
-        "ConfigError", "ConfusionCounts", "CtesModel", "DiscriminatorModel",
+        "ConfigError", "ConfusionCounts", "CtesModel",
         "EnsembleConfig", "EnsembleError", "EnsembleModel", "EnsembleSize",
-        "Forest", "ForestConfig", "GeneratorModel", "GpSimConfig",
+        "Forest", "ForestConfig", "GpSimConfig",
         "GrnnModel", "MethodSettings", "MismatchImpossible",
         "ModelFormatError", "Normalization", "PairedDataset", "PlsModel",
         "RiskEvalReport", "SimConfig", "TrainConfig", "TrainingDiverged",

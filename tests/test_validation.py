@@ -3,8 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from sectes.ctes import (CtesModel, TrainConfig, build_discriminator,
-                         build_generator)
+from sectes.ctes import CtesModel, Normalization, TrainConfig, build_ctes
 from sectes.datagen import (GpSimConfig, PairedDataset, SimConfig,
                             gen_multivariate_dataset,
                             gen_scalar_to_matrix_dataset)
@@ -243,10 +242,14 @@ def test_conv_classifier_on_16x16_matches_pinned_digest():
                              "8776e818ca4a9c8175e442d8474e02c6")
 
 
+def widths(m, n):
+    """A unit normalization of m characteristics and n expression values."""
+    return Normalization.fit(np.zeros((1, m)), np.zeros((1, n)))
+
+
 def test_conv_stacks_reject_a_non_square_grid():
-    for build in (build_generator, build_discriminator):
-        with pytest.raises(ConfigError, match="square grid, got 4x8"):
-            build(2, 32, TrainConfig(), 0, (4, 8))
+    with pytest.raises(ConfigError, match="square grid, got 4x8"):
+        build_ctes(widths(2, 32), TrainConfig(), (4, 8))
     with pytest.raises(ConfigError, match="square grid, got 4x8"):
         fit_conv_classifier(np.zeros((4, 32)), [0, 0, 1, 1], (4, 8))
 
@@ -256,8 +259,7 @@ def test_conv_encoders_share_the_channel_check():
     # few for both the discriminator and the validation classifier
     few = (8, 16, 32)
     with pytest.raises(ConfigError, match="conv_channels"):
-        build_discriminator(4, 256, TrainConfig(conv_channels=few), 0,
-                            (16, 16))
+        build_ctes(widths(4, 256), TrainConfig(conv_channels=few), (16, 16))
     ds = gen_scalar_to_matrix_dataset(GpSimConfig(
         grid=16, images_per_category=4, categories=3, char_dim=4, seed=1))
     settings = MethodSettings(train=TrainConfig(conv_channels=few),
