@@ -18,9 +18,8 @@ dataset = gen_multivariate_dataset(SimConfig(sigma=0.05, seed=4))
 
 config = EnsembleConfig(
     k=5, h=2,
-    train=TrainConfig(iterations=300, seed=0),  # published: iterations=1000
-    clf=ForestConfig(n_trees=60),
-    seed=7)
+    train=TrainConfig(iterations=300, seed=7),  # published: iterations=1000
+    clf=ForestConfig(n_trees=60))
 ensemble = train_se_ctes(dataset, config)
 
 print("member scores (fraction of own output classified as peer-fake):")

@@ -40,7 +40,7 @@ from .validation import KNOWN_METHODS, MethodSettings, aggregate_trials, \
 
 log = logging.getLogger("sectes")
 
-MODEL_FORMAT_VERSION = 8
+MODEL_FORMAT_VERSION = 9
 
 
 # --- canonical JSON with exact float round-trips ---
@@ -383,10 +383,15 @@ def _write_summary(path, study: Study, rows: list[dict]) -> None:
 def enumerate_jobs(cfg: ExperimentConfig) -> list[dict]:
     """The (method x sigma x group x trial) grid with derived seeds;
     the tuning sweep adds one extra method label per grid beta, written
-    so that it parses back to exactly that beta."""
+    so that it parses back to exactly that beta. An empty axis raises
+    :class:`ConfigError` naming it."""
     methods = list(cfg.methods)
     methods += [f"ctes[beta={b!r}]" for b in cfg.beta_grid]
     sigmas = cfg.sigmas if STUDY_TABLE[cfg.study].sweeps_sigma else [None]
+    for name, axis in (("methods", methods), ("sigmas", sigmas),
+                       ("groups", cfg.groups)):
+        if not axis:
+            raise ConfigError(f"{name}: empty, so the grid has no jobs")
     return [{"method": m, "sigma": s, "group": g, "trial": t,
              "seed": stable_seed(cfg.master_seed, m, s, g, t)}
             for m in methods for s in sigmas for g in cfg.groups
@@ -400,10 +405,10 @@ def run_suite(cfg: ExperimentConfig) -> dict:
     Returns the manifest dict; ``n_failed`` is nonzero if any job failed.
     """
     study = STUDY_TABLE[cfg.study]
+    jobs = enumerate_jobs(cfg)
     if study.sim_file is None:  # a bad data_csv fails here, not per job
         study.dataset(cfg, None, 0)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    jobs = enumerate_jobs(cfg)
 
     log.info("running %d jobs with %d workers", len(jobs), cfg.workers)
     with task_pool(len(jobs), cfg.workers) as pool:

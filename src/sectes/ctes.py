@@ -107,9 +107,9 @@ class CtesModel:
     """A conditional generator (noise+characteristic mixer, expression
     decoder) and pair discriminator (expression encoder, sigmoid head over
     [x | encoding]), the normalization whose widths each net is checked
-    against on construction, and the loss trace. ``expr_shape`` is the
-    grid of matrix expressions, whose decoder and encoder are conv stacks;
-    None for vectors."""
+    against on construction, and the loss trace, one entry per iteration
+    run. ``expr_shape`` is the grid of matrix expressions, whose decoder
+    and encoder are conv stacks; None for vectors."""
 
     mixer: ndnet.NetParams
     decoder: ndnet.NetParams
@@ -120,7 +120,6 @@ class CtesModel:
     expr_shape: tuple[int, ...] | None = None
     loss_d: np.ndarray = field(default_factory=lambda: np.empty(0))
     loss_g: np.ndarray = field(default_factory=lambda: np.empty(0))
-    iterations_run: int = 0
     # run telemetry, left out of model files
     diagnostics: dict = field(default_factory=dict, metadata={"saved": False})
 
@@ -169,6 +168,10 @@ class CtesModel:
             raise ConfigError(
                 f"config.z_dim: {self.config.z_dim} noise and {m} "
                 f"characteristic inputs, but the mixer takes {mix_in}")
+
+    @property
+    def iterations_run(self) -> int:
+        return self.loss_d.size
 
 
 def conv_grid_side(expr_shape: tuple) -> int:
@@ -489,7 +492,6 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
                 lay[key] = lay[key].copy()
     model.loss_d = losses[0, :iterations_run].copy()
     model.loss_g = losses[1, :iterations_run].copy()
-    model.iterations_run = iterations_run
     model.diagnostics = {"score_min": score_min, "score_max": score_max}
     return model
 

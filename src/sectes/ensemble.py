@@ -41,24 +41,23 @@ class EnsembleSize:
 @dataclass
 class EnsembleConfig(EnsembleSize):
     """Settings of one selective-ensemble run: its size, the members'
-    training, the inverse-validation forests and the root seed."""
+    training, whose seed is the run's root seed, and the
+    inverse-validation forests."""
 
     train: TrainConfig = field(default_factory=TrainConfig)
     clf: ForestConfig = field(default_factory=ForestConfig)
-    seed: int = 0
 
 
 @dataclass
 class EnsembleModel:
-    """k trained members, their inverse-validation scores, and the
+    """k trained members, their inverse-validation scores, and the h
     selected indices (ascending), checked on construction: one score and
-    one diagnostic per member, a selection of finished members, and the
-    config's k members and h selected."""
+    one diagnostic per member, a selection of finished members, and
+    :class:`EnsembleSize`'s k > 2h rule."""
 
     models: list[CtesModel | None]  # None for diverged members
     scores: np.ndarray
     selected: list[int]
-    config: EnsembleConfig
     diagnostics: list[str | None]  # per-member failure description
 
     def __post_init__(self):
@@ -75,10 +74,7 @@ class EnsembleModel:
             if not 0 <= i < k or self.models[i] is None:
                 raise ConfigError(f"selected: member {i} is not a finished "
                                   f"member of {k}")
-        cfg = self.config
-        if (cfg.k, cfg.h) != (k, len(sel)):
-            raise ConfigError(f"config: k={cfg.k} and h={cfg.h}, but there "
-                              f"are {k} models and {len(sel)} selected")
+        EnsembleSize(k, len(sel))
 
 
 def inverse_validation_scores(fake_batches: list, real: np.ndarray,
@@ -161,10 +157,11 @@ def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleMod
     seed, so the result does not depend on the number of workers or on
     the order in which tasks finish. Once more than k - h members have
     diverged, the queued tasks are cancelled and :class:`EnsembleError`
-    is raised.
+    is raised. Every member and forest seed derives from
+    ``config.train.seed``.
     """
     k, h = config.k, config.h
-    root = np.random.SeedSequence(config.seed)
+    root = np.random.SeedSequence(config.train.seed)
     member_seqs = root.spawn(k)
     score_seq = root.spawn(1)[0]
     member_children = [seq.spawn(2) for seq in member_seqs]  # (train, synth)
@@ -223,7 +220,7 @@ def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleMod
     # a diverged member keeps score 0 and may tie, so it is not ranked
     selected = [finished[j] for j in select_top_h(scores[finished], h)]
     return EnsembleModel(models=models, scores=scores, selected=selected,
-                         config=config, diagnostics=diagnostics)
+                         diagnostics=diagnostics)
 
 
 def ensemble_synthesize(ens: EnsembleModel, X: np.ndarray,

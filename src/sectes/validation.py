@@ -45,26 +45,18 @@ class ConfusionCounts:
     fn: int  # held-out rows classified into the identified label
     tn: int  # held-out rows classified elsewhere
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 @dataclass
 class ValidationReport:
-    group: int
     confusion: ConfusionCounts
     a1: float
     a2: float
-    method: str
 
 
 @dataclass
 class RiskEvalReport:
-    group: int
     mean_abs_diff: float
     std: float
-    method: str
     n: int
 
 
@@ -113,11 +105,6 @@ def split_train_test(dataset: PairedDataset, seed: int):
     return train_idx, test_idx
 
 
-def _method_name(method) -> str:
-    return method if isinstance(method, str) else getattr(
-        method, "__name__", "custom")
-
-
 def fit_method(method: str, settings: MethodSettings,
                train_ds: PairedDataset, seed: int):
     """Fit a method label on the training pool and return its model.
@@ -146,7 +133,7 @@ def fit_method(method: str, settings: MethodSettings,
     if name == "se-ctes":
         return train_se_ctes(train_ds, EnsembleConfig(
             k=settings.ensemble.k, h=settings.ensemble.h, train=tc,
-            clf=settings.forest, seed=seed))
+            clf=settings.forest))
     return train_ctes(train_ds, tc)
 
 
@@ -230,8 +217,7 @@ def identify_group_experiment(dataset: PairedDataset, group: int, method,
         fn=int(hit[n_identified:].sum()),
         tn=int((~hit[n_identified:]).sum()))
     a1, a2 = compute_a_metrics(confusion)
-    return ValidationReport(group=group, confusion=confusion, a1=a1, a2=a2,
-                            method=_method_name(method))
+    return ValidationReport(confusion=confusion, a1=a1, a2=a2)
 
 
 def risk_difference_eval(dataset: PairedDataset, group: int, method,
@@ -272,8 +258,7 @@ def risk_difference_eval(dataset: PairedDataset, group: int, method,
     r_a = predict_proba(f_fake, actual_i)[:, col]
     diff = np.abs(r_a - r_s)
     std = float(diff.std(ddof=1)) if diff.size > 1 else 0.0
-    return RiskEvalReport(group=group, mean_abs_diff=float(diff.mean()),
-                          std=std, method=_method_name(method),
+    return RiskEvalReport(mean_abs_diff=float(diff.mean()), std=std,
                           n=int(diff.size))
 
 

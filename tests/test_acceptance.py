@@ -137,8 +137,8 @@ def test_criterion_5_mixture_mean_property():
                    1.5 * x + 0.05 * rng.standard_normal((120, 1))])
     ds = PairedDataset(x=x, y=y, groups=np.ones(120, int), n_groups=1)
     ens = train_se_ctes(ds, EnsembleConfig(
-        k=5, h=2, train=TrainConfig(iterations=250, batch_size=20),
-        clf=ForestConfig(n_trees=30), seed=55))
+        k=5, h=2, train=TrainConfig(iterations=250, batch_size=20, seed=55),
+        clf=ForestConfig(n_trees=30)))
     probe = np.array([[0.5]])
     draws = 10_000
     pooled = ensemble_synthesize(ens, np.repeat(probe, draws, 0),

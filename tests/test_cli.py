@@ -122,7 +122,7 @@ def _net(path):
 _CTES = [*_net("mixer"), *_net("decoder"), *_net("encoder"), *_net("head"),
          *(f"config.{f}" for f in _TRAIN),
          "norm.x_mean", "norm.x_std", "norm.y_mean", "norm.y_std",
-         "expr_shape", "loss_d", "loss_g", "iterations_run"]
+         "expr_shape", "loss_d", "loss_g"]
 
 
 def test_model_file_schema_is_pinned():
@@ -130,14 +130,12 @@ def test_model_file_schema_is_pinned():
     # it comes with a MODEL_FORMAT_VERSION bump: edit both here together
     schema = {kind: list(settable_paths(tp))
               for kind, tp in cli_mod._MODEL_KINDS.items()}
-    assert (cli_mod.MODEL_FORMAT_VERSION, schema) == (8, {
+    assert (cli_mod.MODEL_FORMAT_VERSION, schema) == (9, {
         "pls": ["mean_x", "mean_y", "coef", "n_components"],
         "grnn": ["train_x", "train_y", "bandwidth"],
         "ctes": _CTES,
         "se-ctes": [*(f"models[].{p}" for p in _CTES), "scores", "selected",
-                    "config.k", "config.h",
-                    *(f"config.train.{f}" for f in _TRAIN),
-                    "config.clf.n_trees", "config.seed", "diagnostics"]})
+                    "diagnostics"]})
 
 
 def test_config_rejects_unknown_fields_with_path():
@@ -228,8 +226,9 @@ def test_ctes_model_round_trip(tmp_path):
 def test_ensemble_model_round_trip_stores_members(tmp_path):
     ds = small_dataset()
     cfg = EnsembleConfig(k=3, h=1,
-                         train=TrainConfig(iterations=15, batch_size=10),
-                         clf=ForestConfig(n_trees=10), seed=5)
+                         train=TrainConfig(iterations=15, batch_size=10,
+                                           seed=5),
+                         clf=ForestConfig(n_trees=10))
     ens = train_se_ctes(ds, cfg)
     path = tmp_path / "ens.json"
     save_model(ens, path)
@@ -573,36 +572,70 @@ def test_main_reports_config_errors(tmp_path):
 
 # --- malformed input: every case names its field and exits 2 ---
 
+# ids are given, not built from the values, so that rewording a message
+# renames no test; the older ones keep the names they were collected under
 MALFORMED_CONFIGS = [
-    ({"train": {"iterations": "abc"}}, "train.iterations: expected int, got 'abc'"),
-    ({"trials": "x"}, "trials: expected int, got 'x'"),
-    ({"groups": 5}, "groups: expected list, got 5"),
-    ({"train": 3}, "train: expected object, got 3"),
-    ({"train": {"learning_rate": -1}}, "train: learning_rate must be > 0"),
-    ({"forest": {"n_treez": 5}}, "forest.n_treez: unknown field"),
-    ({"sigmas": [0.1, "a"]}, "sigmas[1]: expected finite float, got 'a'"),
-    ({"train": {"learning_rate": 10 ** 400}},
-     "train.learning_rate: expected finite float"),
-    ({"train": {"conv_channels": [8, 16.5]}},
-     "train.conv_channels[1]: expected int, got 16.5"),
-    ({"fresh_data_per_trial": 1}, "fresh_data_per_trial: unknown field"),
-    ({"data_csv": 5}, "data_csv: expected str, got 5"),
-    ({"ensemble": {"k": 4, "h": 2}}, "ensemble: k must exceed 2*h"),
-    ({"gp": {"grid": 1}}, "gp: grid side must be >= 2"),
-    ({"workers": 0}, "workers: must be >= 1"),
-    ({"train": {"convergence_window": 0}},
-     "train: convergence_window must be >= 1"),
-    ({"train": {"convergence_tol": -0.5}}, "train: convergence_tol must be >= 0"),
-    ({"samples_per_group": 0}, "samples_per_group: must be >= 1"),
-    ({"train": {"hidden": 0}}, "train: hidden must be >= 1"),
-    ({"train": {"hidden": -3}}, "train: hidden must be >= 1"),
-    ({"train": {"conv_channels": [0, 4]}},
-     "train: conv_channels entries must be >= 1"),
-    ({"groups": [0, 9]}, "groups: group 0 is below 1"),
-    ({"groups": [2, 9]},
-     "groups: group 9 exceeds the 5 groups the multivariate study simulates"),
-    ({"study": "scalar-to-matrix", "groups": [6]},
-     "groups: group 6 exceeds the 5 groups the scalar-to-matrix study"),
+    pytest.param({"train": {"iterations": "abc"}},
+                 "train.iterations: expected int, got 'abc'",
+                 id="raw0-train.iterations: expected int, got 'abc'"),
+    pytest.param({"trials": "x"}, "trials: expected int, got 'x'",
+                 id="raw1-trials: expected int, got 'x'"),
+    pytest.param({"groups": 5}, "groups: expected list, got 5",
+                 id="raw2-groups: expected list, got 5"),
+    pytest.param({"train": 3}, "train: expected object, got 3",
+                 id="raw3-train: expected object, got 3"),
+    pytest.param({"train": {"learning_rate": -1}},
+                 "train: learning_rate must be > 0",
+                 id="raw4-train: learning_rate must be > 0"),
+    pytest.param({"forest": {"n_treez": 5}}, "forest.n_treez: unknown field",
+                 id="raw5-forest.n_treez: unknown field"),
+    pytest.param({"sigmas": [0.1, "a"]},
+                 "sigmas[1]: expected finite float, got 'a'",
+                 id="raw6-sigmas[1]: expected finite float, got 'a'"),
+    pytest.param({"train": {"learning_rate": 10 ** 400}},
+                 "train.learning_rate: expected finite float",
+                 id="raw7-train.learning_rate: expected finite float"),
+    pytest.param({"train": {"conv_channels": [8, 16.5]}},
+                 "train.conv_channels[1]: expected int, got 16.5",
+                 id="raw8-train.conv_channels[1]: expected int, got 16.5"),
+    pytest.param({"fresh_data_per_trial": 1},
+                 "fresh_data_per_trial: unknown field",
+                 id="raw9-fresh_data_per_trial: unknown field"),
+    pytest.param({"data_csv": 5}, "data_csv: expected str, got 5",
+                 id="raw10-data_csv: expected str, got 5"),
+    pytest.param({"ensemble": {"k": 4, "h": 2}}, "ensemble: k must exceed 2*h",
+                 id="raw11-ensemble: k must exceed 2*h"),
+    pytest.param({"gp": {"grid": 1}}, "gp: grid side must be >= 2",
+                 id="raw12-gp: grid side must be >= 2"),
+    pytest.param({"workers": 0}, "workers: must be >= 1",
+                 id="raw13-workers: must be >= 1"),
+    pytest.param({"train": {"convergence_window": 0}},
+                 "train: convergence_window must be >= 1",
+                 id="raw14-train: convergence_window must be >= 1"),
+    pytest.param({"train": {"convergence_tol": -0.5}},
+                 "train: convergence_tol must be >= 0",
+                 id="raw15-train: convergence_tol must be >= 0"),
+    pytest.param({"samples_per_group": 0}, "samples_per_group: must be >= 1",
+                 id="raw16-samples_per_group: must be >= 1"),
+    pytest.param({"train": {"hidden": 0}}, "train: hidden must be >= 1",
+                 id="raw17-train: hidden must be >= 1"),
+    pytest.param({"train": {"hidden": -3}}, "train: hidden must be >= 1",
+                 id="raw18-train: hidden must be >= 1"),
+    pytest.param({"train": {"conv_channels": [0, 4]}},
+                 "train: conv_channels entries must be >= 1",
+                 id="raw19-train: conv_channels entries must be >= 1"),
+    pytest.param({"groups": [0, 9]}, "groups: group 0 is below 1",
+                 id="raw20-groups: group 0 is below 1"),
+    pytest.param({"groups": [2, 9]},
+                 "groups: group 9 exceeds the 5 groups the multivariate "
+                 "study simulates",
+                 id="raw21-groups: group 9 exceeds the 5 groups the "
+                    "multivariate study simulates"),
+    pytest.param({"study": "scalar-to-matrix", "groups": [6]},
+                 "groups: group 6 exceeds the 5 groups the scalar-to-matrix "
+                 "study",
+                 id="raw22-groups: group 6 exceeds the 5 groups the "
+                    "scalar-to-matrix study"),
 ]
 
 
@@ -704,8 +737,8 @@ def _saved(tmp_path, model, name="m.json"):
 
 def _tiny_ensemble():
     return train_se_ctes(small_dataset(), EnsembleConfig(
-        k=3, h=1, train=TrainConfig(iterations=2, batch_size=10),
-        clf=ForestConfig(n_trees=3), seed=1))
+        k=3, h=1, train=TrainConfig(iterations=2, batch_size=10, seed=1),
+        clf=ForestConfig(n_trees=3)))
 
 
 def _drop(key):
@@ -716,59 +749,105 @@ def _set(key, value):
     return lambda d: d.__setitem__(key, value)
 
 
-TRUNCATED_PAYLOADS = [
-    ("pls", lambda p: p.pop("coef"), "payload.coef: missing field"),
-    ("pls", lambda p: p.__setitem__("n_components", 1.5),
-     "payload.n_components: expected int"),
-    ("grnn", lambda p: p.__setitem__("bandwidth", "wide"),
-     "payload.bandwidth: expected finite float"),
-    ("grnn", lambda p: p["train_x"].append([1.0]),
-     "payload.train_x: expected array of numbers"),
-    ("ctes", lambda p: p.pop("norm"), "payload.norm: missing field"),
-    ("ctes", lambda p: p["mixer"]["layers"][0].__setitem__("W", [[0.5]]),
-     "payload.mixer: layer 0: parameter shapes"),
-    ("ctes", lambda p: p["head"]["layers"].pop(),
-     "payload.head: 2 layer specs but 1 layers"),
-    ("ctes", lambda p: p["mixer"]["spec"][0].pop("kind"),
-     "payload.mixer.spec[0].kind: missing field"),
-    ("ctes", lambda p: p["head"]["layers"][1].__setitem__("b", ["x"]),
-     "payload.head.layers[1].b: expected array"),
-    ("ctes", lambda p: p["config"].__setitem__("iterations", "abc"),
-     "payload.config.iterations: expected int, got 'abc'"),
-    ("ctes", lambda p: p["norm"]["y_std"].pop(),
-     "payload: norm: x_mean, x_std, y_mean, y_std have shapes "
-     "[(2,), (2,), (2,), (1,)]"),
-    ("ctes", lambda p: [p["norm"][k].pop() for k in ("y_mean", "y_std")],
-     "payload: norm: y_mean, y_std have 1 entries, but the encoder takes 2 "
-     "and the decoder gives 2"),
-    ("ctes", lambda p: [p["norm"][k].append(0.5) for k in ("x_mean", "x_std")],
-     "payload: norm: x_mean, x_std have 3 entries and the encoder gives 64, "
-     "but the head takes 66"),
-    ("ctes", lambda p: p["config"].__setitem__("z_dim", 7),
-     "payload: config.z_dim: 7 noise and 2 characteristic inputs, but the "
-     "mixer takes 10"),
-    ("ctes", lambda p: p.__setitem__("expr_shape", [1, 3]),
-     "payload: expr_shape: matrix expressions need a square grid, got 1x3"),
-    ("se-ctes", lambda p: p["models"][1].pop("head"),
-     "payload.models[1].head: missing field"),
-    ("se-ctes", lambda p: p.__setitem__("members", p.pop("models")),
-     "payload.members: unknown field"),
-    ("se-ctes", lambda p: p["config"].__setitem__("h", 2),
-     "payload.config: k must exceed 2*h"),
-    ("se-ctes", lambda p: p.__setitem__("selected", [9]),
-     "payload: selected: member 9 is not a finished member of 3"),
-    ("se-ctes", lambda p: p.__setitem__("selected", [-1]),
-     "payload: selected: member -1 is not a finished member of 3"),
-    ("se-ctes", lambda p: p["models"].__setitem__(p["selected"][0], None),
-     "is not a finished member of 3"),
-    ("se-ctes", lambda p: p.__setitem__("selected", [1, 1]),
-     "payload: selected: [1, 1] is not a non-empty, strictly ascending list"),
-    ("se-ctes", lambda p: p.__setitem__("selected", []),
-     "payload: selected: [] is not a non-empty, strictly ascending list"),
-    ("se-ctes", lambda p: p["scores"].pop(),
-     "payload: 3 models, scores of shape (2,) and 3 diagnostics"),
-    ("se-ctes", lambda p: p["config"].update(k=7, h=3),
-     "payload: config: k=7 and h=3, but there are 3 models and 1 selected"),
+TRUNCATED_PAYLOADS = [  # ids as in MALFORMED_CONFIGS
+    pytest.param("pls", lambda p: p.pop("coef"), "payload.coef: missing field",
+                 id="pls-<lambda>-payload.coef: missing field"),
+    pytest.param("pls", lambda p: p.__setitem__("n_components", 1.5),
+                 "payload.n_components: expected int",
+                 id="pls-<lambda>-payload.n_components: expected int"),
+    pytest.param("grnn", lambda p: p.__setitem__("bandwidth", "wide"),
+                 "payload.bandwidth: expected finite float",
+                 id="grnn-<lambda>-payload.bandwidth: expected finite float"),
+    pytest.param("grnn", lambda p: p["train_x"].append([1.0]),
+                 "payload.train_x: expected array of numbers",
+                 id="grnn-<lambda>-payload.train_x: expected array of "
+                    "numbers"),
+    pytest.param("ctes", lambda p: p.pop("norm"),
+                 "payload.norm: missing field",
+                 id="ctes-<lambda>-payload.norm: missing field"),
+    pytest.param("ctes",
+                 lambda p: p["mixer"]["layers"][0].__setitem__("W", [[0.5]]),
+                 "payload.mixer: layer 0: parameter shapes",
+                 id="ctes-<lambda>-payload.mixer: layer 0: parameter shapes"),
+    pytest.param("ctes", lambda p: p["head"]["layers"].pop(),
+                 "payload.head: 2 layer specs but 1 layers",
+                 id="ctes-<lambda>-payload.head: 2 layer specs but 1 layers"),
+    pytest.param("ctes", lambda p: p["mixer"]["spec"][0].pop("kind"),
+                 "payload.mixer.spec[0].kind: missing field",
+                 id="ctes-<lambda>-payload.mixer.spec[0].kind: missing field"),
+    pytest.param("ctes",
+                 lambda p: p["head"]["layers"][1].__setitem__("b", ["x"]),
+                 "payload.head.layers[1].b: expected array",
+                 id="ctes-<lambda>-payload.head.layers[1].b: expected array"),
+    pytest.param("ctes",
+                 lambda p: p["config"].__setitem__("iterations", "abc"),
+                 "payload.config.iterations: expected int, got 'abc'",
+                 id="ctes-<lambda>-payload.config.iterations: expected int, "
+                    "got 'abc'"),
+    pytest.param("ctes", lambda p: p["norm"]["y_std"].pop(),
+                 "payload: norm: x_mean, x_std, y_mean, y_std have shapes "
+                 "[(2,), (2,), (2,), (1,)]",
+                 id="ctes-<lambda>-payload: norm: x_mean, x_std, y_mean, "
+                    "y_std have shapes [(2,), (2,), (2,), (1,)]"),
+    pytest.param("ctes",
+                 lambda p: [p["norm"][k].pop() for k in ("y_mean", "y_std")],
+                 "payload: norm: y_mean, y_std have 1 entries, but the "
+                 "encoder takes 2 and the decoder gives 2",
+                 id="ctes-<lambda>-payload: norm: y_mean, y_std have 1 "
+                    "entries, but the encoder takes 2 and the decoder gives "
+                    "2"),
+    pytest.param("ctes", lambda p: [p["norm"][k].append(0.5)
+                                    for k in ("x_mean", "x_std")],
+                 "payload: norm: x_mean, x_std have 3 entries and the "
+                 "encoder gives 64, but the head takes 66",
+                 id="ctes-<lambda>-payload: norm: x_mean, x_std have 3 "
+                    "entries and the encoder gives 64, but the head takes 66"),
+    pytest.param("ctes", lambda p: p["config"].__setitem__("z_dim", 7),
+                 "payload: config.z_dim: 7 noise and 2 characteristic "
+                 "inputs, but the mixer takes 10",
+                 id="ctes-<lambda>-payload: config.z_dim: 7 noise and 2 "
+                    "characteristic inputs, but the mixer takes 10"),
+    pytest.param("ctes", lambda p: p.__setitem__("expr_shape", [1, 3]),
+                 "payload: expr_shape: matrix expressions need a square "
+                 "grid, got 1x3",
+                 id="ctes-<lambda>-payload: expr_shape: matrix expressions "
+                    "need a square grid, got 1x3"),
+    pytest.param("se-ctes", lambda p: p["models"][1].pop("head"),
+                 "payload.models[1].head: missing field",
+                 id="se-ctes-<lambda>-payload.models[1].head: missing field"),
+    pytest.param("se-ctes",
+                 lambda p: p.__setitem__("members", p.pop("models")),
+                 "payload.members: unknown field",
+                 id="se-ctes-<lambda>-payload.members: unknown field"),
+    pytest.param("se-ctes", lambda p: p.__setitem__("selected", [0, 1]),
+                 "payload: k must exceed 2*h (got k=3, h=2)",
+                 id="se-ctes-3-members-2-selected"),
+    pytest.param("se-ctes", lambda p: p.__setitem__("selected", [9]),
+                 "payload: selected: member 9 is not a finished member of 3",
+                 id="se-ctes-<lambda>-payload: selected: member 9 is not a "
+                    "finished member of 3"),
+    pytest.param("se-ctes", lambda p: p.__setitem__("selected", [-1]),
+                 "payload: selected: member -1 is not a finished member of 3",
+                 id="se-ctes-<lambda>-payload: selected: member -1 is not a "
+                    "finished member of 3"),
+    pytest.param("se-ctes",
+                 lambda p: p["models"].__setitem__(p["selected"][0], None),
+                 "is not a finished member of 3",
+                 id="se-ctes-<lambda>-is not a finished member of 3"),
+    pytest.param("se-ctes", lambda p: p.__setitem__("selected", [1, 1]),
+                 "payload: selected: [1, 1] is not a non-empty, strictly "
+                 "ascending list",
+                 id="se-ctes-<lambda>-payload: selected: [1, 1] is not a "
+                    "non-empty, strictly ascending list"),
+    pytest.param("se-ctes", lambda p: p.__setitem__("selected", []),
+                 "payload: selected: [] is not a non-empty, strictly "
+                 "ascending list",
+                 id="se-ctes-<lambda>-payload: selected: [] is not a "
+                    "non-empty, strictly ascending list"),
+    pytest.param("se-ctes", lambda p: p["scores"].pop(),
+                 "payload: 3 models, scores of shape (2,) and 3 diagnostics",
+                 id="se-ctes-<lambda>-payload: 3 models, scores of shape "
+                    "(2,) and 3 diagnostics"),
 ]
 
 
@@ -809,8 +888,10 @@ def test_load_rejects_format_1_and_unknown_kind(tmp_path, model_docs):
                           (_set("format_version", 6),
                            "unsupported format version 6"),
                           (_set("format_version", 7),
-                           "unsupported format version 7; this build reads "
-                           "version 8"),
+                           "unsupported format version 7"),
+                          (_set("format_version", 8),
+                           "unsupported format version 8; this build reads "
+                           "version 9"),
                           (_drop("kind"), "unknown model kind None"),
                           (_set("kind", "wgan"), "unknown model kind 'wgan'")):
         doc = json.loads(json.dumps(model_docs["pls"]))
@@ -859,14 +940,24 @@ def test_synth_needs_exactly_one_of_x_and_data(tmp_path, capsys, model_files,
     assert "--x" in err and "--data" in err and "Traceback" not in err
 
 
-MALFORMED_CSVS = [
-    ("x1,x2,y1\n0.1,0.2,0.3\n", "missing 'group' column"),
-    ("x1,x2,y1,group\n0.1,0.2,0.3,1\n0.1,abc,0.3,2\n",
-     "line 3, column 'x2': expected a finite number, got 'abc'"),
-    ("x1,x2,y1,group\n0.1,inf,0.3,1\n", "column 'x2': expected a finite"),
-    ("x1,x2,y1,group\n0.1,0.2,0.3\n", "column 'group': expected a finite"),
-    ("", "missing 'group' column"),
-    ("x1,x2,y1,group\n", "no data rows"),
+MALFORMED_CSVS = [  # ids as in MALFORMED_CONFIGS
+    pytest.param("x1,x2,y1\n0.1,0.2,0.3\n", "missing 'group' column",
+                 id="x1,x2,y1\n0.1,0.2,0.3\n-missing 'group' column"),
+    pytest.param("x1,x2,y1,group\n0.1,0.2,0.3,1\n0.1,abc,0.3,2\n",
+                 "line 3, column 'x2': expected a finite number, got 'abc'",
+                 id="x1,x2,y1,group\n0.1,0.2,0.3,1\n0.1,abc,0.3,2\n-line 3, "
+                    "column 'x2': expected a finite number, got 'abc'"),
+    pytest.param("x1,x2,y1,group\n0.1,inf,0.3,1\n",
+                 "column 'x2': expected a finite",
+                 id="x1,x2,y1,group\n0.1,inf,0.3,1\n-column 'x2': expected "
+                    "a finite"),
+    pytest.param("x1,x2,y1,group\n0.1,0.2,0.3\n",
+                 "column 'group': expected a finite",
+                 id="x1,x2,y1,group\n0.1,0.2,0.3\n-column 'group': expected "
+                    "a finite"),
+    pytest.param("", "missing 'group' column", id="-missing 'group' column"),
+    pytest.param("x1,x2,y1,group\n", "no data rows",
+                 id="x1,x2,y1,group\n-no data rows"),
 ]
 
 
@@ -944,4 +1035,20 @@ def test_tabular_risk_without_data_csv_fails_before_any_job(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 2
     _single_error_line(capsys, "error: data_csv: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw,axis", [
+    pytest.param({"groups": []}, "groups", id="groups"),
+    pytest.param({"methods": []}, "methods", id="methods"),
+    pytest.param({"sigmas": []}, "sigmas", id="sigmas"),
+])
+def test_bench_with_an_empty_grid_axis_exits_2(tmp_path, capsys, raw, axis):
+    # an empty axis leaves the grid no jobs; validate and simulate, which
+    # take --group and --sigma, accept it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": 1, **raw}))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 2
+    _single_error_line(capsys, f"{axis}: empty, so the grid has no jobs")
     assert not out.exists()

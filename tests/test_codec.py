@@ -96,7 +96,7 @@ def models(draw):
                         conv_channels=(2, 3), seed=seed)
     if kind == "se-ctes":
         return train_se_ctes(_dataset(seed, n, m), EnsembleConfig(
-            k=3, h=1, train=train, clf=ForestConfig(n_trees=2), seed=seed)), m
+            k=3, h=1, train=train, clf=ForestConfig(n_trees=2))), m
     shape = (4, 4) if kind == "ctes-matrix" else None
     return train_ctes(_dataset(seed, n, m, shape), train), m
 

@@ -1,13 +1,15 @@
-"""The demos and the README's python blocks import only names that exist,
-and the README's JSON blocks are valid experiment configs.
+"""The demos and the README's python blocks import only names that exist
+and call them only with keywords they take, and the README's JSON blocks
+are valid experiment configs.
 
 The scripts are parsed, not run, so this check is fast; it keeps a
-deleted or renamed public name or config field from silently breaking
-the narrative examples.
+deleted or renamed public name, keyword or config field from silently
+breaking the narrative examples.
 """
 
 import ast
 import importlib
+import inspect
 import json
 import re
 from dataclasses import fields
@@ -33,15 +35,32 @@ def python_sources(path):
 
 
 def sectes_imports(source):
-    """(module, name) for every ``from sectes... import name`` and
-    (module, None) for every ``import sectes...``."""
+    """(module, name, local name) for every ``from sectes... import name``
+    and (module, None, None) for every ``import sectes...``."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.level == 0 \
                 and node.module.split(".")[0] == "sectes":
-            yield from ((node.module, alias.name) for alias in node.names)
+            yield from ((node.module, alias.name, alias.asname or alias.name)
+                        for alias in node.names)
         elif isinstance(node, ast.Import):
-            yield from ((alias.name, None) for alias in node.names
+            yield from ((alias.name, None, None) for alias in node.names
                         if alias.name.split(".")[0] == "sectes")
+
+
+def stale_keywords(source):
+    """(name, keyword) for every keyword of a call to a name imported
+    from sectes that the name's signature does not take."""
+    imported = {local: getattr(importlib.import_module(module), name)
+                for module, name, local in sectes_imports(source) if name}
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in imported):
+            continue
+        params = inspect.signature(imported[node.func.id]).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        yield from ((node.func.id, kw.arg) for kw in node.keywords
+                    if kw.arg is not None and kw.arg not in params)
 
 
 def test_docs_are_found():
@@ -51,13 +70,27 @@ def test_docs_are_found():
 
 @pytest.mark.parametrize("path", DOCS, ids=lambda p: p.name)
 def test_doc_imports_from_sectes_exist(path):
-    pairs = [pair for source in python_sources(path)
+    pairs = [pair[:2] for source in python_sources(path)
              for pair in sectes_imports(source)]
     assert pairs, f"{path.name} imports nothing from sectes"
     for module, name in pairs:
         mod = importlib.import_module(module)
         assert name is None or hasattr(mod, name), \
             f"{path.name}: {module} has no {name!r}"
+
+
+@pytest.mark.parametrize("path", DOCS, ids=lambda p: p.name)
+def test_doc_calls_use_keywords_that_exist(path):
+    stale = [pair for source in python_sources(path)
+             for pair in stale_keywords(source)]
+    assert not stale, f"{path.name}: calls with keywords not taken: {stale}"
+
+
+def test_stale_keyword_scan_sees_a_stale_keyword():
+    source = ("from sectes import EnsembleConfig as EC, TrainConfig\n"
+              "EC(k=5, seed=7, train=TrainConfig(seed=7, jitter=0.1))\n")
+    assert sorted(stale_keywords(source)) == [("EC", "seed"),
+                                              ("TrainConfig", "jitter")]
 
 
 def test_readme_json_blocks_are_valid_configs():

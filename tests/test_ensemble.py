@@ -133,15 +133,16 @@ def test_inverse_validation_input_errors():
 def tiny_ensemble_config(k=3, h=1, seed=0):
     return EnsembleConfig(
         k=k, h=h,
-        train=TrainConfig(iterations=25, batch_size=10, seed=0),
-        clf=ForestConfig(n_trees=20), seed=seed)
+        train=TrainConfig(iterations=25, batch_size=10, seed=seed),
+        clf=ForestConfig(n_trees=20))
 
 
 def test_train_se_ctes_counts_and_selection():
     ds = small_dataset()
     cfg = EnsembleConfig(k=5, h=2,
-                         train=TrainConfig(iterations=20, batch_size=10),
-                         clf=ForestConfig(n_trees=15), seed=1)
+                         train=TrainConfig(iterations=20, batch_size=10,
+                                           seed=1),
+                         clf=ForestConfig(n_trees=15))
     ens = train_se_ctes(ds, cfg)
     assert len(ens.models) == 5
     assert len(ens.scores) == 5
@@ -160,9 +161,21 @@ def test_train_se_ctes_deterministic():
     assert np.array_equal(a.scores, b.scores)
 
 
+def test_train_se_ctes_follows_the_training_seed():
+    # config.train.seed roots every member and forest seed
+    ds = small_dataset()
+    cfgs = [tiny_ensemble_config(seed=s) for s in (7, 8)]
+    a, b = (train_se_ctes(ds, cfg) for cfg in cfgs)
+    for ens, cfg in zip((a, b), cfgs):
+        assert [m.config.seed for m in ens.models] == \
+            [member_train_seed(cfg, i) for i in range(cfg.k)]
+    for ma, mb in zip(a.models, b.models):
+        assert not np.array_equal(ma.loss_d, mb.loss_d)
+
+
 def member_train_seed(config, i):
     """The training seed train_se_ctes derives for member i."""
-    member = np.random.SeedSequence(config.seed).spawn(config.k)[i]
+    member = np.random.SeedSequence(config.train.seed).spawn(config.k)[i]
     return int(member.spawn(2)[0].generate_state(1)[0])
 
 
@@ -349,8 +362,8 @@ def test_train_se_ctes_result_does_not_depend_on_completion_order(data):
     h = data.draw(st.integers(1, (k - 1) // 2), label="h")
     doomed = data.draw(st.sets(st.integers(0, k - 1)), label="diverging")
     cfg = EnsembleConfig(k=k, h=h, train=TrainConfig(iterations=3,
-                                                     batch_size=10),
-                         clf=ForestConfig(n_trees=5), seed=k)
+                                                     batch_size=10, seed=k),
+                         clf=ForestConfig(n_trees=5))
     submitted, calls, released = [], [], []
 
     class HeldExecutor(parallel.InlineExecutor):
@@ -443,14 +456,15 @@ def test_train_se_ctes_same_result_on_one_cpu(monkeypatch, one_blas_thread,
     if kind == "vector":
         ds = small_dataset(seed=5)
         cfg = EnsembleConfig(k=5, h=2,
-                             train=TrainConfig(iterations=30, batch_size=10),
-                             clf=ForestConfig(n_trees=15), seed=11)
+                             train=TrainConfig(iterations=30, batch_size=10,
+                                               seed=11),
+                             clf=ForestConfig(n_trees=15))
     else:
         ds = gen_scalar_to_matrix_dataset(GpSimConfig(
             grid=4, images_per_category=6, categories=2, char_dim=3, seed=1))
         cfg = EnsembleConfig(k=5, h=2, train=TrainConfig(
-            iterations=4, batch_size=6, conv_channels=(2, 3)),
-            clf=ForestConfig(n_trees=5), seed=12)
+            iterations=4, batch_size=6, conv_channels=(2, 3), seed=12),
+            clf=ForestConfig(n_trees=5))
     pooled = train_se_ctes(ds, cfg)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
@@ -511,11 +525,8 @@ def ens_of_constants(values, h=None):
     models = [constant_model(ds, v, seed=i) for i, v in enumerate(values)]
     k = len(models)
     h = h or (k - 1) // 2
-    cfg = EnsembleConfig(k=k, h=h, train=TrainConfig(iterations=0,
-                                                     batch_size=8))
     return EnsembleModel(models=models, scores=np.linspace(1, 0.5, k),
-                         selected=list(range(h)), config=cfg,
-                         diagnostics=[None] * k)
+                         selected=list(range(h)), diagnostics=[None] * k)
 
 
 def test_ensemble_synthesize_even_split():
@@ -551,8 +562,8 @@ def test_matrix_ensemble_serves_one_row():
         grid=4, images_per_category=6, categories=2, char_dim=3, seed=0))
     ens = train_se_ctes(ds, EnsembleConfig(
         k=5, h=2, train=TrainConfig(iterations=2, batch_size=6,
-                                    conv_channels=(2, 3)),
-        clf=ForestConfig(n_trees=3), seed=4))
+                                    conv_channels=(2, 3), seed=4),
+        clf=ForestConfig(n_trees=3)))
     out = sample_model(ens, ds.x[:1], rng=0)
     assert out.shape == (1, 16)
     assert np.all(np.isfinite(out))
@@ -574,7 +585,7 @@ def test_ensemble_synthesize_validation():
         ensemble_synthesize(ens, np.empty((0, 1)))
     with pytest.raises(ConfigError, match="selected"):
         EnsembleModel(models=ens.models, scores=ens.scores, selected=[],
-                      config=ens.config, diagnostics=[None] * 3)
+                      diagnostics=[None] * 3)
     empty = copy.copy(ens)  # emptied after the construction checks
     empty.selected = []
     with pytest.raises(EnsembleError):
@@ -585,8 +596,9 @@ def test_ensemble_synthesize_mixture_mean_matches_member_means():
     # trained members: ensemble mean ~ arithmetic mean of member means
     ds = small_dataset(n=80)
     cfg = EnsembleConfig(k=3, h=1,
-                         train=TrainConfig(iterations=150, batch_size=16),
-                         clf=ForestConfig(n_trees=20), seed=9)
+                         train=TrainConfig(iterations=150, batch_size=16,
+                                           seed=9),
+                         clf=ForestConfig(n_trees=20))
     ens = train_se_ctes(ds, cfg)
     x = np.array([[0.5]])
     pooled = ensemble_synthesize(ens, np.repeat(x, 4000, 0),
