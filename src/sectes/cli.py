@@ -40,7 +40,7 @@ from .validation import KNOWN_METHODS, MethodSettings, aggregate_trials, \
 
 log = logging.getLogger("sectes")
 
-MODEL_FORMAT_VERSION = 9
+MODEL_FORMAT_VERSION = 10
 
 
 # --- canonical JSON with exact float round-trips ---
@@ -227,6 +227,8 @@ class ExperimentConfig:
         for name in ("trials", "samples_per_group", "workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed: must be >= 0")
         for s in self.sigmas:
             if not 0.0 < s < 1.0:
                 raise ConfigError(f"sigmas: value {s} outside (0, 1)")
@@ -380,6 +382,16 @@ def _write_summary(path, study: Study, rows: list[dict]) -> None:
                [[s[c] for c in study.summary] for s in summary])
 
 
+def _sigma_axis(cfg: ExperimentConfig) -> list:
+    """The config's sigmas, or [None] for a study without a sigma axis;
+    an empty axis raises :class:`ConfigError` naming it."""
+    if not STUDY_TABLE[cfg.study].sweeps_sigma:
+        return [None]
+    if not cfg.sigmas:
+        raise ConfigError("sigmas: empty, so the grid has no jobs")
+    return cfg.sigmas
+
+
 def enumerate_jobs(cfg: ExperimentConfig) -> list[dict]:
     """The (method x sigma x group x trial) grid with derived seeds;
     the tuning sweep adds one extra method label per grid beta, written
@@ -387,9 +399,8 @@ def enumerate_jobs(cfg: ExperimentConfig) -> list[dict]:
     :class:`ConfigError` naming it."""
     methods = list(cfg.methods)
     methods += [f"ctes[beta={b!r}]" for b in cfg.beta_grid]
-    sigmas = cfg.sigmas if STUDY_TABLE[cfg.study].sweeps_sigma else [None]
-    for name, axis in (("methods", methods), ("sigmas", sigmas),
-                       ("groups", cfg.groups)):
+    sigmas = _sigma_axis(cfg)
+    for name, axis in (("methods", methods), ("groups", cfg.groups)):
         if not axis:
             raise ConfigError(f"{name}: empty, so the grid has no jobs")
     return [{"method": m, "sigma": s, "group": g, "trial": t,
@@ -462,8 +473,9 @@ def cmd_simulate(args) -> int:
     study = STUDY_TABLE[cfg.study]
     if study.sim_file is None:
         raise ConfigError(f"simulate: the {cfg.study} study reads data_csv")
+    sigmas = _sigma_axis(cfg)
     os.makedirs(args.out, exist_ok=True)
-    for sigma in cfg.sigmas if study.sweeps_sigma else [None]:
+    for sigma in sigmas:
         path = os.path.join(args.out, study.sim_file.format(sigma=sigma))
         write_dataset_csv(study.dataset(cfg, sigma, 0), path)
         print(path)
@@ -644,6 +656,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError("--seed: must be >= 0")
         return args.func(args)
     except (ValueError, OSError) as exc:  # incl. ConfigError, ModelFormatError
         print(f"error: {exc}", file=sys.stderr)

@@ -102,26 +102,34 @@ class Normalization:
         return yn * self.y_std + self.y_mean
 
 
+_NETS = ("mixer", "decoder", "encoder", "head")
+# a net built on construction from ``weights``; not saved or compared
+_BUILT = dict(init=False, compare=False, repr=False, metadata={"saved": False})
+
+
 @dataclass
 class CtesModel:
     """A conditional generator (noise+characteristic mixer, expression
     decoder) and pair discriminator (expression encoder, sigmoid head over
-    [x | encoding]), the normalization whose widths each net is checked
-    against on construction, and the loss trace, one entry per iteration
-    run. ``expr_shape`` is the grid of matrix expressions, whose decoder
-    and encoder are conv stacks; None for vectors."""
+    [x | encoding]), and the loss trace, one entry per iteration run.
+    ``expr_shape`` is the grid of matrix expressions, whose decoder and
+    encoder are conv stacks; None for vectors. ``weights`` holds each
+    net's per-layer {"W", "b"} arrays, which the nets share: their layer
+    specs are built from ``config``, the ``norm`` widths and
+    ``expr_shape``, and the arrays are checked against them."""
 
-    mixer: ndnet.NetParams
-    decoder: ndnet.NetParams
-    encoder: ndnet.NetParams
-    head: ndnet.NetParams
     config: TrainConfig
     norm: Normalization
+    weights: dict[str, list[dict[str, np.ndarray]]]
     expr_shape: tuple[int, ...] | None = None
     loss_d: np.ndarray = field(default_factory=lambda: np.empty(0))
     loss_g: np.ndarray = field(default_factory=lambda: np.empty(0))
     # run telemetry, left out of model files
     diagnostics: dict = field(default_factory=dict, metadata={"saved": False})
+    mixer: ndnet.NetParams = field(**_BUILT)
+    decoder: ndnet.NetParams = field(**_BUILT)
+    encoder: ndnet.NetParams = field(**_BUILT)
+    head: ndnet.NetParams = field(**_BUILT)
 
     def __post_init__(self):
         norm, shape = self.norm, self.expr_shape
@@ -131,43 +139,24 @@ class CtesModel:
         if got != [(m,), (m,), (n,), (n,)]:
             raise ConfigError(f"norm: x_mean, x_std, y_mean, y_std have "
                               f"shapes {got}")
-        enc, dec = self.encoder.spec, self.decoder.spec
-        kinds = [sorted({lay.kind for lay in net}) for net in (enc, dec)]
-        if shape is None:
-            if kinds != [["dense"], ["dense"]]:
-                raise ConfigError(f"expr_shape: null, but the encoder and "
-                                  f"decoder are {kinds} stacks")
-            if (enc[0].in_size, dec[-1].out_size) != (n, n):
-                raise ConfigError(
-                    f"norm: y_mean, y_std have {n} entries, but the encoder "
-                    f"takes {enc[0].in_size} and the decoder gives "
-                    f"{dec[-1].out_size}")
-            enc_out = enc[-1].out_size
-        else:
+        if shape is not None:
             try:
-                depth = _conv_stack_depth(shape)
+                _conv_stack_depth(shape)
             except ValueError as exc:
                 raise ConfigError(f"expr_shape: {exc}") from None
             if shape[0] * shape[1] != n:
                 raise ConfigError(f"expr_shape: {shape} holds "
                                   f"{shape[0] * shape[1]} pixels, but "
                                   f"norm.y_mean has {n} entries")
-            if (kinds, len(enc), len(dec)) != (
-                    [["conv2d"], ["deconv2d"]], depth, depth):
-                raise ConfigError(
-                    f"expr_shape: {shape} takes conv stacks {depth} deep, "
-                    f"but the encoder and decoder are {kinds} stacks "
-                    f"{len(enc)} and {len(dec)} deep")
-            enc_out = enc[-1].out_channels
-        if self.head.spec[0].in_size != m + enc_out:
-            raise ConfigError(
-                f"norm: x_mean, x_std have {m} entries and the encoder gives "
-                f"{enc_out}, but the head takes {self.head.spec[0].in_size}")
-        mix_in = self.mixer.spec[0].in_size
-        if mix_in != self.config.z_dim + m:
-            raise ConfigError(
-                f"config.z_dim: {self.config.z_dim} noise and {m} "
-                f"characteristic inputs, but the mixer takes {mix_in}")
+        if sorted(self.weights) != sorted(_NETS):
+            raise ConfigError(f"weights: nets {sorted(self.weights)}, "
+                              f"expected {sorted(_NETS)}")
+        for name, spec in zip(_NETS, _ctes_specs(m, n, self.config, shape)):
+            try:
+                net = ndnet.NetParams(spec, self.weights[name])
+            except ConfigError as exc:
+                raise ConfigError(f"weights.{name}: {exc}") from None
+            setattr(self, name, net)
 
     @property
     def iterations_run(self) -> int:
@@ -202,14 +191,11 @@ def conv_encoder_spec(depth: int, channels: tuple) -> list[ndnet.LayerSpec]:
             for a, b in zip(chans, chans[1:])]
 
 
-def build_ctes(norm: Normalization, cfg: TrainConfig,
-               expr_shape: tuple | None = None) -> CtesModel:
-    """An untrained model for ``norm``'s characteristic and expression
-    widths: the mixer and decoder, whose last layer is left linear, from
-    child 0 of ``SeedSequence(cfg.seed).spawn(3)``, and the encoder and
-    the head, with a sigmoid on its scalar output, from child 1 (child 2
-    is the trainer's batch stream)."""
-    m, n = norm.x_mean.size, norm.y_mean.size
+def _ctes_specs(m: int, n: int, cfg: TrainConfig,
+                expr_shape: tuple | None) -> tuple[list, list, list, list]:
+    """The mixer, decoder, encoder and head layer specs for ``m``
+    characteristic and ``n`` expression values: the mixer and decoder end
+    linear, and the head in a sigmoid on its scalar output."""
     if expr_shape is None:
         mixer = [ndnet.dense(cfg.z_dim + m, cfg.hidden, "relu"),
                  ndnet.dense(cfg.hidden, cfg.hidden, "relu")]
@@ -228,14 +214,22 @@ def build_ctes(norm: Normalization, cfg: TrainConfig,
         enc_out = chans[0]
     head = [ndnet.dense(m + enc_out, cfg.hidden, "relu"),
             ndnet.dense(cfg.hidden, 1, "sigmoid")]
+    return mixer, decoder, encoder, head
+
+
+def build_ctes(norm: Normalization, cfg: TrainConfig,
+               expr_shape: tuple | None = None) -> CtesModel:
+    """An untrained model for ``norm``'s characteristic and expression
+    widths: the mixer and decoder from child 0 of
+    ``SeedSequence(cfg.seed).spawn(3)``, and the encoder and the head from
+    child 1 (child 2 is the trainer's batch stream)."""
+    specs = _ctes_specs(norm.x_mean.size, norm.y_mean.size, cfg, expr_shape)
     gen, disc = (seq.spawn(2) for seq in
                  np.random.SeedSequence(cfg.seed).spawn(3)[:2])
-    return CtesModel(
-        mixer=ndnet.init_params(mixer, gen[0]),
-        decoder=ndnet.init_params(decoder, gen[1]),
-        encoder=ndnet.init_params(encoder, disc[0]),
-        head=ndnet.init_params(head, disc[1]),
-        config=cfg, norm=norm, expr_shape=expr_shape)
+    weights = {name: ndnet.init_params(spec, seq).layers for name, spec, seq
+               in zip(_NETS, specs, (*gen, *disc))}
+    return CtesModel(config=cfg, norm=norm, weights=weights,
+                     expr_shape=expr_shape)
 
 
 def _as_rng(rng) -> np.random.Generator:

@@ -52,8 +52,9 @@ class EnsembleConfig(EnsembleSize):
 class EnsembleModel:
     """k trained members, their inverse-validation scores, and the h
     selected indices (ascending), checked on construction: one score and
-    one diagnostic per member, a selection of finished members, and
-    :class:`EnsembleSize`'s k > 2h rule."""
+    one diagnostic per member, score 0 and a diagnostic for each diverged
+    member, a selection of finished members, and :class:`EnsembleSize`'s
+    k > 2h rule."""
 
     models: list[CtesModel | None]  # None for diverged members
     scores: np.ndarray
@@ -74,6 +75,12 @@ class EnsembleModel:
             if not 0 <= i < k or self.models[i] is None:
                 raise ConfigError(f"selected: member {i} is not a finished "
                                   f"member of {k}")
+        for i, (model, score, diag) in enumerate(
+                zip(self.models, self.scores, self.diagnostics)):
+            if model is None and (score != 0 or diag is None):
+                raise ConfigError(f"models[{i}]: null (diverged), so it "
+                                  f"needs score 0 and a diagnostic, got "
+                                  f"{score} and {diag!r}")
         EnsembleSize(k, len(sel))
 
 

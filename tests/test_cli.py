@@ -113,16 +113,9 @@ _TRAIN = ["beta", "batch_size", "iterations", "z_dim", "learning_rate",
           "hidden", "convergence_window", "convergence_tol", "conv_channels"]
 
 
-def _net(path):
-    return [f"{path}.spec[].{f}" for f in (
-        "kind", "activation", "in_size", "out_size", "in_channels",
-        "out_channels", "kernel", "stride", "padding")] + [f"{path}.layers"]
-
-
-_CTES = [*_net("mixer"), *_net("decoder"), *_net("encoder"), *_net("head"),
-         *(f"config.{f}" for f in _TRAIN),
+_CTES = [*(f"config.{f}" for f in _TRAIN),
          "norm.x_mean", "norm.x_std", "norm.y_mean", "norm.y_std",
-         "expr_shape", "loss_d", "loss_g"]
+         "weights", "expr_shape", "loss_d", "loss_g"]
 
 
 def test_model_file_schema_is_pinned():
@@ -130,7 +123,7 @@ def test_model_file_schema_is_pinned():
     # it comes with a MODEL_FORMAT_VERSION bump: edit both here together
     schema = {kind: list(settable_paths(tp))
               for kind, tp in cli_mod._MODEL_KINDS.items()}
-    assert (cli_mod.MODEL_FORMAT_VERSION, schema) == (9, {
+    assert (cli_mod.MODEL_FORMAT_VERSION, schema) == (10, {
         "pls": ["mean_x", "mean_y", "coef", "n_components"],
         "grnn": ["train_x", "train_y", "bandwidth"],
         "ctes": _CTES,
@@ -631,6 +624,8 @@ MALFORMED_CONFIGS = [
                  "study simulates",
                  id="raw21-groups: group 9 exceeds the 5 groups the "
                     "multivariate study simulates"),
+    pytest.param({"master_seed": -1}, "master_seed: must be >= 0",
+                 id="master-seed"),
     pytest.param({"study": "scalar-to-matrix", "groups": [6]},
                  "groups: group 6 exceeds the 5 groups the scalar-to-matrix "
                  "study",
@@ -766,19 +761,25 @@ TRUNCATED_PAYLOADS = [  # ids as in MALFORMED_CONFIGS
                  "payload.norm: missing field",
                  id="ctes-<lambda>-payload.norm: missing field"),
     pytest.param("ctes",
-                 lambda p: p["mixer"]["layers"][0].__setitem__("W", [[0.5]]),
-                 "payload.mixer: layer 0: parameter shapes",
+                 lambda p: p["weights"]["mixer"][0].__setitem__("W", [[0.5]]),
+                 "payload: weights.mixer: layer 0: parameter shapes",
                  id="ctes-<lambda>-payload.mixer: layer 0: parameter shapes"),
-    pytest.param("ctes", lambda p: p["head"]["layers"].pop(),
-                 "payload.head: 2 layer specs but 1 layers",
+    pytest.param("ctes", lambda p: p["weights"]["head"].pop(),
+                 "payload: weights.head: 2 layer specs but 1 layers",
                  id="ctes-<lambda>-payload.head: 2 layer specs but 1 layers"),
-    pytest.param("ctes", lambda p: p["mixer"]["spec"][0].pop("kind"),
-                 "payload.mixer.spec[0].kind: missing field",
-                 id="ctes-<lambda>-payload.mixer.spec[0].kind: missing field"),
     pytest.param("ctes",
-                 lambda p: p["head"]["layers"][1].__setitem__("b", ["x"]),
-                 "payload.head.layers[1].b: expected array",
+                 lambda p: p["weights"]["head"][1].__setitem__("b", ["x"]),
+                 "payload.weights.head[1].b: expected array",
                  id="ctes-<lambda>-payload.head.layers[1].b: expected array"),
+    pytest.param("ctes", lambda p: p["weights"].pop("encoder"),
+                 "payload: weights: nets ['decoder', 'head', 'mixer'], "
+                 "expected ['decoder', 'encoder', 'head', 'mixer']",
+                 id="ctes-weights-without-encoder"),
+    pytest.param("ctes", lambda p: p["config"].__setitem__("hidden", 16),
+                 "payload: weights.mixer: layer 0: parameter shapes "
+                 "{'W': (10, 64), 'b': (64,)}, expected {'W': (10, 16), "
+                 "'b': (16,)}",
+                 id="ctes-config-hidden"),
     pytest.param("ctes",
                  lambda p: p["config"].__setitem__("iterations", "abc"),
                  "payload.config.iterations: expected int, got 'abc'",
@@ -791,20 +792,23 @@ TRUNCATED_PAYLOADS = [  # ids as in MALFORMED_CONFIGS
                     "y_std have shapes [(2,), (2,), (2,), (1,)]"),
     pytest.param("ctes",
                  lambda p: [p["norm"][k].pop() for k in ("y_mean", "y_std")],
-                 "payload: norm: y_mean, y_std have 1 entries, but the "
-                 "encoder takes 2 and the decoder gives 2",
+                 "payload: weights.decoder: layer 0: parameter shapes "
+                 "{'W': (64, 2), 'b': (2,)}, expected {'W': (64, 1), "
+                 "'b': (1,)}",
                  id="ctes-<lambda>-payload: norm: y_mean, y_std have 1 "
                     "entries, but the encoder takes 2 and the decoder gives "
                     "2"),
     pytest.param("ctes", lambda p: [p["norm"][k].append(0.5)
                                     for k in ("x_mean", "x_std")],
-                 "payload: norm: x_mean, x_std have 3 entries and the "
-                 "encoder gives 64, but the head takes 66",
+                 "payload: weights.mixer: layer 0: parameter shapes "
+                 "{'W': (10, 64), 'b': (64,)}, expected {'W': (11, 64), "
+                 "'b': (64,)}",
                  id="ctes-<lambda>-payload: norm: x_mean, x_std have 3 "
                     "entries and the encoder gives 64, but the head takes 66"),
     pytest.param("ctes", lambda p: p["config"].__setitem__("z_dim", 7),
-                 "payload: config.z_dim: 7 noise and 2 characteristic "
-                 "inputs, but the mixer takes 10",
+                 "payload: weights.mixer: layer 0: parameter shapes "
+                 "{'W': (10, 64), 'b': (64,)}, expected {'W': (9, 64), "
+                 "'b': (64,)}",
                  id="ctes-<lambda>-payload: config.z_dim: 7 noise and 2 "
                     "characteristic inputs, but the mixer takes 10"),
     pytest.param("ctes", lambda p: p.__setitem__("expr_shape", [1, 3]),
@@ -812,8 +816,8 @@ TRUNCATED_PAYLOADS = [  # ids as in MALFORMED_CONFIGS
                  "grid, got 1x3",
                  id="ctes-<lambda>-payload: expr_shape: matrix expressions "
                     "need a square grid, got 1x3"),
-    pytest.param("se-ctes", lambda p: p["models"][1].pop("head"),
-                 "payload.models[1].head: missing field",
+    pytest.param("se-ctes", lambda p: p["models"][1].pop("weights"),
+                 "payload.models[1].weights: missing field",
                  id="se-ctes-<lambda>-payload.models[1].head: missing field"),
     pytest.param("se-ctes",
                  lambda p: p.__setitem__("members", p.pop("models")),
@@ -844,6 +848,11 @@ TRUNCATED_PAYLOADS = [  # ids as in MALFORMED_CONFIGS
                  "ascending list",
                  id="se-ctes-<lambda>-payload: selected: [] is not a "
                     "non-empty, strictly ascending list"),
+    pytest.param("se-ctes", lambda p: p["models"].__setitem__(
+                     next(i for i in range(3) if i not in p["selected"]),
+                     None),
+                 "null (diverged), so it needs score 0 and a diagnostic",
+                 id="se-ctes-null-member-scored"),
     pytest.param("se-ctes", lambda p: p["scores"].pop(),
                  "payload: 3 models, scores of shape (2,) and 3 diagnostics",
                  id="se-ctes-<lambda>-payload: 3 models, scores of shape "
@@ -890,8 +899,10 @@ def test_load_rejects_format_1_and_unknown_kind(tmp_path, model_docs):
                           (_set("format_version", 7),
                            "unsupported format version 7"),
                           (_set("format_version", 8),
-                           "unsupported format version 8; this build reads "
-                           "version 9"),
+                           "unsupported format version 8"),
+                          (_set("format_version", 9),
+                           "unsupported format version 9; this build reads "
+                           "version 10"),
                           (_drop("kind"), "unknown model kind None"),
                           (_set("kind", "wgan"), "unknown model kind 'wgan'")):
         doc = json.loads(json.dumps(model_docs["pls"]))
@@ -1044,11 +1055,45 @@ def test_tabular_risk_without_data_csv_fails_before_any_job(tmp_path, capsys):
     pytest.param({"sigmas": []}, "sigmas", id="sigmas"),
 ])
 def test_bench_with_an_empty_grid_axis_exits_2(tmp_path, capsys, raw, axis):
-    # an empty axis leaves the grid no jobs; validate and simulate, which
-    # take --group and --sigma, accept it
+    # an empty axis leaves the grid no jobs; validate and train take the
+    # method, group and sigma as arguments, so they do not need the axes
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"trials": 1, **raw}))
     out = tmp_path / "out"
     assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 2
     _single_error_line(capsys, f"{axis}: empty, so the grid has no jobs")
     assert not out.exists()
+
+
+def test_simulate_with_empty_sigmas_exits_2(tmp_path, capsys):
+    # simulate writes one dataset per sigma and has no --sigma to fall
+    # back on, so an empty axis would write nothing
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sigmas": []}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(out)]) == 2
+    _single_error_line(capsys, "sigmas: empty, so the grid has no jobs")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "--seed", "-1", "--out", "out"], id="simulate"),
+    pytest.param(["train", "--method", "ctes", "--seed", "-1",
+                  "--out", "out"], id="train"),
+    pytest.param(["synth", "--model", "pls.json", "--x", "0.5,0.5",
+                  "--seed", "-3", "--out", "out"], id="synth"),
+    pytest.param(["validate", "--method", "pls", "--group", "2",
+                  "--seed", "-1"], id="validate"),
+    pytest.param(["bench", "--config", "cfg.json", "--seed", "-1",
+                  "--out", "out"], id="bench"),
+])
+def test_negative_seed_argument_exits_2(tmp_path, capsys, model_files, argv):
+    (tmp_path / "cfg.json").write_text("{}")
+    files = {"pls.json": str(model_files["pls"]),
+             "cfg.json": str(tmp_path / "cfg.json"),
+             "out": str(tmp_path / "out")}
+    assert main([files.get(a, a) for a in argv]) == 2
+    _single_error_line(capsys, "error: --seed: must be >= 0")
+    assert not (tmp_path / "out").exists()
+

@@ -438,23 +438,43 @@ def matrix_toy_dataset(seed=3, n=24, grid=4):
                          expr_shape=(grid, grid))
 
 
-@pytest.mark.parametrize("conv, shape, message", [
-    (True, None, "expr_shape: null, but the encoder and decoder are "
-                 "[['conv2d'], ['deconv2d']] stacks"),
-    (True, (8, 8), "expr_shape: (8, 8) holds 64 pixels, but norm.y_mean has "
-                   "16 entries"),
-    (True, (3, 3), "expr_shape: matrix expressions need a power-of-two grid"),
-    (False, (4, 4), "expr_shape: (4, 4) takes conv stacks 2 deep, but the "
-                    "encoder and decoder are [['dense'], ['dense']] stacks"),
+# ids as the cases were collected under before their messages changed
+@pytest.mark.parametrize("conv, changes, message", [
+    pytest.param(True, {"expr_shape": None},
+                 "weights.mixer: 2 layer specs but 1 layers",
+                 id="True-None-expr_shape: null, but the encoder and decoder "
+                    "are [['conv2d'], ['deconv2d']] stacks"),
+    pytest.param(True, {"expr_shape": (8, 8)},
+                 "expr_shape: (8, 8) holds 64 pixels, but norm.y_mean has 16 "
+                 "entries",
+                 id="True-shape1-expr_shape: (8, 8) holds 64 pixels, but "
+                    "norm.y_mean has 16 entries"),
+    pytest.param(True, {"expr_shape": (3, 3)},
+                 "expr_shape: matrix expressions need a power-of-two grid",
+                 id="True-shape2-expr_shape: matrix expressions need a "
+                    "power-of-two grid"),
+    pytest.param(False, {"expr_shape": (4, 4)},
+                 "weights.mixer: 1 layer specs but 2 layers",
+                 id="False-shape3-expr_shape: (4, 4) takes conv stacks 2 "
+                    "deep, but the encoder and decoder are [['dense'], "
+                    "['dense']] stacks"),
+    pytest.param(True, {"config": TrainConfig(iterations=0, batch_size=8,
+                                              conv_channels=(4, 6))},
+                 "weights.mixer: layer 0: parameter shapes {'W': (10, 8), "
+                 "'b': (8,)}, expected {'W': (10, 6), 'b': (6,)}",
+                 id="conv-channels"),
 ])
-def test_model_checks_expr_shape_against_norm_and_nets(conv, shape, message):
+def test_model_checks_expr_shape_against_norm_and_nets(conv, changes,
+                                                       message):
+    # the nets' layer specs are built from config, norm and expr_shape,
+    # so a weight array that does not fit them names its net
     ds = matrix_toy_dataset()
     if not conv:  # the same 16 expression values as vectors
         ds = PairedDataset(x=ds.x, y=ds.y, groups=ds.groups, n_groups=1)
     model = train_ctes(ds, TrainConfig(iterations=0, batch_size=8,
                                        conv_channels=(4, 8)))
     with pytest.raises(ConfigError) as info:
-        dataclasses.replace(model, expr_shape=shape)
+        dataclasses.replace(model, **changes)
     assert str(info.value).startswith(message)
 
 

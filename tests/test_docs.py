@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from sectes.cli import MODEL_FORMAT_VERSION, ExperimentConfig, build_config
+from sectes.ctes import CtesModel
+from sectes.ensemble import EnsembleModel
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = sorted(ROOT.glob("demos/*.py")) + [ROOT / "README.md"]
@@ -114,3 +116,10 @@ def test_readme_states_the_current_model_format():
     stated = re.findall(r'\bformat (\d+)\b|"format_version": (\d+)', readme)
     assert len(stated) >= 2
     assert {int(a or b) for a, b in stated} == {MODEL_FORMAT_VERSION}
+    # and name every field that a ctes or se-ctes payload saves
+    paragraph, = re.findall(r"^Model files are .*?$(?=\n\n|\Z)", readme,
+                            re.M | re.S)
+    missing = [f.name for tp in (CtesModel, EnsembleModel) for f in fields(tp)
+               if f.metadata.get("saved", True)
+               and f"`{f.name}`" not in paragraph]
+    assert not missing, f"README.md's model-file paragraph lacks {missing}"
