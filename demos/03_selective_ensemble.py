@@ -29,7 +29,7 @@ for i, score in enumerate(ensemble.scores):
 
 x = np.array([0.6, 0.6])
 pooled = ensemble_synthesize(ensemble, np.repeat(x[None, :], 400, 0),
-                             rng=np.random.default_rng(1), jitter=0.0)
+                             np.random.default_rng(1))
 real = dataset.y[dataset.groups == 3]
 print(f"\nsynthesis at x = {x.tolist()} (group-3 territory):")
 print(f"  pooled fake mean {np.round(pooled.mean(axis=0), 3)}")

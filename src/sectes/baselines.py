@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import _characteristic_rows
 from .errors import ConfigError
 
 
@@ -70,20 +71,10 @@ def pls_fit(X: np.ndarray, Y: np.ndarray, components: int) -> PlsModel:
                     n_components=len(comps))
 
 
-def _check_width(x: np.ndarray, m: int) -> np.ndarray:
-    if x.shape[1] != m:
-        raise ValueError(f"characteristics have {x.shape[1]} columns, "
-                         f"expected {m}")
-    return x
-
-
-def pls_predict(model: PlsModel, x: np.ndarray) -> np.ndarray:
-    """Linear prediction; accepts one row (m,) or a batch (B, m)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = _check_width(np.atleast_2d(x), model.mean_x.size)
-    pred = model.mean_y + (xb - model.mean_x) @ model.coef
-    return pred[0] if single else pred
+def pls_predict(model: PlsModel, X: np.ndarray) -> np.ndarray:
+    """Linear prediction, one row per characteristic row of X (rows, m)."""
+    X = _characteristic_rows(X, model.mean_x.size)
+    return model.mean_y + (X - model.mean_x) @ model.coef
 
 
 @dataclass
@@ -117,23 +108,20 @@ def grnn_fit(X: np.ndarray, Y: np.ndarray,
     return GrnnModel(train_x=X, train_y=Y, bandwidth=float(bandwidth))
 
 
-def grnn_predict(model: GrnnModel, x: np.ndarray) -> np.ndarray:
+def grnn_predict(model: GrnnModel, X: np.ndarray) -> np.ndarray:
     """Weighted average of training targets with Gaussian weights
-    exp(-||x - x_i||^2 / (2 b^2)).
+    exp(-||x - x_i||^2 / (2 b^2)), one row per characteristic row x of X.
 
     Exponents are shifted by their maximum before exponentiation, so a
     vanishing bandwidth degrades gracefully to the nearest neighbor's
     target instead of underflowing.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = _check_width(np.atleast_2d(x), model.train_x.shape[1])
-    d2 = ((xb[:, None, :] - model.train_x[None, :, :]) ** 2).sum(axis=2)
+    X = _characteristic_rows(X, model.train_x.shape[1])
+    d2 = ((X[:, None, :] - model.train_x[None, :, :]) ** 2).sum(axis=2)
     expo = -d2 / (2.0 * model.bandwidth ** 2)
     w = np.exp(expo - expo.max(axis=1, keepdims=True))
     totals = w.sum(axis=1, keepdims=True)
     # defensive: rows without usable weights take the nearest neighbor's target
-    pred = np.where((totals > 0) & np.isfinite(totals),
+    return np.where((totals > 0) & np.isfinite(totals),
                     (w @ model.train_y) / totals,
                     model.train_y[d2.argmin(axis=1)])
-    return pred[0] if single else pred

@@ -28,7 +28,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, \
 import numpy as np
 
 from .baselines import GrnnModel, PlsModel
-from .ctes import CtesModel, TrainConfig
+from .ctes import CtesModel, TrainConfig, conv_encoder_spec
 from .datagen import GpSimConfig, SimConfig, gen_multivariate_dataset, \
     gen_scalar_to_matrix_dataset, read_dataset_csv, write_dataset_csv
 from .ensemble import EnsembleModel, EnsembleSize
@@ -239,6 +239,18 @@ class ExperimentConfig:
         for b in self.beta_grid:
             if not 0.0 <= b <= 1.0:
                 raise ConfigError(f"beta_grid: value {b} outside [0, 1]")
+        for name in ("methods", "sigmas", "groups", "beta_grid"):
+            values = getattr(self, name)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{name}: value {repeated[0]!r} appears "
+                                  f"more than once")
+        if self.study == "scalar-to-matrix":  # the conv stacks' depth
+            try:
+                conv_encoder_spec(int(np.log2(self.gp.grid)),
+                                  self.train.conv_channels)
+            except ConfigError as exc:
+                raise ConfigError(f"train.{exc}") from None
         top = STUDY_TABLE[self.study].groups
         for g in self.groups:
             if g < 1:
@@ -508,8 +520,6 @@ def cmd_train(args) -> int:
 def cmd_synth(args) -> int:
     if args.count < 1:
         raise ConfigError("--count: must be >= 1")
-    if not args.jitter >= 0:
-        raise ConfigError("--jitter: must be >= 0")
     model = load_model(args.model)
     seed = args.seed or 0
     if args.x is not None:
@@ -525,7 +535,7 @@ def cmd_synth(args) -> int:
     try:
         batch = np.vstack([
             sample_model(model, np.repeat(row[None, :], args.count, axis=0),
-                         np.random.default_rng(s), args.jitter)
+                         np.random.default_rng(s))
             for row, s in zip(rows, seeds)])
     except ValueError as exc:  # non-finite or wrong-width characteristics
         raise ConfigError(f"{source}: {exc}") from None
@@ -623,7 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
     rows.add_argument("--x", help="comma-separated characteristic")
     rows.add_argument("--data", help="CSV of characteristics")
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--jitter", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ndnet
-from .datagen import PairedDataset
+from .datagen import PairedDataset, _characteristic_rows
 from .errors import ConfigError, MismatchImpossible, TrainingDiverged
 
 PROB_CLAMP = 1e-7  # scores are pushed inside [clamp, 1-clamp] before logs
@@ -151,7 +151,11 @@ class CtesModel:
         if sorted(self.weights) != sorted(_NETS):
             raise ConfigError(f"weights: nets {sorted(self.weights)}, "
                               f"expected {sorted(_NETS)}")
-        for name, spec in zip(_NETS, _ctes_specs(m, n, self.config, shape)):
+        try:
+            specs = _ctes_specs(m, n, self.config, shape)
+        except ConfigError as exc:  # conv_channels too short for the grid
+            raise ConfigError(f"config.{exc}") from None
+        for name, spec in zip(_NETS, specs):
             try:
                 net = ndnet.NetParams(spec, self.weights[name])
             except ConfigError as exc:
@@ -230,12 +234,6 @@ def build_ctes(norm: Normalization, cfg: TrainConfig,
                in zip(_NETS, specs, (*gen, *disc))}
     return CtesModel(config=cfg, norm=norm, weights=weights,
                      expr_shape=expr_shape)
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def _gen_forward_traced(model: CtesModel, mix_in: np.ndarray,
@@ -491,25 +489,11 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
 
 
 def synthesize_each(model: CtesModel, X: np.ndarray,
-                    rng=None, jitter: float = 0.0) -> np.ndarray:
-    """One synthesized expression per characteristic row.
-
-    Each row gets fresh standard-normal noise; when ``jitter`` is
-    positive the characteristic itself is perturbed by N(0, jitter^2)
-    to diversify the outputs.
-    """
-    if not jitter >= 0:
-        raise ValueError("jitter must be >= 0")
+                    rng: np.random.Generator) -> np.ndarray:
+    """One synthesized expression per characteristic row of X (rows, m),
+    each from its own standard-normal noise drawn from ``rng``."""
     norm = model.norm
-    rng = _as_rng(rng)
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] < 1:
-        raise ValueError("need at least one characteristic row")
-    if X.shape[1] != norm.x_mean.size:
-        raise ValueError(f"characteristics have {X.shape[1]} columns, "
-                         f"expected {norm.x_mean.size}")
-    if jitter > 0:
-        X = X + rng.normal(0.0, jitter, size=X.shape)
+    X = _characteristic_rows(X, norm.x_mean.size)
     z = rng.standard_normal((X.shape[0], model.config.z_dim))
     yhat_n = np.empty((X.shape[0], norm.y_mean.size))
     _gen_forward_traced(model, np.hstack([z, norm.norm_x(X)]), yhat_n)

@@ -81,6 +81,24 @@ class PairedDataset:
         return self.groups == group
 
 
+def _characteristic_rows(X, m: int) -> np.ndarray:
+    """``X`` as the float (rows, m) array that every synthesizer takes:
+    two-dimensional, at least one row, ``m`` columns and finite values,
+    else ValueError."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"characteristics must be a (rows, {m}) array, "
+                         f"got shape {X.shape}")
+    if X.shape[0] < 1:
+        raise ValueError("need at least one characteristic row")
+    if X.shape[1] != m:
+        raise ValueError(f"characteristics have {X.shape[1]} columns, "
+                         f"expected {m}")
+    if not np.isfinite(X).all():
+        raise ValueError("characteristics must be finite")
+    return X
+
+
 @dataclass
 class SimConfig:
     """Settings for the grouped multivariate generator."""

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ctes import (CtesModel, TrainConfig, _as_rng, synthesize_each,
-                   train_ctes)
-from .datagen import PairedDataset
+from .ctes import CtesModel, TrainConfig, synthesize_each, train_ctes
+from .datagen import PairedDataset, _characteristic_rows
 from .errors import ConfigError, EnsembleError, TrainingDiverged
 from .forest import Forest, ForestConfig, fit_forest, predict_forest
 from .parallel import task_pool
@@ -52,9 +51,9 @@ class EnsembleConfig(EnsembleSize):
 class EnsembleModel:
     """k trained members, their inverse-validation scores, and the h
     selected indices (ascending), checked on construction: one score and
-    one diagnostic per member, score 0 and a diagnostic for each diverged
-    member, a selection of finished members, and :class:`EnsembleSize`'s
-    k > 2h rule."""
+    one diagnostic slot per member, a diagnostic exactly for each diverged
+    member, whose score is 0, a selection of finished members, and
+    :class:`EnsembleSize`'s k > 2h rule."""
 
     models: list[CtesModel | None]  # None for diverged members
     scores: np.ndarray
@@ -81,6 +80,9 @@ class EnsembleModel:
                 raise ConfigError(f"models[{i}]: null (diverged), so it "
                                   f"needs score 0 and a diagnostic, got "
                                   f"{score} and {diag!r}")
+            if model is not None and diag is not None:
+                raise ConfigError(f"diagnostics[{i}]: member {i} finished, "
+                                  f"so it has no diagnostic, got {diag!r}")
         EnsembleSize(k, len(sel))
 
 
@@ -231,20 +233,16 @@ def train_se_ctes(dataset: PairedDataset, config: EnsembleConfig) -> EnsembleMod
 
 
 def ensemble_synthesize(ens: EnsembleModel, X: np.ndarray,
-                        rng=None, jitter: float = 0.0) -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     """Uniform-mixture synthesis over the selected members: one expression
-    per characteristic row.
+    per characteristic row of X (rows, m).
 
     X's rows are split in order into h contiguous shares of floor(n/h)
     rows, the remainder going one each to the lowest-index members.
     """
     if not ens.selected:
         raise EnsembleError("ensemble has no selected members")
-    rng = _as_rng(rng)
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] < 1:
-        raise ValueError("need at least one characteristic row")
+    X = _characteristic_rows(X, ens.models[ens.selected[0]].norm.x_mean.size)
     shares = np.array_split(X, len(ens.selected))
-    return np.vstack([synthesize_each(ens.models[i], rows, rng=rng,
-                                      jitter=jitter)
+    return np.vstack([synthesize_each(ens.models[i], rows, rng)
                       for i, rows in zip(ens.selected, shares) if len(rows)])

@@ -137,21 +137,17 @@ def fit_method(method: str, settings: MethodSettings,
     return train_ctes(train_ds, tc)
 
 
-def sample_model(model, X: np.ndarray, rng,
-                 jitter: float = 0.0) -> np.ndarray:
-    """One expression per characteristic row of X from any model
+def sample_model(model, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One expression per characteristic row of X (rows, m) from any model
     :func:`fit_method` returns. PLS and GRNN are deterministic and ignore
-    ``rng`` and ``jitter``."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if not np.isfinite(X).all():
-        raise ValueError("characteristics must be finite")
+    ``rng``."""
     if isinstance(model, PlsModel):
         return pls_predict(model, X)
     if isinstance(model, GrnnModel):
         return grnn_predict(model, X)
     if isinstance(model, EnsembleModel):
-        return ensemble_synthesize(model, X, rng=rng, jitter=jitter)
-    return synthesize_each(model, X, rng=rng, jitter=jitter)
+        return ensemble_synthesize(model, X, rng)
+    return synthesize_each(model, X, rng)
 
 
 def fit_and_synthesize(method, settings: MethodSettings,

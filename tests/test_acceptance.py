@@ -142,11 +142,11 @@ def test_criterion_5_mixture_mean_property():
     probe = np.array([[0.5]])
     draws = 10_000
     pooled = ensemble_synthesize(ens, np.repeat(probe, draws, 0),
-                                 rng=np.random.default_rng(1), jitter=0.0)
+                                 rng=np.random.default_rng(1))
     member_means, member_vars = [], []
     for i in ens.selected:
         d = synthesize_each(ens.models[i], np.repeat(probe, draws, 0),
-                            rng=np.random.default_rng(100 + i), jitter=0.0)
+                            rng=np.random.default_rng(100 + i))
         member_means.append(d.mean(axis=0))
         member_vars.append(d.var(axis=0))
     target = np.mean(member_means, axis=0)
@@ -233,7 +233,8 @@ def test_criterion_7_baseline_oracles():
     nn_exact = True
     for p in rng.normal(size=(50, 3)):
         nn = int(np.argmin(((Xg - p) ** 2).sum(axis=1)))
-        nn_exact &= bool(np.array_equal(grnn_predict(grnn, p), Yg[nn]))
+        nn_exact &= bool(np.array_equal(grnn_predict(grnn, p[None, :]),
+                                         Yg[[nn]]))
 
     # forest on 6-unit-separated unit-variance blobs
     Xa = rng.normal(0.0, 1.0, size=(100, 2))

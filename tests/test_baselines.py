@@ -36,8 +36,8 @@ def test_pls_prediction_at_mean_is_mean():
     X = rng.normal(size=(30, 3))
     Y = rng.normal(size=(30, 2))
     model = pls_fit(X, Y, components=2)
-    assert np.allclose(pls_predict(model, X.mean(axis=0)), Y.mean(axis=0),
-                       atol=1e-10)
+    assert np.allclose(pls_predict(model, X.mean(axis=0, keepdims=True)),
+                       Y.mean(axis=0), atol=1e-10)
 
 
 def test_pls_prediction_is_affine():
@@ -45,7 +45,7 @@ def test_pls_prediction_is_affine():
     X = rng.normal(size=(40, 3))
     Y = rng.normal(size=(40, 4))
     model = pls_fit(X, Y, components=2)
-    x1, x2 = rng.normal(size=3), rng.normal(size=3)
+    x1, x2 = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
     y1, y2 = pls_predict(model, x1), pls_predict(model, x2)
     for a in (0.0, 0.3, 1.0, 1.7, -0.5):
         blended = pls_predict(model, a * x1 + (1 - a) * x2)
@@ -96,7 +96,8 @@ def test_grnn_single_pair_returns_its_target():
     model = grnn_fit(np.array([[1.0, 2.0]]), np.array([[5.0, 6.0, 7.0]]),
                      bandwidth=0.5)
     for probe in ([0.0, 0.0], [100.0, -3.0], [1.0, 2.0]):
-        assert np.allclose(grnn_predict(model, np.array(probe)), [5.0, 6.0, 7.0])
+        assert np.allclose(grnn_predict(model, np.array([probe])),
+                           [[5.0, 6.0, 7.0]])
 
 
 @pytest.mark.parametrize("bandwidth", [10.0, 1.0, 1e-3, 1e-6])
@@ -104,7 +105,8 @@ def test_grnn_equidistant_probe_averages_targets(bandwidth):
     X = np.array([[-1.0, 0.0], [1.0, 0.0]])
     Y = np.array([[2.0], [6.0]])
     model = grnn_fit(X, Y, bandwidth=bandwidth)
-    assert grnn_predict(model, np.array([0.0, 0.0]))[0] == pytest.approx(4.0)
+    assert grnn_predict(model, np.array([[0.0, 0.0]]))[0, 0] == \
+        pytest.approx(4.0)
 
 
 def test_grnn_tiny_bandwidth_matches_nearest_neighbor():
@@ -115,7 +117,7 @@ def test_grnn_tiny_bandwidth_matches_nearest_neighbor():
     probes = rng.normal(size=(40, 3))
     for p in probes:
         nn = int(np.argmin(((X - p) ** 2).sum(axis=1)))
-        assert np.allclose(grnn_predict(model, p), Y[nn])
+        assert np.allclose(grnn_predict(model, p[None, :]), Y[[nn]])
 
 
 def test_grnn_underflowing_bandwidth_falls_back_to_nearest_neighbor():

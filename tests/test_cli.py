@@ -19,8 +19,9 @@ from sectes.cli import (ExperimentConfig, build_config, dumps_canonical,
                         run_suite, save_model, stable_seed)
 from sectes.baselines import grnn_fit, pls_fit
 from sectes.ctes import TrainConfig, synthesize_each, train_ctes
-from sectes.datagen import (PairedDataset, SimConfig,
-                            gen_multivariate_dataset, read_dataset_csv,
+from sectes.datagen import (GpSimConfig, PairedDataset, SimConfig,
+                            gen_multivariate_dataset,
+                            gen_scalar_to_matrix_dataset, read_dataset_csv,
                             write_dataset_csv)
 from sectes.ensemble import (EnsembleConfig, EnsembleModel, EnsembleSize,
                              train_se_ctes)
@@ -205,13 +206,11 @@ def test_ctes_model_round_trip(tmp_path):
     ds = small_dataset()
     model = train_ctes(ds, TrainConfig(iterations=30, batch_size=10, seed=3))
     x = np.repeat([[0.4, 0.6]], 5, 0)
-    before = synthesize_each(model, x, rng=np.random.default_rng(1),
-                             jitter=0.0)
+    before = synthesize_each(model, x, rng=np.random.default_rng(1))
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
-    after = synthesize_each(loaded, x, rng=np.random.default_rng(1),
-                            jitter=0.0)
+    after = synthesize_each(loaded, x, rng=np.random.default_rng(1))
     assert np.array_equal(before, after)
     assert np.array_equal(loaded.loss_d, model.loss_d)
 
@@ -232,8 +231,8 @@ def test_ensemble_model_round_trip_stores_members(tmp_path):
     loaded = load_model(path)
     assert loaded.selected == ens.selected
     rows = np.full((6, 2), 0.5)
-    a = sample_model(loaded, rows, np.random.default_rng(2), jitter=0.0)
-    b = sample_model(ens, rows, np.random.default_rng(2), jitter=0.0)
+    a = sample_model(loaded, rows, np.random.default_rng(2))
+    b = sample_model(ens, rows, np.random.default_rng(2))
     assert np.array_equal(a, b)
 
 
@@ -244,8 +243,8 @@ def test_pls_grnn_model_round_trip(tmp_path):
         save_model(model, path)
         loaded = load_model(path)
         rows = np.full((3, 2), 0.3)
-        a = sample_model(loaded, rows, np.random.default_rng(0), 0.0)
-        b = sample_model(model, rows, np.random.default_rng(0), 0.0)
+        a = sample_model(loaded, rows, np.random.default_rng(0))
+        b = sample_model(model, rows, np.random.default_rng(0))
         assert np.array_equal(a, b)
 
 
@@ -631,6 +630,22 @@ MALFORMED_CONFIGS = [
                  "study",
                  id="raw22-groups: group 6 exceeds the 5 groups the "
                     "scalar-to-matrix study"),
+    pytest.param({"methods": ["pls", "pls"], "groups": [2, 2]},
+                 "methods: value 'pls' appears more than once",
+                 id="methods-repeated"),
+    pytest.param({"sigmas": [0.05, 0.01, 0.05]},
+                 "sigmas: value 0.05 appears more than once",
+                 id="sigmas-repeated"),
+    pytest.param({"groups": [2, 2]}, "groups: value 2 appears more than once",
+                 id="groups-repeated"),
+    pytest.param({"beta_grid": [0.7, 0.7]},
+                 "beta_grid: value 0.7 appears more than once",
+                 id="beta-grid-repeated"),
+    pytest.param({"study": "scalar-to-matrix", "gp": {"grid": 4},
+                  "train": {"conv_channels": [8]}},
+                 "train.conv_channels: 2 conv layers need 2 channel sizes, "
+                 "got 1",
+                 id="conv-channels-short-for-grid"),
 ]
 
 
@@ -853,6 +868,11 @@ TRUNCATED_PAYLOADS = [  # ids as in MALFORMED_CONFIGS
                      None),
                  "null (diverged), so it needs score 0 and a diagnostic",
                  id="se-ctes-null-member-scored"),
+    pytest.param("se-ctes", lambda p: p["diagnostics"].__setitem__(
+                     1, "member 1 diverged: x"),
+                 "payload: diagnostics[1]: member 1 finished, so it has no "
+                 "diagnostic, got 'member 1 diverged: x'",
+                 id="se-ctes-finished-member-diagnosed"),
     pytest.param("se-ctes", lambda p: p["scores"].pop(),
                  "payload: 3 models, scores of shape (2,) and 3 diagnostics",
                  id="se-ctes-<lambda>-payload: 3 models, scores of shape "
@@ -879,6 +899,23 @@ def test_truncated_model_payload_names_field(tmp_path, capsys, model_docs,
     damage(doc["payload"])
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        load_model(path)
+    assert main(["synth", "--model", str(path), "--x", "0.5,0.5",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    _single_error_line(capsys, message)
+
+
+def test_conv_model_file_with_short_conv_channels_names_its_path(
+        tmp_path, capsys):
+    ds = gen_scalar_to_matrix_dataset(GpSimConfig(
+        grid=4, images_per_category=4, categories=2, char_dim=2, seed=0))
+    path, doc = _saved(tmp_path, train_ctes(ds, TrainConfig(
+        iterations=1, batch_size=4, conv_channels=(2, 3))))
+    doc["payload"]["config"]["conv_channels"] = [2]
+    path.write_text(json.dumps(doc))
+    message = ("payload: config.conv_channels: 2 conv layers need 2 channel "
+               "sizes, got 1")
     with pytest.raises(ModelFormatError, match=re.escape(message)):
         load_model(path)
     assert main(["synth", "--model", str(path), "--x", "0.5,0.5",
@@ -929,7 +966,6 @@ def model_files(tmp_path_factory):
     (["--x", "0.5"], "--x: characteristics have 1 columns, expected 2"),
     (["--x", "0.5,0.5,0.5"], "--x: characteristics have 3 columns"),
     (["--x", "0.5,0.5", "--count", "0"], "--count: must be >= 1"),
-    (["--x", "0.5,0.5", "--jitter", "-1"], "--jitter: must be >= 0"),
 ])
 def test_synth_rejects_bad_characteristics(tmp_path, capsys, model_files,
                                            kind, args, needle):

@@ -25,41 +25,58 @@ pytestmark = pytest.mark.filterwarnings("ignore:beta=:UserWarning")
 small_int = st.integers(min_value=1, max_value=50)
 seeds = st.integers(min_value=0, max_value=2 ** 63 - 1)
 
-train_configs = st.builds(
-    TrainConfig,
-    beta=st.floats(min_value=0.0, max_value=1.0),
-    batch_size=st.integers(min_value=2, max_value=100),
-    iterations=st.integers(min_value=0, max_value=5000),
-    z_dim=small_int,
-    learning_rate=st.floats(min_value=1e-9, max_value=1.0),
-    hidden=small_int,
-    convergence_window=small_int,
-    convergence_tol=st.floats(min_value=0.0, max_value=1.0),
-    conv_channels=st.lists(small_int, max_size=5).map(tuple))
+
+def train_configs(min_channels: int = 0):
+    return st.builds(
+        TrainConfig,
+        beta=st.floats(min_value=0.0, max_value=1.0),
+        batch_size=st.integers(min_value=2, max_value=100),
+        iterations=st.integers(min_value=0, max_value=5000),
+        z_dim=small_int,
+        learning_rate=st.floats(min_value=1e-9, max_value=1.0),
+        hidden=small_int,
+        convergence_window=small_int,
+        convergence_tol=st.floats(min_value=0.0, max_value=1.0),
+        conv_channels=st.lists(small_int, min_size=min_channels,
+                               max_size=6).map(tuple))
+
 
 forest_configs = st.builds(ForestConfig, n_trees=small_int)
 
-experiment_configs = st.builds(
-    ExperimentConfig,
-    study=st.sampled_from(STUDIES),
-    sigmas=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
-                              exclude_max=True), max_size=5),
-    trials=small_int,
-    methods=st.lists(st.sampled_from(KNOWN_METHODS), max_size=6),
-    groups=st.lists(st.integers(1, 5), max_size=4),
-    samples_per_group=small_int, train=train_configs,
-    ensemble=st.integers(1, 4).flatmap(
-        lambda h: st.builds(EnsembleSize, k=st.integers(2 * h + 1, 2 * h + 5),
-                            h=st.just(h))),
-    forest=forest_configs,
-    beta_grid=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
-    gp=st.builds(GpSize, grid=st.integers(2, 64), images_per_category=small_int),
-    data_csv=st.none() | st.text(max_size=20), out_dir=st.text(max_size=20),
-    master_seed=seeds, workers=st.integers(1, 8))
+
+@st.composite
+def experiment_configs(draw):
+    study = draw(st.sampled_from(STUDIES))
+    grid = draw(st.integers(2, 64))
+    # a scalar-to-matrix config needs a conv channel size per grid halving
+    depth = int(np.log2(grid)) if study == "scalar-to-matrix" else 0
+    return draw(st.builds(
+        ExperimentConfig,
+        study=st.just(study),
+        sigmas=st.lists(st.floats(min_value=0.0, max_value=1.0,
+                                  exclude_min=True, exclude_max=True),
+                        max_size=5, unique=True),
+        trials=small_int,
+        methods=st.lists(st.sampled_from(KNOWN_METHODS), max_size=6,
+                         unique=True),
+        groups=st.lists(st.integers(1, 5), max_size=4, unique=True),
+        samples_per_group=small_int, train=train_configs(depth),
+        ensemble=st.integers(1, 4).flatmap(
+            lambda h: st.builds(EnsembleSize,
+                                k=st.integers(2 * h + 1, 2 * h + 5),
+                                h=st.just(h))),
+        forest=forest_configs,
+        beta_grid=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                           max_size=4, unique=True),
+        gp=st.builds(GpSize, grid=st.just(grid),
+                     images_per_category=small_int),
+        data_csv=st.none() | st.text(max_size=20),
+        out_dir=st.text(max_size=20),
+        master_seed=seeds, workers=st.integers(1, 8)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(experiment_configs)
+@given(experiment_configs())
 def test_config_round_trips_through_asdict_and_json(cfg):
     raw = asdict(cfg)
     del raw["train"]["seed"], raw["forest"]["seed"]  # derived per job
@@ -103,9 +120,8 @@ def models(draw):
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(models(), st.integers(0, 2 ** 32 - 1), st.integers(1, 6),
-       st.floats(min_value=0.0, max_value=0.5))
-def test_model_file_round_trip_is_bit_identical(fitted, seed, rows, jitter):
+@given(models(), st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+def test_model_file_round_trip_is_bit_identical(fitted, seed, rows):
     model, width = fitted
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
@@ -114,7 +130,7 @@ def test_model_file_round_trip_is_bit_identical(fitted, seed, rows, jitter):
     assert type(loaded) is type(model)
     assert dumps_canonical(loaded) == dumps_canonical(model)
     X = np.random.default_rng(seed).uniform(0, 1, (rows, width))
-    a = sample_model(model, X, np.random.default_rng(seed), jitter)
-    b = sample_model(loaded, X, np.random.default_rng(seed), jitter)
+    a = sample_model(model, X, np.random.default_rng(seed))
+    b = sample_model(loaded, X, np.random.default_rng(seed))
     assert a.shape[0] == rows
     assert np.array_equal(a, b)

@@ -104,24 +104,28 @@ def test_generator_forward_zero_params_returns_mean_offset(trained_toy):
         for lay in net.layers:
             lay["W"][:] = 0.0
             lay["b"][:] = 0.0
-    out = synthesize_each(model, np.array([[0.5]]), rng=0)
+    out = synthesize_each(model, np.array([[0.5]]), np.random.default_rng(0))
     assert np.allclose(out, model.norm.y_mean)
 
 
 def test_generator_forward_shape_and_determinism(trained_toy):
-    a = synthesize_each(trained_toy, np.array([[0.5]]), rng=0)
-    b = synthesize_each(trained_toy, np.array([[0.5]]), rng=0)
+    a = synthesize_each(trained_toy, np.array([[0.5]]),
+                        np.random.default_rng(0))
+    b = synthesize_each(trained_toy, np.array([[0.5]]),
+                        np.random.default_rng(0))
     assert a.shape == (1, 1)
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        synthesize_each(trained_toy, np.array([[0.5, 0.5]]), rng=0)
+        synthesize_each(trained_toy, np.array([[0.5, 0.5]]),
+                        np.random.default_rng(0))
 
 
 def test_multivariate_generator_emits_six_entries():
     ds = gen_multivariate_dataset(SimConfig(sigma=0.05, samples_per_group=20,
                                             seed=0))
     model = train_ctes(ds, TrainConfig(iterations=20, batch_size=10, seed=2))
-    out = synthesize_each(model, np.array([[0.4, 0.4]]), rng=1)
+    out = synthesize_each(model, np.array([[0.4, 0.4]]),
+                          np.random.default_rng(1))
     assert out.shape == (1, 6)
 
 
@@ -341,26 +345,11 @@ def test_convergence_break_fires_early():
 
 def test_synthesize_count_and_reproducibility(trained_toy):
     batch = synthesize_each(trained_toy, np.repeat([[0.5]], 100, 0),
-                            rng=np.random.default_rng(0), jitter=0.0)
+                            rng=np.random.default_rng(0))
     assert batch.shape == (100, 1)
     again = synthesize_each(trained_toy, np.repeat([[0.5]], 100, 0),
-                            rng=np.random.default_rng(0), jitter=0.0)
+                            rng=np.random.default_rng(0))
     assert np.array_equal(batch, again)
-    with pytest.raises(ValueError):
-        synthesize_each(trained_toy, np.empty((0, 1)))
-    with pytest.raises(ValueError):
-        synthesize_each(trained_toy, np.repeat([[0.5, 0.5]], 3, 0))
-    for jitter in (-0.1, np.nan):
-        with pytest.raises(ValueError, match="jitter must be >= 0"):
-            synthesize_each(trained_toy, [[0.5]], jitter=jitter)
-
-
-def test_jitter_increases_sample_variance(trained_toy):
-    flat = synthesize_each(trained_toy, np.repeat([[0.5]], 1000, 0),
-                           rng=np.random.default_rng(1), jitter=0.0)
-    wide = synthesize_each(trained_toy, np.repeat([[0.5]], 1000, 0),
-                           rng=np.random.default_rng(1), jitter=0.2)
-    assert np.all(wide.var(axis=0) > flat.var(axis=0))
 
 
 def test_minimax_oracle_equal_distributions():

@@ -241,7 +241,8 @@ def test_a_diverged_member_is_not_selected_on_a_tie(monkeypatch):
     assert ens.models[0] is None
     assert ens.scores.tolist() == [0.0] * 5
     assert ens.selected == [1, 2]
-    out = ensemble_synthesize(ens, np.repeat([[0.5]], 4, 0), rng=0)
+    out = ensemble_synthesize(ens, np.repeat([[0.5]], 4, 0),
+                              np.random.default_rng(0))
     assert out.shape == (4, 2) and np.isfinite(out).all()
 
 
@@ -532,7 +533,7 @@ def ens_of_constants(values, h=None):
 def test_ensemble_synthesize_even_split():
     ens = ens_of_constants([10.0, 20.0, 30.0, 40.0, 50.0], h=2)
     out = ensemble_synthesize(ens, np.repeat([[0.5]], 200, 0),
-                              rng=np.random.default_rng(0), jitter=0.0)
+                              rng=np.random.default_rng(0))
     assert out.shape == (200, 2)
     assert np.sum(np.all(out == 10.0, axis=1)) == 100
     assert np.sum(np.all(out == 20.0, axis=1)) == 100
@@ -541,7 +542,7 @@ def test_ensemble_synthesize_even_split():
 def test_ensemble_synthesize_remainder_to_lowest_index():
     ens = ens_of_constants([10.0, 20.0, 30.0, 40.0, 50.0], h=2)
     out = ensemble_synthesize(ens, np.repeat([[0.5]], 201, 0),
-                              rng=np.random.default_rng(0), jitter=0.0)
+                              rng=np.random.default_rng(0))
     assert np.sum(np.all(out == 10.0, axis=1)) == 101
     assert np.sum(np.all(out == 20.0, axis=1)) == 100
 
@@ -550,9 +551,10 @@ def test_ensemble_serves_fewer_rows_than_members():
     # one row and h=2: the second member's share is empty and is skipped
     ens = ens_of_constants([10.0, 20.0, 30.0, 40.0, 50.0], h=2)
     one = np.array([[0.5]])
-    out = ensemble_synthesize(ens, one, rng=0, jitter=0.0)
+    out = ensemble_synthesize(ens, one, rng=np.random.default_rng(0))
     assert np.array_equal(out, [[10.0, 10.0]])
-    assert np.array_equal(sample_model(ens, one, rng=0, jitter=0.0), out)
+    assert np.array_equal(sample_model(ens, one, np.random.default_rng(0)),
+                          out)
 
 
 def test_matrix_ensemble_serves_one_row():
@@ -564,32 +566,33 @@ def test_matrix_ensemble_serves_one_row():
         k=5, h=2, train=TrainConfig(iterations=2, batch_size=6,
                                     conv_channels=(2, 3), seed=4),
         clf=ForestConfig(n_trees=3)))
-    out = sample_model(ens, ds.x[:1], rng=0)
+    out = sample_model(ens, ds.x[:1], rng=np.random.default_rng(0))
     assert out.shape == (1, 16)
     assert np.all(np.isfinite(out))
     with pytest.raises(ValueError):
-        sample_model(ens, ds.x[:0], rng=0)
+        sample_model(ens, ds.x[:0], rng=np.random.default_rng(0))
 
 
 def test_ensemble_synthesize_mixture_mean_of_constants():
     # selected members emit constants 4 and 8
     ens = ens_of_constants([4.0, 8.0, 0.0, 1.0, 2.0], h=2)
     out = ensemble_synthesize(ens, np.repeat([[0.5]], 1000, 0),
-                              rng=np.random.default_rng(1), jitter=0.0)
+                              rng=np.random.default_rng(1))
     assert np.allclose(out.mean(axis=0), 6.0)
 
 
 def test_ensemble_synthesize_validation():
     ens = ens_of_constants([1.0, 2.0, 3.0], h=1)
     with pytest.raises(ValueError):
-        ensemble_synthesize(ens, np.empty((0, 1)))
+        ensemble_synthesize(ens, np.empty((0, 1)), np.random.default_rng(0))
     with pytest.raises(ConfigError, match="selected"):
         EnsembleModel(models=ens.models, scores=ens.scores, selected=[],
                       diagnostics=[None] * 3)
     empty = copy.copy(ens)  # emptied after the construction checks
     empty.selected = []
     with pytest.raises(EnsembleError):
-        ensemble_synthesize(empty, np.repeat([[0.5]], 10, 0))
+        ensemble_synthesize(empty, np.repeat([[0.5]], 10, 0),
+                            np.random.default_rng(0))
 
 
 def test_ensemble_synthesize_mixture_mean_matches_member_means():
@@ -602,13 +605,13 @@ def test_ensemble_synthesize_mixture_mean_matches_member_means():
     ens = train_se_ctes(ds, cfg)
     x = np.array([[0.5]])
     pooled = ensemble_synthesize(ens, np.repeat(x, 4000, 0),
-                                 rng=np.random.default_rng(0), jitter=0.0)
+                                 rng=np.random.default_rng(0))
     from sectes.ctes import synthesize_each
     member_means = []
     member_vars = []
     for i in ens.selected:
         draws = synthesize_each(ens.models[i], np.repeat(x, 4000, 0),
-                                rng=np.random.default_rng(i + 1), jitter=0.0)
+                                rng=np.random.default_rng(i + 1))
         member_means.append(draws.mean(axis=0))
         member_vars.append(draws.var(axis=0))
     target = np.mean(member_means, axis=0)

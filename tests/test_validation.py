@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from sectes import validation as validation_mod
-from sectes.ctes import CtesModel, Normalization, TrainConfig, build_ctes
+from sectes.baselines import grnn_fit, grnn_predict, pls_fit, pls_predict
+from sectes.ctes import (CtesModel, Normalization, TrainConfig, build_ctes,
+                         synthesize_each)
 from sectes.datagen import (GpSimConfig, PairedDataset, SimConfig,
                             gen_multivariate_dataset,
                             gen_scalar_to_matrix_dataset)
-from sectes.ensemble import EnsembleConfig, EnsembleModel
+from sectes.ensemble import (EnsembleConfig, EnsembleModel,
+                             ensemble_synthesize)
 from sectes.errors import ConfigError
 from sectes.forest import ForestConfig
 from sectes.validation import (KNOWN_METHODS, ConfusionCounts, MethodSettings,
@@ -16,7 +19,7 @@ from sectes.validation import (KNOWN_METHODS, ConfusionCounts, MethodSettings,
                                fit_conv_classifier, fit_method,
                                identify_group_experiment,
                                predict_conv_classifier, risk_difference_eval,
-                               split_train_test)
+                               sample_model, split_train_test)
 
 
 def test_a_metrics_reference_values():
@@ -377,3 +380,51 @@ def test_aggregate_groups_cells_and_orders_rows():
 def test_aggregate_rejects_empty():
     with pytest.raises(ValueError):
         aggregate_trials([], KEYS, STDS)
+
+
+# --- the synthesis contract: a (rows, m) array and a Generator in ---
+
+@pytest.fixture(scope="module")
+def synthesizers():
+    """The five synthesis entry points, each as ``X -> rows`` over models
+    of characteristic width 2 and expression width 3."""
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(size=(12, 2)), rng.normal(size=(12, 3))
+    ctes = build_ctes(Normalization.fit(x, y), TrainConfig(hidden=4))
+    ens = EnsembleModel(models=[ctes] * 3, scores=np.array([1.0, 0.5, 0.2]),
+                        selected=[0], diagnostics=[None] * 3)
+    pls, grnn = pls_fit(x, y, 2), grnn_fit(x, y)
+    gen = np.random.default_rng
+    return {"pls_predict": lambda X: pls_predict(pls, X),
+            "grnn_predict": lambda X: grnn_predict(grnn, X),
+            "synthesize_each": lambda X: synthesize_each(ctes, X, gen(1)),
+            "ensemble_synthesize":
+                lambda X: ensemble_synthesize(ens, X, gen(1)),
+            "sample_model": lambda X: sample_model(ens, X, gen(1))}
+
+
+ENTRY_POINTS = ["pls_predict", "grnn_predict", "synthesize_each",
+                "ensemble_synthesize", "sample_model"]
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_synthesizers_map_rows_to_rows(synthesizers, name):
+    assert synthesizers[name](np.full((4, 2), 0.5)).shape == (4, 3)
+
+
+@pytest.mark.parametrize("X,message", [
+    pytest.param(np.array([0.5, 0.5]),
+                 r"characteristics must be a \(rows, 2\) array, got shape "
+                 r"\(2,\)", id="1-d-row"),
+    pytest.param(np.empty((0, 2)), "need at least one characteristic row",
+                 id="zero-rows"),
+    pytest.param(np.full((3, 3), 0.5),
+                 "characteristics have 3 columns, expected 2",
+                 id="wrong-width"),
+    pytest.param(np.array([[0.5, np.nan]]), "characteristics must be finite",
+                 id="nan"),
+])
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_synthesizers_refuse_other_input(synthesizers, name, X, message):
+    with pytest.raises(ValueError, match=message):
+        synthesizers[name](X)
