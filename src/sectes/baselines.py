@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import _characteristic_rows
+from .datagen import _rows
 from .errors import ConfigError
 
 
@@ -23,6 +23,15 @@ class PlsModel:
     coef: np.ndarray  # (m, n)
     n_components: int
 
+    def __post_init__(self):
+        m, n = np.size(self.mean_x), np.size(self.mean_y)
+        got = [np.shape(a) for a in (self.mean_x, self.mean_y, self.coef)]
+        if got != [(m,), (n,), (m, n)]:
+            raise ConfigError(f"mean_x, mean_y, coef have shapes {got}")
+        if not 1 <= self.n_components <= m:
+            raise ConfigError(f"n_components: must lie in [1, {m}], got "
+                              f"{self.n_components}")
+
 
 def pls_fit(X: np.ndarray, Y: np.ndarray, components: int) -> PlsModel:
     """Fit partial-least-squares regression by deflation; each weight vector
@@ -31,8 +40,7 @@ def pls_fit(X: np.ndarray, Y: np.ndarray, components: int) -> PlsModel:
     Handles multi-output responses; deterministic. Requested components
     may be cut short if X or Y deflates to zero first.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    X, Y = _rows(X, "X"), _rows(Y, "Y")
     if X.shape[0] != Y.shape[0]:
         raise ValueError("X and Y must be row-aligned")
     n_samples, m = X.shape
@@ -73,7 +81,7 @@ def pls_fit(X: np.ndarray, Y: np.ndarray, components: int) -> PlsModel:
 
 def pls_predict(model: PlsModel, X: np.ndarray) -> np.ndarray:
     """Linear prediction, one row per characteristic row of X (rows, m)."""
-    X = _characteristic_rows(X, model.mean_x.size)
+    X = _rows(X, "characteristics", model.mean_x.size)
     return model.mean_y + (X - model.mean_x) @ model.coef
 
 
@@ -85,15 +93,20 @@ class GrnnModel:
     train_y: np.ndarray
     bandwidth: float
 
+    def __post_init__(self):
+        self.train_x = _rows(self.train_x, "train_x")
+        self.train_y = _rows(self.train_y, "train_y")
+        if self.train_x.shape[0] != self.train_y.shape[0]:
+            raise ValueError("train_x and train_y must be row-aligned")
+        if not self.bandwidth > 0:
+            raise ConfigError("bandwidth must be positive")
+
 
 def grnn_fit(X: np.ndarray, Y: np.ndarray,
              bandwidth: float | None = None) -> GrnnModel:
     """Store the training pairs; bandwidth defaults to the median pairwise
     characteristic distance."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    if X.shape[0] != Y.shape[0] or X.shape[0] < 1:
-        raise ValueError("need at least one aligned training pair")
+    X, Y = _rows(X, "X"), _rows(Y, "Y")
     if bandwidth is None:
         if X.shape[0] < 2:
             bandwidth = 1.0
@@ -103,8 +116,6 @@ def grnn_fit(X: np.ndarray, Y: np.ndarray,
             positive = dists[dists > 0]
             bandwidth = float(np.median(dists)) if np.median(dists) > 0 else \
                 (float(positive.min()) if positive.size else 1.0)
-    if bandwidth <= 0:
-        raise ConfigError("bandwidth must be positive")
     return GrnnModel(train_x=X, train_y=Y, bandwidth=float(bandwidth))
 
 
@@ -116,7 +127,7 @@ def grnn_predict(model: GrnnModel, X: np.ndarray) -> np.ndarray:
     vanishing bandwidth degrades gracefully to the nearest neighbor's
     target instead of underflowing.
     """
-    X = _characteristic_rows(X, model.train_x.shape[1])
+    X = _rows(X, "characteristics", model.train_x.shape[1])
     d2 = ((X[:, None, :] - model.train_x[None, :, :]) ** 2).sum(axis=2)
     expo = -d2 / (2.0 * model.bandwidth ** 2)
     w = np.exp(expo - expo.max(axis=1, keepdims=True))

@@ -28,7 +28,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, \
 import numpy as np
 
 from .baselines import GrnnModel, PlsModel
-from .ctes import CtesModel, TrainConfig, conv_encoder_spec
+from .ctes import CtesModel, TrainConfig, _conv_stack_depth, conv_encoder_spec
 from .datagen import GpSimConfig, SimConfig, gen_multivariate_dataset, \
     gen_scalar_to_matrix_dataset, read_dataset_csv, write_dataset_csv
 from .ensemble import EnsembleModel, EnsembleSize
@@ -246,6 +246,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: value {repeated[0]!r} appears "
                                   f"more than once")
         if self.study == "scalar-to-matrix":  # the conv stacks' depth
+            if self.beta_grid or set(self.methods) - {"pls", "grnn"}:
+                try:  # adversarial generators; pls and grnn read any grid
+                    _conv_stack_depth((self.gp.grid, self.gp.grid))
+                except ConfigError as exc:
+                    raise ConfigError(f"gp.grid: {exc}") from None
             try:
                 conv_encoder_spec(int(np.log2(self.gp.grid)),
                                   self.train.conv_channels)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ndnet
-from .datagen import PairedDataset, _characteristic_rows
+from .datagen import PairedDataset, _rows
 from .errors import ConfigError, MismatchImpossible, TrainingDiverged
 
 PROB_CLAMP = 1e-7  # scores are pushed inside [clamp, 1-clamp] before logs
@@ -391,8 +391,6 @@ def train_ctes(dataset: PairedDataset, config: TrainConfig) -> CtesModel:
     convergence window drop below the tolerance. Deterministic given
     (dataset, config).
     """
-    if dataset.n_samples < 1:
-        raise ValueError("dataset is empty")
     mismatch = mismatch_table(
         np.unique(dataset.x, axis=0, return_inverse=True)[1].ravel())
     m, n = dataset.char_dim, dataset.expr_dim
@@ -493,7 +491,7 @@ def synthesize_each(model: CtesModel, X: np.ndarray,
     """One synthesized expression per characteristic row of X (rows, m),
     each from its own standard-normal noise drawn from ``rng``."""
     norm = model.norm
-    X = _characteristic_rows(X, norm.x_mean.size)
+    X = _rows(X, "characteristics", norm.x_mean.size)
     z = rng.standard_normal((X.shape[0], model.config.z_dim))
     yhat_n = np.empty((X.shape[0], norm.y_mean.size))
     _gen_forward_traced(model, np.hstack([z, norm.norm_x(X)]), yhat_n)

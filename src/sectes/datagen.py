@@ -40,14 +40,13 @@ class PairedDataset:
     outcome: np.ndarray | None = None
 
     def __post_init__(self):
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
-        self.y = np.atleast_2d(np.asarray(self.y, dtype=np.float64))
+        self.x, self.y = _rows(self.x, "x"), _rows(self.y, "y")
         self.groups = np.asarray(self.groups, dtype=np.int64)
-        if self.x.shape[0] != self.y.shape[0] or self.x.shape[0] != len(self.groups):
-            raise ValueError("characteristics, expressions and groups must "
-                             "have the same number of rows")
-        if len(self.groups) and (self.groups.min() < 1
-                                 or self.groups.max() > self.n_groups):
+        n = len(self.x)
+        if len(self.y) != n or self.groups.shape != (n,):
+            raise ValueError(f"x has {n} rows, but y has shape {self.y.shape} "
+                             f"and groups {self.groups.shape}")
+        if self.groups.min() < 1 or self.groups.max() > self.n_groups:
             raise ValueError(f"group labels must lie in [1, {self.n_groups}]")
         if self.expr_shape is not None:
             h, w = self.expr_shape
@@ -55,8 +54,9 @@ class PairedDataset:
                 raise ValueError("expr_shape does not match expression width")
         if self.outcome is not None:
             self.outcome = np.asarray(self.outcome, dtype=np.int64)
-            if len(self.outcome) != self.x.shape[0]:
-                raise ValueError("outcome column must align with rows")
+            if self.outcome.shape != (n,):
+                raise ValueError(f"outcome has shape {self.outcome.shape}, "
+                                 f"not ({n},)")
 
     @property
     def n_samples(self) -> int:
@@ -81,22 +81,21 @@ class PairedDataset:
         return self.groups == group
 
 
-def _characteristic_rows(X, m: int) -> np.ndarray:
-    """``X`` as the float (rows, m) array that every synthesizer takes:
-    two-dimensional, at least one row, ``m`` columns and finite values,
-    else ValueError."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"characteristics must be a (rows, {m}) array, "
-                         f"got shape {X.shape}")
-    if X.shape[0] < 1:
-        raise ValueError("need at least one characteristic row")
-    if X.shape[1] != m:
-        raise ValueError(f"characteristics have {X.shape[1]} columns, "
-                         f"expected {m}")
-    if not np.isfinite(X).all():
-        raise ValueError("characteristics must be finite")
-    return X
+def _rows(a, name: str, width: int | None = None) -> np.ndarray:
+    """``a`` as the float array every 2-D array argument must be: at least
+    one row, ``width`` columns where the callee knows the width, and finite
+    values; else ValueError naming the argument ``name``."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a (rows, {width or 'columns'}) "
+                         f"array, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError(f"need at least one {name.removesuffix('s')} row")
+    if width is not None and a.shape[1] != width:
+        raise ValueError(f"{name} have {a.shape[1]} columns, expected {width}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
 
 
 @dataclass

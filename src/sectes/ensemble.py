@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ctes import CtesModel, TrainConfig, synthesize_each, train_ctes
-from .datagen import PairedDataset, _characteristic_rows
+from .datagen import PairedDataset, _rows
 from .errors import ConfigError, EnsembleError, TrainingDiverged
 from .forest import Forest, ForestConfig, fit_forest, predict_forest
 from .parallel import task_pool
@@ -99,14 +99,9 @@ def inverse_validation_scores(fake_batches: list, real: np.ndarray,
     k = len(fake_batches)
     if k < 2:
         raise ValueError("inverse validation needs at least 2 member batches")
-    batches = [np.atleast_2d(np.asarray(b, dtype=np.float64))
-               for b in fake_batches]
-    real = np.atleast_2d(np.asarray(real, dtype=np.float64))
-    dims = {b.shape[1] for b in batches} | {real.shape[1]}
-    if len(dims) != 1:
-        raise ValueError("expression dimensions differ across batches")
-    if any(b.shape[0] == 0 for b in batches) or real.shape[0] == 0:
-        raise ValueError("batches must be non-empty")
+    real = _rows(real, "real")
+    batches = [_rows(b, f"fake_batches[{i}]", real.shape[1])
+               for i, b in enumerate(fake_batches)]
     return np.array([_member_score(batches[:i] + batches[i + 1:], real,
                                    clf_settings, batches[i])
                      for i in range(k)])
@@ -242,7 +237,8 @@ def ensemble_synthesize(ens: EnsembleModel, X: np.ndarray,
     """
     if not ens.selected:
         raise EnsembleError("ensemble has no selected members")
-    X = _characteristic_rows(X, ens.models[ens.selected[0]].norm.x_mean.size)
+    X = _rows(X, "characteristics",
+              ens.models[ens.selected[0]].norm.x_mean.size)
     shares = np.array_split(X, len(ens.selected))
     return np.vstack([synthesize_each(ens.models[i], rows, rng)
                       for i, rows in zip(ens.selected, shares) if len(rows)])

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datagen import _rows
 from .errors import ConfigError
 
 
@@ -312,19 +313,12 @@ class Forest:
         return len(self.classes)
 
 
-def _check_finite(X: np.ndarray) -> None:
-    bad = X.size - np.count_nonzero(np.isfinite(X))
-    if bad:
-        raise ValueError(f"X has {bad} non-finite values")
-
-
 def fit_forest(X: np.ndarray, labels: np.ndarray, cfg: ForestConfig) -> Forest:
     """Fit trees on per-class stratified bootstrap resamples."""
-    X = np.asarray(X, dtype=np.float64)
+    X = _rows(X, "X")
     labels = np.asarray(labels)
-    if X.ndim != 2 or X.shape[0] != labels.shape[0]:
-        raise ValueError("X must be 2-D and aligned with labels")
-    _check_finite(X)
+    if labels.shape != (X.shape[0],):
+        raise ValueError(f"labels have shape {labels.shape}, not ({len(X)},)")
     if X.shape[0] < 2:
         raise ValueError("need at least 2 samples")
     classes, codes = np.unique(labels, return_inverse=True)
@@ -338,10 +332,7 @@ def fit_forest(X: np.ndarray, labels: np.ndarray, cfg: ForestConfig) -> Forest:
 
 def predict_proba(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Per-class vote fractions, shape (n_samples, n_classes)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != forest.n_features:
-        raise ValueError(f"expected (n, {forest.n_features}) features")
-    _check_finite(X)
+    X = _rows(X, "X", forest.n_features)
     votes = np.zeros((X.shape[0], forest.n_classes))
     for tree in forest.trees:
         votes[np.arange(X.shape[0]), tree.votes(X)] += 1.0

@@ -24,7 +24,7 @@ from .baselines import (GrnnModel, PlsModel, grnn_fit, grnn_predict, pls_fit,
                         pls_predict)
 from .ctes import (TrainConfig, conv_encoder_spec, conv_grid_side,
                    synthesize_each, train_ctes)
-from .datagen import PairedDataset
+from .datagen import PairedDataset, _rows
 from .ensemble import (EnsembleConfig, EnsembleModel, EnsembleSize,
                        ensemble_synthesize, train_se_ctes)
 from .errors import ConfigError
@@ -156,10 +156,14 @@ def fit_and_synthesize(method, settings: MethodSettings,
     """Fit ``method`` (a :func:`fit_method` label, or a callable
     ``(train_ds, x_target, rng) -> expressions`` injecting an oracle or
     stub synthesizer) and synthesize one expression per target row."""
-    x_target = np.atleast_2d(np.asarray(x_target, dtype=np.float64))
+    x_target = _rows(x_target, "x_target", train_ds.char_dim)
     if callable(method):
-        out = method(train_ds, x_target, np.random.default_rng(seed))
-        return np.atleast_2d(np.asarray(out, dtype=np.float64))
+        out = _rows(method(train_ds, x_target, np.random.default_rng(seed)),
+                    "synthesizer output", train_ds.expr_dim)
+        if out.shape[0] != x_target.shape[0]:
+            raise ValueError(f"synthesizer output has {out.shape[0]} rows, "
+                             f"expected {x_target.shape[0]}")
+        return out
     train_seq, synth_seq = np.random.SeedSequence(seed).spawn(2)
     model = fit_method(method, settings, train_ds,
                        int(train_seq.generate_state(1)[0]))
@@ -308,9 +312,9 @@ def fit_conv_classifier(Y: np.ndarray, labels: np.ndarray, expr_shape: tuple,
     """Strided conv stack plus a linear head trained with softmax
     cross-entropy by Adam at rate 1e-3; used where flat-feature forests
     fit poorly."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    classes, codes = np.unique(labels, return_inverse=True)
     h = w = conv_grid_side(expr_shape)
+    Y = _rows(Y, "Y", h * w)
+    classes, codes = np.unique(labels, return_inverse=True)
     seeds = np.random.SeedSequence(seed).spawn(3)
     # log2 depth leaves a 1x1 map on any square grid, not only powers of two
     encoder = ndnet.init_params(conv_encoder_spec(int(np.log2(h)), channels),
@@ -351,8 +355,8 @@ def fit_conv_classifier(Y: np.ndarray, labels: np.ndarray, expr_shape: tuple,
 
 
 def predict_conv_classifier(clf: ConvClassifier, Y: np.ndarray) -> np.ndarray:
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     h, w = clf.expr_shape
+    Y = _rows(Y, "Y", h * w)
     imgs = ((Y - clf.mean) / clf.std).reshape(-1, 1, h, w)
     enc_tr = ndnet.forward(clf.encoder, imgs)
     flat = enc_tr.output.reshape(imgs.shape[0], -1)

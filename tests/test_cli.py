@@ -646,6 +646,11 @@ MALFORMED_CONFIGS = [
                  "train.conv_channels: 2 conv layers need 2 channel sizes, "
                  "got 1",
                  id="conv-channels-short-for-grid"),
+    pytest.param({"study": "scalar-to-matrix", "gp": {"grid": 12},
+                  "methods": ["pls", "ctes"]},
+                 "gp.grid: matrix expressions need a power-of-two grid, "
+                 "got 12",
+                 id="adversarial-grid-not-power-of-two"),
 ]
 
 
@@ -654,6 +659,12 @@ def test_malformed_config_names_field(raw, message):
     with pytest.raises(ConfigError) as info:
         build_config(raw)
     assert str(info.value).startswith(message)
+
+
+def test_baseline_matrix_config_reads_any_grid():
+    cfg = build_config({"study": "scalar-to-matrix", "gp": {"grid": 12},
+                        "methods": ["pls", "grnn"]})
+    assert cfg.gp.grid == 12
 
 
 def _single_error_line(capsys, *needles):
@@ -772,6 +783,22 @@ TRUNCATED_PAYLOADS = [  # ids as in MALFORMED_CONFIGS
                  "payload.train_x: expected array of numbers",
                  id="grnn-<lambda>-payload.train_x: expected array of "
                     "numbers"),
+    pytest.param("pls", lambda p: p.__setitem__("n_components", -4),
+                 "payload: n_components: must lie in [1, 2], got -4",
+                 id="pls-negative-components"),
+    pytest.param("pls", lambda p: p["coef"].pop(),
+                 "payload: mean_x, mean_y, coef have shapes [(2,), (2,), "
+                 "(1, 2)]",
+                 id="pls-cut-coef"),
+    pytest.param("grnn", lambda p: p.__setitem__("bandwidth", 0.0),
+                 "payload: bandwidth must be positive",
+                 id="grnn-zero-bandwidth"),
+    pytest.param("grnn", lambda p: p.__setitem__("bandwidth", -1.0),
+                 "payload: bandwidth must be positive",
+                 id="grnn-negative-bandwidth"),
+    pytest.param("grnn", lambda p: p["train_y"].pop(),
+                 "payload: train_x and train_y must be row-aligned",
+                 id="grnn-cut-train-y"),
     pytest.param("ctes", lambda p: p.pop("norm"),
                  "payload.norm: missing field",
                  id="ctes-<lambda>-payload.norm: missing field"),

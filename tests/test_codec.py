@@ -48,8 +48,11 @@ forest_configs = st.builds(ForestConfig, n_trees=small_int)
 def experiment_configs(draw):
     study = draw(st.sampled_from(STUDIES))
     grid = draw(st.integers(2, 64))
-    # a scalar-to-matrix config needs a conv channel size per grid halving
+    # a scalar-to-matrix config needs a conv channel size per grid halving,
+    # and adversarial methods need a power-of-two grid
     depth = int(np.log2(grid)) if study == "scalar-to-matrix" else 0
+    adversarial = depth == 0 or grid == 2 ** depth
+    methods = KNOWN_METHODS if adversarial else ("pls", "grnn")
     return draw(st.builds(
         ExperimentConfig,
         study=st.just(study),
@@ -57,8 +60,7 @@ def experiment_configs(draw):
                                   exclude_min=True, exclude_max=True),
                         max_size=5, unique=True),
         trials=small_int,
-        methods=st.lists(st.sampled_from(KNOWN_METHODS), max_size=6,
-                         unique=True),
+        methods=st.lists(st.sampled_from(methods), max_size=6, unique=True),
         groups=st.lists(st.integers(1, 5), max_size=4, unique=True),
         samples_per_group=small_int, train=train_configs(depth),
         ensemble=st.integers(1, 4).flatmap(
@@ -67,7 +69,8 @@ def experiment_configs(draw):
                                 h=st.just(h))),
         forest=forest_configs,
         beta_grid=st.lists(st.floats(min_value=0.0, max_value=1.0),
-                           max_size=4, unique=True),
+                           max_size=4 if adversarial else 0,
+                           unique=True),
         gp=st.builds(GpSize, grid=st.just(grid),
                      images_per_category=small_int),
         data_csv=st.none() | st.text(max_size=20),

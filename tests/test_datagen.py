@@ -177,6 +177,20 @@ def test_paired_dataset_invariants():
                       groups=np.ones(3, int), n_groups=1, expr_shape=(3, 3))
 
 
+@pytest.mark.parametrize("column,message", [
+    pytest.param("groups", r"x has 3 rows, but y has shape \(3, 2\) and "
+                           r"groups \(3, 1\)", id="groups"),
+    pytest.param("outcome", r"outcome has shape \(3, 1\), not \(3,\)",
+                 id="outcome"),
+])
+def test_paired_dataset_label_columns_are_vectors(column, message):
+    labels = {"groups": np.ones(3, int), "outcome": np.zeros(3, int)}
+    labels[column] = labels[column][:, None]
+    with pytest.raises(ValueError, match=message):
+        PairedDataset(x=np.ones((3, 2)), y=np.ones((3, 2)), n_groups=1,
+                      **labels)
+
+
 def _pixel_csv(path, header, rows):
     path.write_text("\n".join(",".join(map(str, r)) for r in [header] + rows)
                     + "\n")

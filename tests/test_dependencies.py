@@ -3,7 +3,10 @@
 itself, and reaches numpy through its public API only. The package also
 sets no environment variable: allocator or thread settings through the
 environment would change how every caller's process runs, so the
-package's speed has to come from how it allocates and computes."""
+package's speed has to come from how it allocates and computes. Nor does
+it reshape an array argument with ``np.atleast_*d``: a 1-D array read as
+one wide row is a silent misread, so every array argument goes through
+``datagen._rows``, which refuses it by name."""
 
 import ast
 import re
@@ -114,3 +117,47 @@ def test_environment_check_catches_each_spelling():
                    "env = dict(os.environ)", "os.getenv('X')",
                    "settings['X'] = '1'", "settings.update(X='1')"):
         assert not environment_writes(source), source
+
+
+ATLEAST = re.compile(r"atleast_[123]d")
+
+
+def atleast_uses(source: str) -> set[str]:
+    """The uses in ``source`` of numpy's ``atleast_1d``, ``atleast_2d``
+    and ``atleast_3d``: as attributes of numpy under any name it is
+    imported as, or imported from numpy by name."""
+    tree = ast.parse(source)
+    numpy = {"numpy", "np"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy |= {a.asname or a.name for a in node.names
+                      if a.name == "numpy"}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found |= {f"numpy.{a.name}" for a in node.names
+                      if ATLEAST.fullmatch(a.name)}
+        elif (isinstance(node, ast.Attribute) and ATLEAST.fullmatch(node.attr)
+              and ast.unparse(node.value) in numpy):
+            found.add(ast.unparse(node))
+    return found
+
+
+def test_package_reshapes_no_array_argument():
+    found = {(path.name, use) for path in sorted(PACKAGE.glob("*.py"))
+             for use in atleast_uses(path.read_text())}
+    assert found == set()
+
+
+def test_atleast_check_catches_each_spelling():
+    for source in ("np.atleast_1d(x)", "np.atleast_2d(x)",
+                   "numpy.atleast_3d(x)",
+                   "import numpy as xp\nxp.atleast_2d(x)",
+                   "from numpy import atleast_2d\natleast_2d(x)",
+                   "from numpy import atleast_1d as rows\nrows(x)",
+                   "f = np.atleast_2d"):
+        assert atleast_uses(source), source
+    for source in ("np.asarray(x)", "_rows(x, 'x')", "x = 'np.atleast_2d'",
+                   "np.atleast_4d(x)", "# np.atleast_2d(x)",
+                   "frame.atleast_2d(x)"):
+        assert not atleast_uses(source), source

@@ -341,11 +341,20 @@ def test_non_finite_features_are_rejected():
     X = np.arange(12.0).reshape(6, 2)
     bad = X.copy()
     bad[1, 0], bad[4, 1] = np.nan, np.inf
-    with pytest.raises(ValueError, match="X has 2 non-finite values"):
+    with pytest.raises(ValueError, match="X must be finite"):
         fit_forest(bad, y, ForestConfig(n_trees=2))
     forest = fit_forest(X, y, ForestConfig(n_trees=2))
-    with pytest.raises(ValueError, match="X has 1 non-finite values"):
+    with pytest.raises(ValueError, match="X must be finite"):
         predict_proba(forest, np.array([[0.0, -np.inf], [1.0, 2.0]]))
+
+
+def test_labels_must_be_a_vector():
+    # a column of labels once reached the grower and broke a broadcast
+    y = np.array([0, 1] * 4)
+    with pytest.raises(ValueError,
+                       match=r"labels have shape \(8, 1\), not \(8,\)"):
+        fit_forest(np.arange(16.0).reshape(8, 2), y[:, None],
+                   ForestConfig(n_trees=2))
 
 
 def _peer_shape_data():

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from sectes.datagen import (GpSimConfig, PairedDataset, SimConfig,
                             gen_multivariate_dataset,
                             gen_scalar_to_matrix_dataset)
 from sectes.ensemble import (EnsembleConfig, EnsembleModel,
-                             ensemble_synthesize)
+                             ensemble_synthesize, inverse_validation_scores)
 from sectes.errors import ConfigError
-from sectes.forest import ForestConfig
+from sectes.forest import ForestConfig, fit_forest, predict_proba
 from sectes.validation import (KNOWN_METHODS, ConfusionCounts, MethodSettings,
                                aggregate_trials, compute_a_metrics,
-                               fit_conv_classifier, fit_method,
+                               fit_and_synthesize, fit_conv_classifier,
+                               fit_method,
                                identify_group_experiment,
                                predict_conv_classifier, risk_difference_eval,
                                sample_model, split_train_test)
@@ -428,3 +430,106 @@ def test_synthesizers_map_rows_to_rows(synthesizers, name):
 def test_synthesizers_refuse_other_input(synthesizers, name, X, message):
     with pytest.raises(ValueError, match=message):
         synthesizers[name](X)
+
+
+# --- every other array argument: the same rule, naming the argument ---
+
+ARRAY_ARGUMENTS = [  # (entry point, argument, width the callee knows)
+    ("PairedDataset", "x", None), ("PairedDataset", "y", None),
+    ("pls_fit", "X", None), ("pls_fit", "Y", None),
+    ("grnn_fit", "X", None), ("grnn_fit", "Y", None),
+    ("fit_forest", "X", None), ("predict_proba", "X", 3),
+    ("inverse_validation_scores", "real", None),
+    ("inverse_validation_scores", "fake_batches[1]", 3),
+    ("fit_conv_classifier", "Y", 16), ("predict_conv_classifier", "Y", 16),
+    ("fit_and_synthesize", "x_target", 2),
+    ("fit_and_synthesize", "synthesizer output", 3),
+]
+
+
+def _with_nan(a):
+    a = a.copy()
+    a[-1, -1] = np.nan
+    return a
+
+
+BAD_ROWS = {  # id: (damage, message with the argument's name and width)
+    "1-d": (lambda a: a[0], "{name} must be a (rows, "),
+    "zero-rows": (lambda a: a[:0], "need at least one {name} row"),
+    "wrong-width": (lambda a: np.hstack([a, a[:, :1]]),
+                    "{name} have {wide} columns, expected {width}"),
+    "nan": (_with_nan, "{name} must be finite"),
+}
+
+
+@pytest.fixture(scope="module")
+def array_arguments():
+    """Per ``ARRAY_ARGUMENTS`` entry, ``(a -> call, array it accepts)``;
+    characteristics are 2 wide, expressions 3 wide and images 4x4."""
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(size=(12, 2)), rng.normal(size=(12, 3))
+    labels, imgs = np.repeat([1, 2], 6), rng.normal(size=(12, 16))
+    ds = PairedDataset(x=x, y=y, groups=labels, n_groups=2)
+    cfg = ForestConfig(n_trees=2)
+    forest = fit_forest(y, labels, cfg)
+    clf = fit_conv_classifier(imgs, labels, (4, 4), epochs=1,
+                              channels=(2, 2))
+    settings = MethodSettings()
+    return {
+        ("PairedDataset", "x"): (lambda a: PairedDataset(
+            x=a, y=y, groups=labels, n_groups=2), x),
+        ("PairedDataset", "y"): (lambda a: PairedDataset(
+            x=x, y=a, groups=labels, n_groups=2), y),
+        ("pls_fit", "X"): (lambda a: pls_fit(a, y, 1), x),
+        ("pls_fit", "Y"): (lambda a: pls_fit(x, a, 1), y),
+        ("grnn_fit", "X"): (lambda a: grnn_fit(a, y), x),
+        ("grnn_fit", "Y"): (lambda a: grnn_fit(x, a), y),
+        ("fit_forest", "X"): (lambda a: fit_forest(a, labels, cfg), y),
+        ("predict_proba", "X"): (lambda a: predict_proba(forest, a), y),
+        ("inverse_validation_scores", "real"):
+            (lambda a: inverse_validation_scores([y, y], a, cfg), y),
+        ("inverse_validation_scores", "fake_batches[1]"):
+            (lambda a: inverse_validation_scores([y, a], y, cfg), y),
+        ("fit_conv_classifier", "Y"): (lambda a: fit_conv_classifier(
+            a, labels, (4, 4), epochs=1, channels=(2, 2)), imgs),
+        ("predict_conv_classifier", "Y"):
+            (lambda a: predict_conv_classifier(clf, a), imgs),
+        ("fit_and_synthesize", "x_target"):
+            (lambda a: fit_and_synthesize("pls", settings, ds, a, 0), x),
+        ("fit_and_synthesize", "synthesizer output"):
+            (lambda a: fit_and_synthesize(lambda tr, xt, g: a, settings, ds,
+                                          x, 0), y),
+    }
+
+
+@pytest.mark.parametrize("entry,name,width,case", [
+    pytest.param(entry, name, width, case, id=f"{entry}-{name}-{case}")
+    for entry, name, width in ARRAY_ARGUMENTS for case in BAD_ROWS
+    if width is not None or case != "wrong-width"])
+def test_array_arguments_refuse_other_input(array_arguments, entry, name,
+                                            width, case):
+    call, good = array_arguments[entry, name]
+    call(good)
+    damage, message = BAD_ROWS[case]
+    with pytest.raises(ValueError, match=re.escape(message.format(
+            name=name, width=width, wide=(width or 0) + 1))):
+        call(damage(good))
+
+
+def test_one_dimensional_arrays_are_not_read_as_one_row():
+    # 1-D arrays were once read as one wide row, with no error
+    with pytest.raises(ValueError, match=re.escape(
+            "X must be a (rows, columns) array, got shape (5,)")):
+        grnn_fit(np.linspace(0, 1, 5), np.linspace(0, 2, 5))
+    ds = grouped_dataset([5, 5, 5, 5])
+    ds = PairedDataset(x=ds.x, y=ds.y[:, :1], groups=ds.groups, n_groups=4)
+    with pytest.raises(ValueError, match=re.escape(
+            "synthesizer output must be a (rows, 1) array, got shape (5,)")):
+        identify_group_experiment(ds, 2, lambda tr, x, g: np.zeros(len(x)))
+
+
+def test_injected_synthesizer_output_has_a_row_per_target():
+    ds = grouped_dataset([5, 5])
+    with pytest.raises(ValueError, match="synthesizer output has 1 rows, "
+                                         "expected 5"):
+        identify_group_experiment(ds, 1, lambda tr, x, g: np.zeros((1, 3)))
