@@ -29,8 +29,8 @@ import numpy as np
 
 from .baselines import GrnnModel, PlsModel
 from .ctes import CtesModel, TrainConfig, _conv_stack_depth, conv_encoder_spec
-from .datagen import GpSimConfig, SimConfig, gen_multivariate_dataset, \
-    gen_scalar_to_matrix_dataset, read_dataset_csv, write_dataset_csv
+from .datagen import GpSimConfig, SimConfig, _write_csv, read_dataset_csv, \
+    gen_multivariate_dataset, gen_scalar_to_matrix_dataset, write_dataset_csv
 from .ensemble import EnsembleModel, EnsembleSize
 from .errors import ConfigError, ModelFormatError
 from .forest import ForestConfig
@@ -381,15 +381,6 @@ def _job_key(job: dict):
             job["group"], job["trial"])
 
 
-def _write_csv(path, header, rows: list) -> None:
-    """Floats at 17 significant digits; None becomes an empty cell."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v
-                          for v in row] for row in rows)
-
-
 def _write_summary(path, study: Study, rows: list[dict]) -> None:
     """Mean and sample std over trials of each averaged column, per
     trial CSV key without ``trial``."""
@@ -479,14 +470,18 @@ def run_suite(cfg: ExperimentConfig) -> dict:
 
 # --- subcommands ---
 
-def _load_or_default_config(path) -> ExperimentConfig:
-    return parse_config(path) if path else ExperimentConfig()
+def _config(args) -> ExperimentConfig:
+    """The ``--config`` file, or the defaults, with the flags that set its
+    fields: ``--seed`` sets ``master_seed``, and ``bench``'s ``--workers``
+    and ``--out`` set ``workers`` and ``out_dir``."""
+    cfg = parse_config(args.config) if args.config else ExperimentConfig()
+    flags = {name: getattr(args, name, None) for name in ("workers", "out_dir")}
+    flags["master_seed"] = args.seed
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_or_default_config(args.config)
-    if args.seed is not None:
-        cfg.master_seed = args.seed
+    cfg = _config(args)
     study = STUDY_TABLE[cfg.study]
     if study.sim_file is None:
         raise ConfigError(f"simulate: the {cfg.study} study reads data_csv")
@@ -512,12 +507,11 @@ def _config_data(cfg: ExperimentConfig, sigma):
 
 
 def cmd_train(args) -> int:
-    cfg = _load_or_default_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.master_seed
+    cfg = _config(args)
     dataset = read_dataset_csv(args.data) if args.data \
         else _config_data(cfg, args.sigma)[0]
-    save_model(fit_method(args.method, _method_settings(cfg), dataset, seed),
-               args.out)
+    save_model(fit_method(args.method, _method_settings(cfg), dataset,
+                          cfg.master_seed), args.out)
     print(args.out)
     return 0
 
@@ -551,12 +545,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_or_default_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.master_seed
+    cfg = _config(args)
     study = STUDY_TABLE[cfg.study]
     dataset, sigma = _config_data(cfg, args.sigma)
     row = study.row(dataset, args.group, args.method, _method_settings(cfg),
-                    seed)
+                    cfg.master_seed)
     shown = {"method": args.method, "sigma": sigma, "group": args.group}
     cells = [f"{k}={shown[k]}" for k in study.keys[:-1]]
     cells += [f"{k}={v:.3f}" if isinstance(v, float) else f"{k}={v}"
@@ -566,10 +559,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    overrides = {"master_seed": args.seed, "workers": args.workers,
-                 "out_dir": args.out}
-    cfg = replace(parse_config(args.config),
-                  **{k: v for k, v in overrides.items() if v is not None})
+    cfg = _config(args)
     manifest = run_suite(cfg)
     print(f"jobs: {manifest['n_jobs']}  failed: {manifest['n_failed']}  "
           f"out: {cfg.out_dir}")
@@ -654,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="out_dir", default=None)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("report", help="aggregate per-trial CSVs")

@@ -10,6 +10,7 @@ normal characteristic vectors). Both are deterministic given their seed.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -57,6 +58,8 @@ class PairedDataset:
             if self.outcome.shape != (n,):
                 raise ValueError(f"outcome has shape {self.outcome.shape}, "
                                  f"not ({n},)")
+            if not np.isin(self.outcome, (0, 1)).all():
+                raise ValueError("outcome must be 0 or 1")
 
     @property
     def n_samples(self) -> int:
@@ -83,19 +86,30 @@ class PairedDataset:
 
 def _rows(a, name: str, width: int | None = None) -> np.ndarray:
     """``a`` as the float array every 2-D array argument must be: at least
-    one row, ``width`` columns where the callee knows the width, and finite
-    values; else ValueError naming the argument ``name``."""
+    one row and one column, ``width`` columns where the callee knows the
+    width, and finite values; else ValueError naming the argument ``name``."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"{name} must be a (rows, {width or 'columns'}) "
                          f"array, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError(f"need at least one {name.removesuffix('s')} row")
+    for axis, unit in enumerate(("row", "column")):
+        if a.shape[axis] < 1:
+            raise ValueError(f"need at least one {name.removesuffix('s')} "
+                             f"{unit}")
     if width is not None and a.shape[1] != width:
         raise ValueError(f"{name} have {a.shape[1]} columns, expected {width}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
+
+
+def _labels(labels, rows: int) -> np.ndarray:
+    """``labels`` as a vector of one class label per row of a ``rows``-row
+    array; else ValueError naming ``labels``."""
+    labels = np.asarray(labels)
+    if labels.shape != (rows,):
+        raise ValueError(f"labels have shape {labels.shape}, not ({rows},)")
+    return labels
 
 
 @dataclass
@@ -175,21 +189,16 @@ def gen_multivariate_dataset(cfg: SimConfig) -> PairedDataset:
                          groups=np.concatenate(gs), n_groups=cfg.groups)
 
 
-_chol_cache: dict = {}
-
-
+@functools.cache
 def _rbf_chol(size: int, length_scale: float) -> np.ndarray:
-    key = (size, float(length_scale))
-    if key not in _chol_cache:
-        idx = np.arange(size, dtype=np.float64)
-        k = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * length_scale))
-        k[np.diag_indices_from(k)] += CHOL_JITTER
-        try:
-            _chol_cache[key] = np.linalg.cholesky(k)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("grid kernel is not positive definite even "
-                             "after jitter") from exc
-    return _chol_cache[key]
+    idx = np.arange(size, dtype=np.float64)
+    k = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * length_scale))
+    k[np.diag_indices_from(k)] += CHOL_JITTER
+    try:
+        return np.linalg.cholesky(k)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("grid kernel is not positive definite even "
+                         "after jitter") from exc
 
 
 def gp_sample(cfg: GpSimConfig, category: int, rng: np.random.Generator) -> np.ndarray:
@@ -223,10 +232,6 @@ def gen_scalar_to_matrix_dataset(cfg: GpSimConfig) -> PairedDataset:
                          expr_shape=(cfg.grid, cfg.grid))
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_dataset_csv(ds: PairedDataset, path) -> None:
     """Write a dataset with header x1..xm, y1..yn (or px_r_c), group
     [, outcome]; floats carry 17 significant digits."""
@@ -237,18 +242,19 @@ def write_dataset_csv(ds: PairedDataset, path) -> None:
         header += [f"px_{r}_{c}" for r in range(h) for c in range(w)]
     else:
         header += [f"y{j + 1}" for j in range(n)]
-    header.append("group")
-    if ds.outcome is not None:
-        header.append("outcome")
+    labels = [ds.groups] if ds.outcome is None else [ds.groups, ds.outcome]
+    header += ["group", "outcome"][:len(labels)]
+    _write_csv(path, header, [x + y + ints for x, y, ints in zip(
+        ds.x.tolist(), ds.y.tolist(), np.column_stack(labels).tolist())])
+
+
+def _write_csv(path, header, rows) -> None:
+    """Floats at 17 significant digits; None becomes an empty cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(ds.n_samples):
-            row = [_fmt(v) for v in ds.x[i]] + [_fmt(v) for v in ds.y[i]]
-            row.append(str(int(ds.groups[i])))
-            if ds.outcome is not None:
-                row.append(str(int(ds.outcome[i])))
-            writer.writerow(row)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v
+                          for v in row] for row in rows)
 
 
 def read_dataset_csv(path) -> PairedDataset:

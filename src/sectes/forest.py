@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import _rows
+from .datagen import _labels, _rows
 from .errors import ConfigError
 
 
@@ -161,9 +161,7 @@ class _Grower:
             if not flying:
                 return trees
             batch, cells = [], 0
-            for tr in flying:
-                if not tr.stack:
-                    continue
+            for tr in flying:  # each still has a node to search
                 node, start, stop, order = tr.stack[-1]
                 need = (stop - start) * cells_per_row
                 if batch and cells + need > _STEP_CELLS:
@@ -173,8 +171,7 @@ class _Grower:
                 if order is None:
                     order = tr.rng.permutation(self.d)
                 batch.append((tr, node, start, stop, order))
-            if batch:
-                self.step(batch)
+            self.step(batch)  # the first tree always joins
             # a node too large to join others goes first before long
             flying.append(flying.pop(0))
 
@@ -316,9 +313,7 @@ class Forest:
 def fit_forest(X: np.ndarray, labels: np.ndarray, cfg: ForestConfig) -> Forest:
     """Fit trees on per-class stratified bootstrap resamples."""
     X = _rows(X, "X")
-    labels = np.asarray(labels)
-    if labels.shape != (X.shape[0],):
-        raise ValueError(f"labels have shape {labels.shape}, not ({len(X)},)")
+    labels = _labels(labels, len(X))
     if X.shape[0] < 2:
         raise ValueError("need at least 2 samples")
     classes, codes = np.unique(labels, return_inverse=True)

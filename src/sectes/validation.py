@@ -24,7 +24,7 @@ from .baselines import (GrnnModel, PlsModel, grnn_fit, grnn_predict, pls_fit,
                         pls_predict)
 from .ctes import (TrainConfig, conv_encoder_spec, conv_grid_side,
                    synthesize_each, train_ctes)
-from .datagen import PairedDataset, _rows
+from .datagen import PairedDataset, _labels, _rows
 from .ensemble import (EnsembleConfig, EnsembleModel, EnsembleSize,
                        ensemble_synthesize, train_se_ctes)
 from .errors import ConfigError
@@ -170,27 +170,36 @@ def fit_and_synthesize(method, settings: MethodSettings,
     return sample_model(model, x_target, np.random.default_rng(synth_seq))
 
 
+def _hold_out(dataset: PairedDataset, group: int, method,
+              settings: MethodSettings, seed: int, n_seeds: int):
+    """Hold ``group`` out: fit ``method`` on the other rows and synthesize
+    one expression per row of the group. Returns the group's row mask, the
+    training pool, the synthesized rows and ``n_seeds`` more seeds; the
+    fit's seed and those come from ``SeedSequence(seed).spawn``, in order."""
+    mask = dataset.group_mask(group)
+    if not mask.any():
+        raise ValueError(f"group {group} has no rows")
+    if mask.all():
+        raise ValueError(f"group {group} holds every row, so the training "
+                         f"pool of the other groups is empty")
+    train_ds = dataset.select(~mask)
+    seeds = [int(s.generate_state(1)[0])
+             for s in np.random.SeedSequence(seed).spawn(1 + n_seeds)]
+    yhat = fit_and_synthesize(method, settings, train_ds, dataset.x[mask],
+                              seeds[0])
+    return mask, train_ds, yhat, seeds[1:]
+
+
 def identify_group_experiment(dataset: PairedDataset, group: int, method,
                               settings: MethodSettings | None = None,
                               seed: int = 0) -> ValidationReport:
     """Full identify-group run: fit on the other groups, synthesize the
     identified group, and measure A1/A2 through the validation classifier."""
     settings = settings or MethodSettings()
-    if dataset.n_groups < 2:
-        raise ValueError("need at least 2 groups")
-    mask = dataset.group_mask(group)
-    if not mask.any():
-        raise ValueError(f"group {group} has no rows")
-    train_ds = dataset.select(~mask)
-    x_i = dataset.x[mask]
+    mask, train_ds, yhat, (split_seed, clf_seed) = _hold_out(
+        dataset, group, method, settings, seed, 2)
     y_i = dataset.y[mask]
-
-    fit_seq, split_seq, clf_seq = np.random.SeedSequence(seed).spawn(3)
-    yhat = fit_and_synthesize(method, settings, train_ds, x_i,
-                              int(fit_seq.generate_state(1)[0]))
-
-    train_idx, test_idx = split_train_test(
-        train_ds, int(split_seq.generate_state(1)[0]))
+    train_idx, test_idx = split_train_test(train_ds, split_seed)
     other_groups = sorted(train_idx)
     clf_x = np.vstack([yhat] + [train_ds.y[train_idx[g]] for g in other_groups])
     clf_y = np.concatenate(
@@ -199,7 +208,6 @@ def identify_group_experiment(dataset: PairedDataset, group: int, method,
     test_x = np.vstack([y_i] + [train_ds.y[test_idx[g]] for g in other_groups])
     n_identified = y_i.shape[0]
 
-    clf_seed = int(clf_seq.generate_state(1)[0])
     if dataset.expr_shape is None:
         clf = fit_forest(clf_x, clf_y, replace(settings.forest, seed=clf_seed))
         pred = predict_forest(clf, test_x)
@@ -233,29 +241,20 @@ def risk_difference_eval(dataset: PairedDataset, group: int, method,
     if dataset.outcome is None:
         raise ValueError("dataset has no outcome column")
     settings = settings or MethodSettings()
-    mask = dataset.group_mask(group)
-    if not mask.any():
-        raise ValueError(f"group {group} has no rows")
-    train_ds = dataset.select(~mask)
-    x_i, y_i = dataset.x[mask], dataset.y[mask]
-    out_i, out_rest = dataset.outcome[mask], dataset.outcome[~mask]
-
-    fit_seq, clf_seq = np.random.SeedSequence(seed).spawn(2)
-    yhat = fit_and_synthesize(method, settings, train_ds, x_i,
-                              int(fit_seq.generate_state(1)[0]))
-
+    mask, train_ds, yhat, (clf_seed,) = _hold_out(dataset, group, method,
+                                                  settings, seed, 1)
+    x_i = dataset.x[mask]
     rest = np.hstack([train_ds.x, train_ds.y])
-    actual_i = np.hstack([x_i, y_i])
+    actual_i = np.hstack([x_i, dataset.y[mask]])
     fake_i = np.hstack([x_i, yhat])
-    labels = np.concatenate([out_i, out_rest])
-    cfg = replace(settings.forest, seed=int(clf_seq.generate_state(1)[0]))
+    labels = np.concatenate([dataset.outcome[mask], train_ds.outcome])
+    cfg = replace(settings.forest, seed=clf_seed)
 
+    # outcomes are 0 or 1 and a forest needs both, so class 1 is column 1
     f_actual = fit_forest(np.vstack([actual_i, rest]), labels, cfg)
     f_fake = fit_forest(np.vstack([fake_i, rest]), labels, cfg)
-    col = int(np.nonzero(f_actual.classes == 1)[0][0])
-    r_s = predict_proba(f_actual, actual_i)[:, col]
-    col = int(np.nonzero(f_fake.classes == 1)[0][0])
-    r_a = predict_proba(f_fake, actual_i)[:, col]
+    r_s = predict_proba(f_actual, actual_i)[:, 1]
+    r_a = predict_proba(f_fake, actual_i)[:, 1]
     diff = np.abs(r_a - r_s)
     std = float(diff.std(ddof=1)) if diff.size > 1 else 0.0
     return RiskEvalReport(mean_abs_diff=float(diff.mean()), std=std,
@@ -314,7 +313,7 @@ def fit_conv_classifier(Y: np.ndarray, labels: np.ndarray, expr_shape: tuple,
     fit poorly."""
     h = w = conv_grid_side(expr_shape)
     Y = _rows(Y, "Y", h * w)
-    classes, codes = np.unique(labels, return_inverse=True)
+    classes, codes = np.unique(_labels(labels, len(Y)), return_inverse=True)
     seeds = np.random.SeedSequence(seed).spawn(3)
     # log2 depth leaves a 1x1 map on any square grid, not only powers of two
     encoder = ndnet.init_params(conv_encoder_spec(int(np.log2(h)), channels),

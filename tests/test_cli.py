@@ -427,6 +427,20 @@ def test_tabular_risk_bench_and_validate(tmp_path, capsys):
                         r"std=\d\.\d{3} n=20\n", capsys.readouterr().out)
 
 
+def test_validate_refuses_an_outcome_other_than_0_or_1(tmp_path, capsys):
+    # once a traceback: an IndexError from risk_difference_eval
+    tabular_csv(tmp_path / "risk.csv")
+    lines = (tmp_path / "risk.csv").read_text().splitlines()
+    (tmp_path / "risk.csv").write_text("\n".join(
+        re.sub(r",1$", ",2", line) for line in lines))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"study": "tabular-risk",
+                                    "data_csv": str(tmp_path / "risk.csv")}))
+    assert main(["validate", "--config", str(cfg_path), "--method", "pls",
+                 "--group", "1"]) == 2
+    _single_error_line(capsys, "outcome must be 0 or 1")
+
+
 def test_report_summarizes_a_tabular_risk_bench(tmp_path, capsys):
     tabular_csv(tmp_path / "risk.csv")
     cfg_path = tmp_path / "cfg.json"
@@ -518,6 +532,43 @@ def test_simulate_and_report_subcommands(tmp_path):
     assert lines[0] == "method,sigma,group,A1,A1_std,A2,A2_std"
     cells = lines[1].split(",")
     assert float(cells[3]) == pytest.approx(0.9)
+
+
+def test_simulate_seed_flag_equals_the_config_master_seed(tmp_path):
+    written = []
+    for seed, flag in ((6, []), (1, ["--seed", "6"])):
+        cfg_path = tmp_path / f"cfg{seed}.json"
+        cfg_path.write_text(json.dumps({"sigmas": [0.03, 0.07],
+                                        "samples_per_group": 5,
+                                        "master_seed": seed}))
+        out = tmp_path / f"sim{seed}"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]
+                    + flag) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(written[0]) == ["multivariate_sigma0.03.csv",
+                                  "multivariate_sigma0.07.csv"]
+    assert written[0] == written[1]
+
+
+def test_synth_from_a_data_csv_draws_count_rows_per_row(tmp_path, capsys,
+                                                        model_files):
+    data = tmp_path / "d.csv"
+    ds = small_dataset(n=3)
+    write_dataset_csv(ds, data)
+    model = load_model(model_files["ctes"])
+    outs = []
+    for name in ("a.csv", "b.csv"):
+        assert main(["synth", "--model", str(model_files["ctes"]), "--data",
+                     str(data), "--count", "4", "--seed", "5",
+                     "--out", str(tmp_path / name)]) == 0
+        outs.append((tmp_path / name).read_bytes())
+    assert outs[0] == outs[1]
+    got = np.loadtxt(tmp_path / "a.csv", delimiter=",", skiprows=1)
+    assert got.shape == (3 * 4, 2)
+    for i, row in enumerate(ds.x):
+        want = sample_model(model, np.repeat(row[None], 4, axis=0),
+                            np.random.default_rng(stable_seed(5, i)))
+        assert np.array_equal(got[4 * i:4 * i + 4], want)
 
 
 def test_train_synth_validate_subcommands(tmp_path):

@@ -191,6 +191,13 @@ def test_paired_dataset_label_columns_are_vectors(column, message):
                       **labels)
 
 
+def test_paired_dataset_outcome_is_0_or_1():
+    # a 2 once reached risk_difference_eval's class-1 lookup as an IndexError
+    with pytest.raises(ValueError, match="outcome must be 0 or 1"):
+        PairedDataset(x=np.ones((3, 2)), y=np.ones((3, 2)),
+                      groups=np.ones(3, int), n_groups=1, outcome=[0, 2, 0])
+
+
 def _pixel_csv(path, header, rows):
     path.write_text("\n".join(",".join(map(str, r)) for r in [header] + rows)
                     + "\n")

@@ -1,23 +1,26 @@
 """The demos and the README's python blocks import only names that exist
-and call them only with keywords they take, and the README's JSON blocks
-are valid experiment configs.
+and call them only with keywords they take, the README's JSON blocks
+are valid experiment configs, and its ``sectes`` command lines parse.
 
 The scripts are parsed, not run, so this check is fast; it keeps a
 deleted or renamed public name, keyword or config field from silently
 breaking the narrative examples.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
 import json
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from sectes.cli import MODEL_FORMAT_VERSION, ExperimentConfig, build_config
+from sectes.cli import (MODEL_FORMAT_VERSION, ExperimentConfig, build_config,
+                        build_parser)
 from sectes.ctes import CtesModel
 from sectes.ensemble import EnsembleModel
 
@@ -100,6 +103,32 @@ def test_readme_json_blocks_are_valid_configs():
     assert blocks
     for block in blocks:
         build_config(json.loads(block))
+
+
+def readme_commands():
+    """The arguments of every ``sectes`` command line in the README's sh
+    blocks, continuations joined and comments dropped."""
+    for block in fenced_blocks(ROOT / "README.md", "sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["sectes"]:
+                yield argv[1:]
+
+
+def test_readme_command_lines_parse():
+    # a renamed or dropped flag stops the documented command
+    parser = build_parser()
+    subparsers, = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for sub in subparsers.choices.values():
+        sub.allow_abbrev = False  # --out is no abbreviation of an --out-dir
+    commands = list(readme_commands())
+    assert len(commands) >= 6
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README.md: sectes {shlex.join(argv)} does not parse")
 
 
 def test_every_config_field_is_documented():

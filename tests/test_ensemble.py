@@ -483,6 +483,17 @@ def pool_pids(tasks, n):
         return list(pool.map(worker_pid, range(n)))
 
 
+def test_inline_executor_keeps_a_task_error_in_its_future():
+    def fail():
+        raise ValueError("task failed")
+
+    future = parallel.InlineExecutor().submit(fail)
+    assert future.done()
+    with pytest.raises(ValueError, match="task failed"):
+        future.result()
+    assert isinstance(future.exception(), ValueError)
+
+
 def nested_pool_stays_in_its_worker(_):
     return pool_pids(2, 2) == [os.getpid()] * 2
 

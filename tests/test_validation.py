@@ -253,6 +253,19 @@ def test_conv_classifier_on_16x16_matches_pinned_digest():
                              "8776e818ca4a9c8175e442d8474e02c6")
 
 
+@pytest.mark.parametrize("labels,shape", [
+    pytest.param(np.repeat([0, 1], 3), r"\(6,\)", id="short"),
+    pytest.param(np.repeat([0, 1], 4)[:, None], r"\(8, 1\)", id="column"),
+])
+def test_conv_classifier_needs_one_label_per_row(labels, shape):
+    # these once failed with an IndexError and with ndnet's "out_grad shape
+    # (8, 8, 2) != output shape (8, 2)", naming no argument
+    Y = np.random.default_rng(0).normal(size=(8, 16))
+    with pytest.raises(ValueError,
+                       match=rf"labels have shape {shape}, not \(8,\)"):
+        fit_conv_classifier(Y, labels, (4, 4), epochs=1, channels=(2, 2))
+
+
 def widths(m, n):
     """A unit normalization of m characteristics and n expression values."""
     return Normalization.fit(np.zeros((1, m)), np.zeros((1, n)))
@@ -328,6 +341,22 @@ def test_risk_eval_requires_outcome():
     ds = grouped_dataset([40, 40])
     with pytest.raises(ValueError):
         risk_difference_eval(ds, group=1, method="pls", seed=0)
+
+
+@pytest.mark.parametrize("protocol", [identify_group_experiment,
+                                      risk_difference_eval])
+def test_hold_out_names_an_empty_group_or_training_pool(protocol):
+    # a group holding every row once failed in PairedDataset with "need at
+    # least one x row", naming neither the group nor the training pool
+    rng = np.random.default_rng(0)
+    ds = PairedDataset(x=rng.normal(size=(6, 2)), y=rng.normal(size=(6, 3)),
+                       groups=np.ones(6, int), n_groups=2,
+                       outcome=np.arange(6) % 2)
+    with pytest.raises(ValueError, match="group 2 has no rows"):
+        protocol(ds, 2, "pls")
+    with pytest.raises(ValueError, match="group 1 holds every row, so the "
+                       "training pool of the other groups is empty"):
+        protocol(ds, 1, "pls")
 
 
 KEYS = ("method", "sigma", "group")
@@ -456,6 +485,7 @@ def _with_nan(a):
 BAD_ROWS = {  # id: (damage, message with the argument's name and width)
     "1-d": (lambda a: a[0], "{name} must be a (rows, "),
     "zero-rows": (lambda a: a[:0], "need at least one {name} row"),
+    "zero-columns": (lambda a: a[:, :0], "need at least one {name} column"),
     "wrong-width": (lambda a: np.hstack([a, a[:, :1]]),
                     "{name} have {wide} columns, expected {width}"),
     "nan": (_with_nan, "{name} must be finite"),
